@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from blochprop import CASE_STUDIES, EulerAngles, euler_matrix, run_case_study, simulate
+from blochprop import CASE_STUDIES, EulerAngles, euler_matrix, simulate
+from blochprop.analysis import case_series
 from blochprop.cli import _slug, series_to_csv
 from blochprop.svgplot import render_series_svg
 
@@ -20,8 +21,6 @@ from blochprop.svgplot import render_series_svg
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--output", default="figures", help="output directory")
-    ap.add_argument("--starts", type=int, default=50, help="extrema starts per case (series only needs few)")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     outdir = Path(args.output)
@@ -38,12 +37,10 @@ def main() -> None:
     print(f"wrote reference series ({len(series)} samples)")
 
     for spec in CASE_STUDIES:
-        report = run_case_study(spec, num_starts=args.starts, seed=args.seed)
+        series = case_series(spec)
         slug = _slug(spec.label)
-        (outdir / f"case_{slug}.csv").write_text(series_to_csv(report.series))
-        (outdir / f"case_{slug}.svg").write_text(
-            render_series_svg(report.series, title=f"{spec.label}, one period")
-        )
+        (outdir / f"case_{slug}.csv").write_text(series_to_csv(series))
+        (outdir / f"case_{slug}.svg").write_text(render_series_svg(series, title=f"{spec.label}, one period"))
         print(f"wrote case series: {spec.label}")
 
 

@@ -9,16 +9,14 @@ and the time-averaged discrepancies for the probe error.
 
 import argparse
 
-from blochprop import CASE_STUDIES, find_extremum, run_case_study, time_averaged_error
+from blochprop import CASE_STUDIES, find_extrema, run_case_study, time_averaged_error
 from blochprop.analysis import PROBE_ERR
 
 
 def table(base, angles, starts, seed) -> None:
-    for mode in ("max", "min"):
-        for target in ("az", "el"):
-            r = find_extremum(target, mode, base, angles, num_starts=starts, seed=seed)
-            loc = ", ".join(f"{c:.6f}" for c in r.at)
-            print(f"  {r.kind}: {r.value:.16g}  at ({loc})")
+    for r in find_extrema(base, angles, num_starts=starts, seed=seed):
+        loc = ", ".join(f"{c:.6f}" for c in r.at)
+        print(f"  {r.kind}: {r.value:.16g}  at ({loc})")
 
 
 def main() -> None:

@@ -48,6 +48,7 @@ from .analysis import (
     PeriodEstimate,
     PeriodEstimationError,
     estimate_period_numeric,
+    find_extrema,
     find_extremum,
     iter_case_reports,
     run_case_study,
@@ -91,6 +92,7 @@ __all__ = [
     "PeriodEstimate",
     "PeriodEstimationError",
     "estimate_period_numeric",
+    "find_extrema",
     "find_extremum",
     "iter_case_reports",
     "run_case_study",

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bloch import EulerAngles
-from .propagation import ErrorSeries, delta_closed_form, period
+from .propagation import ErrorSeries, _require_unit, delta_closed_form, period
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
@@ -178,7 +178,7 @@ def find_extremum(
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
     sign = -1.0 if mode == "max" else 1.0
-    base = tuple(float(c) for c in base_vector)
+    base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
     rates = EulerAngles(*(float(a) for a in angles))
     lo = [b[0] for b in bounds]
     hi = [min(b[1], BOX_HI) for b in bounds]
@@ -207,6 +207,21 @@ def find_extremum(
     )
 
 
+def find_extrema(
+    base_vector,
+    angles,
+    num_starts: int,
+    seed: int,
+    bounds: tuple[tuple[float, float], ...] = SEARCH_BOX,
+) -> tuple[ExtremumResult, ...]:
+    """The four extrema in report order: max_az, max_el, min_az, min_el."""
+    return tuple(
+        find_extremum(target, mode, base_vector, angles, num_starts=num_starts, seed=seed, bounds=bounds)
+        for mode in ("max", "min")
+        for target in ("az", "el")
+    )
+
+
 def time_averaged_error(
     target: str, err, angles, base=(1.0, 0.0, 0.0), tol: float = 1e-8
 ) -> float:
@@ -217,6 +232,7 @@ def time_averaged_error(
     resolves without assistance.
     """
     idx = _TARGETS[target]
+    _require_unit(base, "base")
     t_period = period(angles)
     val, _ = quad(
         lambda t: delta_closed_form(err, t, angles, base)[idx],
@@ -239,6 +255,7 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     period of a constant).
     """
     idx = _TARGETS[target]
+    _require_unit(base, "base")
     t_period = period(angles)
     ts = np.linspace(0.0, t_period, PERIOD_GRID)
     sig = np.array([delta_closed_form(err, t, angles, base)[idx] for t in ts])
@@ -261,6 +278,17 @@ PROBE_ERR = (0.0, 0.2, 0.0)
 CASE_SERIES_SAMPLES = 512
 
 
+def case_series(spec: CaseSpec) -> ErrorSeries:
+    """One-period closed-form series of the probe error (0, 0.2, 0)."""
+    ts = np.linspace(0.0, period(spec.angles), CASE_SERIES_SAMPLES)
+    pairs = [delta_closed_form(PROBE_ERR, t, spec.angles, base=spec.base_vector) for t in ts]
+    return ErrorSeries(
+        t=ts,
+        delta_az=np.array([p[0] for p in pairs]),
+        delta_el=np.array([p[1] for p in pairs]),
+    )
+
+
 def run_case_study(spec: CaseSpec, num_starts: int = 1000, seed: int = 0) -> CaseReport:
     """Periods, the four extremal values, and a one-period plotting series.
 
@@ -269,37 +297,19 @@ def run_case_study(spec: CaseSpec, num_starts: int = 1000, seed: int = 0) -> Cas
     """
     analytic = period(spec.angles)
     numeric = estimate_period_numeric("el", PROBE_ERR, spec.angles, base=spec.base_vector)
-
-    values = {}
-    for mode in ("max", "min"):
-        for target in ("az", "el"):
-            res = find_extremum(
-                target,
-                mode,
-                spec.base_vector,
-                spec.angles,
-                num_starts=num_starts,
-                seed=seed,
-                bounds=spec.err_search,
-            )
-            values[res.kind] = res.value
-
-    ts = np.linspace(0.0, analytic, CASE_SERIES_SAMPLES)
-    pairs = [delta_closed_form(PROBE_ERR, t, spec.angles, base=spec.base_vector) for t in ts]
-    series = ErrorSeries(
-        t=ts,
-        delta_az=np.array([p[0] for p in pairs]),
-        delta_el=np.array([p[1] for p in pairs]),
+    max_az, max_el, min_az, min_el = (
+        r.value
+        for r in find_extrema(spec.base_vector, spec.angles, num_starts, seed, bounds=spec.err_search)
     )
     return CaseReport(
         spec=spec,
         analytic_period=analytic,
         numeric_period=numeric,
-        max_az=values["max_az"],
-        max_el=values["max_el"],
-        min_az=values["min_az"],
-        min_el=values["min_el"],
-        series=series,
+        max_az=max_az,
+        max_el=max_el,
+        min_az=min_az,
+        min_el=min_el,
+        series=case_series(spec),
     )
 
 

@@ -22,20 +22,17 @@ import numpy as np
 
 from .analysis import (
     CASE_STUDIES,
+    CaseReport,
     ExtremumResult,
     PROBE_ERR,
+    PeriodEstimationError,
     estimate_period_numeric,
-    find_extremum,
+    find_extrema,
     run_case_study,
     time_averaged_error,
 )
 from .bloch import EulerAngles
-from .propagation import (
-    DegenerateRotationError,
-    ErrorSeries,
-    period,
-    simulate,
-)
+from .propagation import ErrorSeries, period, simulate
 from .rotations import euler_matrix
 from .svgplot import render_series_svg
 
@@ -81,37 +78,37 @@ def _human(x: float) -> str:
     return "~0" if abs(x) < TINY_PRINT else f"{x:.12g}"
 
 
-def series_to_csv(series: ErrorSeries) -> str:
-    lines = ["t,delta_az,delta_el"]
-    for t, a, e in zip(series.t, series.delta_az, series.delta_el):
-        lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(e)}")
+def _csv(header: str, rows) -> str:
+    """CSV text with a header line; string cells verbatim, numbers via _fmt."""
+    lines = [header]
+    lines.extend(",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
+def _json(doc: dict) -> str:
+    """A versioned JSON report: sorted keys, two-space indent, final newline."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
+
+
+def series_to_csv(series: ErrorSeries) -> str:
+    return _csv("t,delta_az,delta_el", zip(series.t, series.delta_az, series.delta_el))
+
+
 def series_to_json(series: ErrorSeries) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "t": [float(v) for v in series.t],
-        "delta_az": [float(v) for v in series.delta_az],
-        "delta_el": [float(v) for v in series.delta_el],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(
+        {"t": series.t.tolist(), "delta_az": series.delta_az.tolist(), "delta_el": series.delta_el.tolist()}
+    )
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+class _OutputError(Exception):
+    """An output path could not be written; main exits 2."""
 
 
-def _emit(text: str, output: str | None) -> int:
-    if output is None:
-        sys.stdout.write(text)
-        return 0
+def _write_text(path: str | Path, text: str) -> None:
     try:
-        _write_text(output, text)
+        Path(path).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
-        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        raise _OutputError(f"cannot write {path}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,21 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     v = np.asarray(args.vec, dtype=float)
     v_err = v @ euler_matrix(EulerAngles(*args.err))
-    try:
-        series = simulate(v, v_err, EulerAngles(*args.step), args.steps, pipeline=args.pipeline)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    series = simulate(v, v_err, EulerAngles(*args.step), args.steps, pipeline=args.pipeline)
     if args.format == "csv":
         text = series_to_csv(series)
     elif args.format == "json":
         text = series_to_json(series)
     else:
         text = render_series_svg(series, title="discrepancies per iteration")
-    return _emit(text, args.output)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        _write_text(args.output, text)
 
 
 def _extremum_doc(res: ExtremumResult) -> dict:
@@ -202,97 +198,89 @@ def _extremum_doc(res: ExtremumResult) -> dict:
 
 
 def extrema_report_json(results, base, angles, seed: int, starts: int) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "base_vector": list(base),
-        "angles": list(angles),
-        "seed": seed,
-        "num_starts": starts,
-        "extrema": [_extremum_doc(r) for r in results],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(
+        {
+            "base_vector": list(base),
+            "angles": list(angles),
+            "seed": seed,
+            "num_starts": starts,
+            "extrema": [_extremum_doc(r) for r in results],
+        }
+    )
 
 
 def extrema_report_csv(results) -> str:
-    lines = ["kind,value,eps_x,eps_y,eps_z,t"]
-    for r in results:
-        lines.append(
-            f"{r.kind},{_fmt(r.value)},{_fmt(r.at[0])},{_fmt(r.at[1])},{_fmt(r.at[2])},{_fmt(r.at[3])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("kind,value,eps_x,eps_y,eps_z,t", ((r.kind, r.value, *r.at) for r in results))
 
 
-def cmd_extrema(args) -> int:
-    try:
-        results = [
-            find_extremum(target, mode, args.vec, args.angles, num_starts=args.starts, seed=args.seed)
-            for mode in ("max", "min")
-            for target in ("az", "el")
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_extrema(args) -> None:
+    results = find_extrema(args.vec, args.angles, num_starts=args.starts, seed=args.seed)
     for r in results:
         print(f"{r.kind}: {_human(r.value)}")
     if args.output is None:
-        return 0
+        return
     text = (
         extrema_report_json(results, args.vec, args.angles, args.seed, args.starts)
         if args.format == "json"
         else extrema_report_csv(results)
     )
-    rc = _emit(text, args.output)
-    if rc == 0:
-        print(f"report written to {args.output}")
-    return rc
+    _write_text(args.output, text)
+    print(f"report written to {args.output}")
 
 
-def cmd_period(args) -> int:
-    try:
-        analytic = period(EulerAngles(*args.angles))
-    except DegenerateRotationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_period(args) -> None:
+    analytic = period(EulerAngles(*args.angles))
     est = estimate_period_numeric("el", args.err, args.angles, base=args.vec)
     suffix = " (degenerate: constant signal, analytic value returned)" if est.degenerate else ""
     print(f"analytic period:  {_fmt(analytic)}")
     print(f"numeric estimate: {_fmt(float(est))}{suffix}")
     print(f"difference:       {_fmt(abs(analytic - float(est)))}")
-    return 0
 
 
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
 
 
-def cmd_cases(args) -> int:
+def _case_doc(report: CaseReport) -> dict:
+    spec = report.spec
+    return {
+        "label": spec.label,
+        "angles": {"phi": spec.angles.phi, "theta": spec.angles.theta, "psi": spec.angles.psi},
+        "base_vector": list(spec.base_vector),
+        "analytic_period": report.analytic_period,
+        "numeric_period": float(report.numeric_period),
+        "degenerate_period": report.numeric_period.degenerate,
+        "max_az": report.max_az,
+        "max_el": report.max_el,
+        "min_az": report.min_az,
+        "min_el": report.min_el,
+    }
+
+
+def _case_row(report: CaseReport) -> tuple:
+    return (
+        report.spec.label,
+        *report.spec.angles,
+        report.analytic_period,
+        float(report.numeric_period),
+        report.max_az,
+        report.max_el,
+        report.min_az,
+        report.min_el,
+    )
+
+
+def cmd_cases(args) -> None:
     outdir = Path(args.output)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create {outdir}: {exc}", file=sys.stderr)
-        return 2
-    summary = []
+        raise _OutputError(f"cannot create {outdir}: {exc}") from None
+    reports = []
     for spec in CASE_STUDIES:
         report = run_case_study(spec, num_starts=args.starts, seed=args.seed)
-        row = {
-            "label": spec.label,
-            "angles": {"phi": spec.angles.phi, "theta": spec.angles.theta, "psi": spec.angles.psi},
-            "base_vector": list(spec.base_vector),
-            "analytic_period": report.analytic_period,
-            "numeric_period": float(report.numeric_period),
-            "degenerate_period": report.numeric_period.degenerate,
-            "max_az": report.max_az,
-            "max_el": report.max_el,
-            "min_az": report.min_az,
-            "min_el": report.min_el,
-        }
-        summary.append(row)
-        try:
-            _write_text(str(outdir / f"{_slug(spec.label)}.csv"), series_to_csv(report.series))
-        except OSError as exc:
-            print(f"error: cannot write case series: {exc}", file=sys.stderr)
-            return 2
+        reports.append(report)
+        _write_text(outdir / f"{_slug(spec.label)}.csv", series_to_csv(report.series))
         print(
             f"{spec.label}: period {_fmt(report.analytic_period)} "
             f"(numeric {_fmt(float(report.numeric_period))}), "
@@ -300,50 +288,22 @@ def cmd_cases(args) -> int:
             f"min_az {_human(report.min_az)}, min_el {_human(report.min_el)}"
         )
     if args.format == "json":
-        text = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "seed": args.seed, "num_starts": args.starts, "cases": summary},
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-        summary_path = outdir / "summary.json"
+        text = _json({"seed": args.seed, "num_starts": args.starts, "cases": [_case_doc(r) for r in reports]})
     else:
-        lines = ["label,phi,theta,psi,analytic_period,numeric_period,max_az,max_el,min_az,min_el"]
-        for row in summary:
-            a = row["angles"]
-            lines.append(
-                ",".join(
-                    [row["label"]]
-                    + [
-                        _fmt(x)
-                        for x in (
-                            a["phi"], a["theta"], a["psi"],
-                            row["analytic_period"], row["numeric_period"],
-                            row["max_az"], row["max_el"], row["min_az"], row["min_el"],
-                        )
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-        summary_path = outdir / "summary.csv"
-    try:
-        _write_text(str(summary_path), text)
-    except OSError as exc:
-        print(f"error: cannot write summary: {exc}", file=sys.stderr)
-        return 2
+        text = _csv(
+            "label,phi,theta,psi,analytic_period,numeric_period,max_az,max_el,min_az,min_el",
+            map(_case_row, reports),
+        )
+    summary_path = outdir / f"summary.{args.format}"
+    _write_text(summary_path, text)
     print(f"summary written to {summary_path}")
-    return 0
 
 
-def cmd_average(args) -> int:
-    try:
-        avg_az = time_averaged_error("az", args.err, args.angles, base=args.vec)
-        avg_el = time_averaged_error("el", args.err, args.angles, base=args.vec)
-    except DegenerateRotationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_average(args) -> None:
+    avg_az = time_averaged_error("az", args.err, args.angles, base=args.vec)
+    avg_el = time_averaged_error("el", args.err, args.angles, base=args.vec)
     print(f"average azimuthal discrepancy: {_fmt(avg_az)}")
     print(f"average elevation discrepancy: {_fmt(avg_el)}")
-    return 0
 
 
 _COMMANDS = {
@@ -356,8 +316,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; library input errors exit 1, unwritable outputs exit 2."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        _COMMANDS[args.command](args)
+    except (ValueError, PeriodEstimationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, POLE_EPS, angle_distance, cartesian_to_spherical
+from .bloch import EulerAngles, POLE_EPS
 from .rotations import euler_matrix, rotate_su2, su2_from_euler
 
 ANTISYMMETRY_TOL = 1e-12
@@ -94,11 +94,11 @@ class ErrorSeries:
 
 def delta_pair(w, w_err) -> tuple[float, float]:
     """Wrapped (azimuth, elevation) discrepancies between two vectors."""
-    r1, el1, az1 = cartesian_to_spherical(w)
-    r2, el2, az2 = cartesian_to_spherical(w_err)
-    if r1 < POLE_EPS or r2 < POLE_EPS:
+    vx, vy, vz = (float(c) for c in w)
+    wx, wy, wz = (float(c) for c in w_err)
+    if hypot(hypot(vx, vy), vz) < POLE_EPS or hypot(hypot(wx, wy), wz) < POLE_EPS:
         raise ValueError("discrepancies are undefined for zero vectors")
-    return angle_distance(az1, az2), angle_distance(el1, el2)
+    return _delta_scalar(vx, vy, vz, wx, wy, wz)
 
 
 def _require_unit(v, name: str) -> np.ndarray:
@@ -174,18 +174,7 @@ def sp_general(t: float, angles) -> np.ndarray:
     theta, a, omega = _rates(angles)
     if omega == 0.0:
         return np.eye(3)
-    na, nt = a / omega, theta / omega
-    wt = omega * float(t)
-    c = cos(wt)
-    s = sin(wt)
-    mc = 2.0 * sin(wt / 2.0) ** 2
-    return np.array(
-        [
-            [c, na * s, -nt * s],
-            [-na * s, 1.0 - mc * na * na, mc * na * nt],
-            [nt * s, mc * na * nt, 1.0 - mc * nt * nt],
-        ]
-    )
+    return np.array(_sp_rows(float(t), theta, a, omega))
 
 
 _SQRT5 = sqrt(5.0)
@@ -343,7 +332,7 @@ def _sp_rows(t: float, theta: float, a: float, omega: float):
 
 
 def _delta_scalar(vx, vy, vz, wx, wy, wz) -> tuple[float, float]:
-    """delta_pair on plain floats, same pole convention as the array path."""
+    """Wrapped (az, el) discrepancies of two nonzero float triples; pole azimuth is 0."""
     rho1 = hypot(vx, vy)
     az1 = 0.0 if rho1 < POLE_EPS else atan2(vy, vx)
     el1 = atan2(rho1, vz)

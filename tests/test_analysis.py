@@ -14,7 +14,9 @@ from blochprop.analysis import (
     PeriodEstimate,
     PeriodEstimationError,
     _nelder_mead,
+    case_series,
     estimate_period_numeric,
+    find_extrema,
     find_extremum,
     run_case_study,
     time_averaged_error,
@@ -110,6 +112,28 @@ class TestFindExtremum:
             find_extremum("el", "argmax", X_BASE, UNIT_RATES, num_starts=2)
         with pytest.raises(ValueError, match="num_starts"):
             find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=0)
+
+
+class TestFindExtrema:
+    def test_four_extrema_in_report_order(self):
+        box = ((0.0, 3.0),) * 4
+        results = find_extrema(X_BASE, UNIT_RATES, num_starts=3, seed=4, bounds=box)
+        expected = [
+            find_extremum(target, mode, X_BASE, UNIT_RATES, num_starts=3, seed=4, bounds=box)
+            for mode, target in (("max", "az"), ("max", "el"), ("min", "az"), ("min", "el"))
+        ]
+        assert list(results) == expected
+
+
+class TestBaseVectorValidation:
+    @pytest.mark.parametrize("base", [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (1.0, 0.0)])
+    def test_non_unit_base_rejected(self, base):
+        with pytest.raises(ValueError, match="unit"):
+            find_extremum("el", "max", base, UNIT_RATES, num_starts=1)
+        with pytest.raises(ValueError, match="unit"):
+            estimate_period_numeric("el", PROBE_ERR, UNIT_RATES, base=base)
+        with pytest.raises(ValueError, match="unit"):
+            time_averaged_error("el", PROBE_ERR, UNIT_RATES, base=base)
 
 
 class TestTimeAveragedError:
@@ -215,6 +239,14 @@ class TestCaseStudies:
         assert len(report.series) == 512
         assert report.series.t[0] == 0.0
         assert report.series.t[-1] == pytest.approx(report.analytic_period, abs=1e-15)
+
+    def test_case_series_samples_the_probe_error(self):
+        spec = CASE_STUDIES[1]
+        series = case_series(spec)
+        assert len(series) == 512
+        for k in (0, 100, 511):
+            expected = delta_closed_form(PROBE_ERR, series.t[k], spec.angles, base=spec.base_vector)
+            assert (series.delta_az[k], series.delta_el[k]) == expected
 
     def test_custom_spec_err_box_is_respected(self):
         box = ((0.0, 0.5),) * 4

@@ -6,11 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from blochprop.analysis import PeriodEstimationError
 from blochprop.cli import main, parse_angle, parse_triple
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestAngleGrammar:
@@ -216,6 +223,34 @@ class TestAverageCommand:
 
     def test_degenerate_exits_1(self):
         assert run_cli("average", "--err", "0,0.2,0", "--angles", "0.5,0,-0.5") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extrema", "--vec", "0,0,0"),
+        ("extrema", "--vec", "0,0,2"),
+        ("period", "--angles", "1,1,1", "--vec", "0,0,2"),
+        ("average", "--vec", "0,0,0"),
+    ],
+)
+def test_non_unit_base_exits_1(argv, capsys):
+    assert run_cli(*argv) == 1
+    assert "unit" in one_line_error(capsys)
+
+
+def test_cases_zero_starts_exits_1(tmp_path, capsys):
+    assert run_cli("cases", "--starts", "0", "--output", str(tmp_path / "cases")) == 1
+    assert "num_starts" in one_line_error(capsys)
+
+
+def test_period_estimation_failure_exits_1(monkeypatch, capsys):
+    def no_match(*args, **kwargs):
+        raise PeriodEstimationError("no period below 10 analytic periods fits")
+
+    monkeypatch.setattr("blochprop.cli.estimate_period_numeric", no_match)
+    assert run_cli("period", "--angles", "1,1,1") == 1
+    assert "no period" in one_line_error(capsys)
 
 
 def test_unknown_command_exits_1():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from blochprop.bloch import EulerAngles
+from blochprop.bloch import POLE_EPS, EulerAngles, angle_distance, cartesian_to_spherical
 from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
@@ -60,6 +60,32 @@ class TestDeltaPair:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
             delta_pair((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def reference_delta_pair(w, w_err):
+    """delta_pair composed from the bloch primitives."""
+    r1, el1, az1 = cartesian_to_spherical(w)
+    r2, el2, az2 = cartesian_to_spherical(w_err)
+    if r1 < POLE_EPS or r2 < POLE_EPS:
+        raise ValueError("zero vector")
+    return angle_distance(az1, az2), angle_distance(el1, el2)
+
+
+# components near 0 put vectors at or near the pole, where the azimuth is pinned to 0
+components = st.one_of(st.floats(-2, 2), st.floats(-1e-11, 1e-11))
+vectors = st.tuples(components, components, components)
+
+
+@settings(max_examples=300)
+@given(vectors, vectors)
+def test_delta_pair_equals_bloch_composition(w, w_err):
+    try:
+        expected = reference_delta_pair(w, w_err)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero"):
+            delta_pair(w, w_err)
+    else:
+        assert delta_pair(w, w_err) == expected
 
 
 class TestErrorSeries:
