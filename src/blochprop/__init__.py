@@ -27,6 +27,7 @@ from .propagation import (
     DegenerateRotationError,
     ErrorAngles,
     ErrorSeries,
+    delta_batch,
     delta_closed_form,
     delta_pair,
     equivalent_continuous_angles,
@@ -73,6 +74,7 @@ __all__ = [
     "DegenerateRotationError",
     "ErrorAngles",
     "ErrorSeries",
+    "delta_batch",
     "delta_closed_form",
     "delta_pair",
     "equivalent_continuous_angles",

@@ -4,9 +4,13 @@ The objective throughout is delta_closed_form(err, t, angles, base) viewed
 as a function of the four search variables (eps_x, eps_y, eps_z, t) on the
 box [0, 2*pi)^4 with the rotation rates held fixed.  It is cheap, bounded,
 multimodal, and non-smooth where the wrapped angle differences kink, so
-extrema are located by multi-start Nelder-Mead restricted to the box.
-Every reported extremum is attained at its reported point, which makes max
-values certified lower bounds of the true suprema (and min values upper
+extrema are located by multi-start Nelder-Mead restricted to the box.  All
+starts, and in find_extrema all four extrema, advance together as one
+batch of simplices evaluated through propagation.delta_batch; each start
+still follows its own path, stop test and evaluation cap, exactly as it
+would alone, and ExtremumResult reports the evaluations spent and the
+starts that hit the cap.  Every reported extremum is attained at its
+reported point, which makes max values certified lower bounds of the true suprema (and min values upper
 bounds of the infima); no global-optimality claim is made.
 
 Reported extremum locations are not unique: the objective has large
@@ -18,18 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import nextafter, pi
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import quad
 
 from .bloch import EulerAngles
-from .propagation import ErrorSeries, _require_unit, delta_closed_form, period
+from .propagation import ErrorSeries, _require_unit, delta_batch, delta_closed_form, period
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
 BOX_HI = nextafter(TWO_PI, 0.0)
 SEARCH_BOX = ((0.0, TWO_PI),) * 4
+
+# evaluation cap of one Nelder-Mead start
+MAX_EVALS = 2000
 
 PERIOD_GRID = 1024
 PERIOD_MATCH_TOL = 1e-6
@@ -68,6 +75,9 @@ class ExtremumResult:
     base_vector: tuple[float, float, float]
     num_starts: int
     seed: int
+    # objective evaluations over all starts, and starts ended by the cap
+    nfev: int
+    capped_starts: int
 
 
 @dataclass(frozen=True)
@@ -94,67 +104,138 @@ class CaseReport:
     series: ErrorSeries
 
 
-def _clip(x: list[float], lo: Sequence[float], hi: Sequence[float]) -> list[float]:
-    return [lo[j] if x[j] < lo[j] else hi[j] if x[j] > hi[j] else x[j] for j in range(len(x))]
+def _nelder_mead_batch(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=MAX_EVALS):
+    """Bounded Nelder-Mead from N starts advanced in lockstep.
 
-
-def _nelder_mead(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=2000):
-    """Bounded Nelder-Mead minimization; returns (x_best, f_best, nfev).
-
-    Standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 1/2, 1/2); candidates are clipped into the box, so the simplex
-    can flatten against a face, in which case the evaluation cap ends the
-    start and the best vertex so far is still a valid attained value.
+    ``f(x, rows)`` returns the values [m] of the points x [m, n], where
+    rows[k] is the start that x[k] belongs to.  Each start keeps its own
+    (n+1)-vertex simplex, evaluation count and stop test; the standard
+    reflection/expansion/contraction/shrink coefficients (1, 2, 1/2, 1/2)
+    are chosen per start with masks.  Candidates are clipped into the box,
+    so a simplex can flatten against a face; the evaluation cap then ends
+    that start, and its best vertex is still a valid attained value.  Only
+    the points the method uses are evaluated, so every start follows the
+    same path and count as it would alone.  Returns (x_best [N, n],
+    f_best [N], nfev [N]).
     """
-    n = len(x0)
-    pts = [list(x0)]
-    for j in range(n):
-        p = list(x0)
-        p[j] = p[j] + 0.25 if p[j] + 0.25 <= hi[j] else p[j] - 0.25
-        pts.append(_clip(p, lo, hi))
-    vals = [f(p) for p in pts]
-    nfev = n + 1
+    x0 = np.asarray(x0, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    num, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    sim[:, diag + 1, diag] = np.where(x0 + 0.25 <= hi, x0 + 0.25, x0 - 0.25)
+    sim[:, 1:] = np.clip(sim[:, 1:], lo, hi)
+    vals = f(sim.reshape(-1, n), np.repeat(np.arange(num), n + 1)).reshape(num, n + 1)
+    nfev = np.full(num, n + 1)
+    x_best = np.empty((num, n))
+    f_best = np.empty(num)
+    nfev_out = np.empty(num, dtype=int)
+    rows = np.arange(num)
 
-    while nfev < maxfev:
-        order = sorted(range(n + 1), key=vals.__getitem__)
-        pts = [pts[k] for k in order]
-        vals = [vals[k] for k in order]
-        if vals[-1] - vals[0] <= fatol and max(
-            abs(pts[k][j] - pts[0][j]) for k in range(1, n + 1) for j in range(n)
-        ) <= xatol:
-            break
+    while True:
+        ix = np.arange(rows.size)[:, None]
+        order = vals.argsort(axis=1, kind="stable")
+        sim, vals = sim[ix, order], vals[ix, order]
+        done = (nfev >= maxfev) | (
+            (vals[:, n] - vals[:, 0] <= fatol) & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+        )
+        live = np.flatnonzero(~done)
+        if live.size < rows.size:
+            out = rows[done]
+            x_best[out], f_best[out], nfev_out[out] = sim[done, 0], vals[done, 0], nfev[done]
+            if not live.size:
+                break
+            rows, sim, vals, nfev = rows[live], sim[live], vals[live], nfev[live]
 
-        cen = [sum(pts[k][j] for k in range(n)) / n for j in range(n)]
-        worst = pts[-1]
-        refl = _clip([cen[j] + (cen[j] - worst[j]) for j in range(n)], lo, hi)
-        fr = f(refl)
+        cen = sim[:, 0]
+        for k in range(1, n):
+            cen = cen + sim[:, k]
+        cen = cen / n
+        step = cen - sim[:, n]
+        refl = np.minimum(np.maximum(cen + step, lo), hi)
+        fr = f(refl, rows)
         nfev += 1
-        if fr < vals[0]:
-            expd = _clip([cen[j] + 2.0 * (cen[j] - worst[j]) for j in range(n)], lo, hi)
-            fe = f(expd)
-            nfev += 1
-            pts[-1], vals[-1] = (expd, fe) if fe < fr else (refl, fr)
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = refl, fr
-        else:
-            if fr < vals[-1]:
-                cont = [cen[j] + 0.5 * (refl[j] - cen[j]) for j in range(n)]
-            else:
-                cont = [cen[j] + 0.5 * (worst[j] - cen[j]) for j in range(n)]
-            cont = _clip(cont, lo, hi)
-            fc = f(cont)
-            nfev += 1
-            if fc < min(fr, vals[-1]):
-                pts[-1], vals[-1] = cont, fc
-            else:
-                best = pts[0]
-                for k in range(1, n + 1):
-                    pts[k] = [best[j] + 0.5 * (pts[k][j] - best[j]) for j in range(n)]
-                    vals[k] = f(pts[k])
-                nfev += n
+        # rows that reflect past the best vertex expand; rows whose
+        # reflection is no better than the second-worst vertex contract
+        expand = fr < vals[:, 0]
+        second = np.flatnonzero(expand | ~(fr < vals[:, n - 1]))
+        if second.size:
+            cand = np.where(
+                expand[:, None],
+                cen + 2.0 * step,
+                np.where((fr < vals[:, n])[:, None], cen + 0.5 * (refl - cen), cen - 0.5 * step),
+            )
+            cand = np.minimum(np.maximum(cand[second], lo), hi)
+            fc = f(cand, rows[second])
+            nfev[second] += 1
+            fr2, exp2 = fr[second], expand[second]
+            take = np.where(exp2, fc < fr2, fc < np.minimum(fr2, vals[second, n]))
+            refl[second] = np.where(take[:, None], cand, refl[second])
+            fr[second] = np.where(take, fc, fr2)
+            shrink = second[~(exp2 | take)]
+            if shrink.size:
+                best = sim[shrink, :1]
+                pts = best + 0.5 * (sim[shrink, 1:] - best)
+                fs = f(pts.reshape(-1, n), np.repeat(rows[shrink], n)).reshape(-1, n)
+                nfev[shrink] += n
+                sim[shrink, 1:n], vals[shrink, 1:n] = pts[:, :-1], fs[:, :-1]
+                refl[shrink], fr[shrink] = pts[:, -1], fs[:, -1]
+        sim[:, n], vals[:, n] = refl, fr
 
-    k = min(range(n + 1), key=vals.__getitem__)
-    return pts[k], vals[k], nfev
+    return x_best, f_best, nfev_out
+
+
+def _nelder_mead(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=MAX_EVALS):
+    """One start of _nelder_mead_batch for a scalar ``f``; returns (x_best, f_best, nfev)."""
+    x, fx, nfev = _nelder_mead_batch(
+        lambda pts, _rows: np.array([f(p) for p in pts.tolist()]), [x0], lo, hi, fatol, xatol, maxfev
+    )
+    return x[0].tolist(), float(fx[0]), int(nfev[0])
+
+
+def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> list[ExtremumResult]:
+    """Multistart search for several (target, mode) kinds in one lockstep batch.
+
+    Start i of every kind begins at the same point, drawn from the substream
+    seeded by (seed, i).
+    """
+    for _, mode in kinds:
+        if mode not in ("max", "min"):
+            raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+    if num_starts < 1:
+        raise ValueError("num_starts must be >= 1")
+    cols = np.repeat([_TARGETS[target] for target, _ in kinds], num_starts)
+    signs = np.repeat([-1.0 if mode == "max" else 1.0 for _, mode in kinds], num_starts)
+    base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
+    rates = EulerAngles(*(float(a) for a in angles))
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([min(b[1], BOX_HI) for b in bounds])
+    u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
+    x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
+
+    def objective(x, rows):
+        d = delta_batch(x[:, :3], x[:, 3], rates, base)
+        return signs[rows] * d[np.arange(len(rows)), cols[rows]]
+
+    x, fx, nfev = _nelder_mead_batch(objective, x0, lo, hi, maxfev=MAX_EVALS)
+    results = []
+    for k, (target, mode) in enumerate(kinds):
+        part = slice(k * num_starts, (k + 1) * num_starts)
+        i = int(np.argmin(fx[part]))
+        results.append(
+            ExtremumResult(
+                kind=f"{mode}_{target}",
+                value=float(signs[part][i] * fx[part][i]),
+                at=tuple(float(c) for c in x[part][i]),
+                base_vector=base,
+                num_starts=num_starts,
+                seed=seed,
+                nfev=int(nfev[part].sum()),
+                capped_starts=int((nfev[part] >= MAX_EVALS).sum()),
+            )
+        )
+    return results
 
 
 def find_extremum(
@@ -172,39 +253,7 @@ def find_extremum(
     the substream seeded by (seed, i), so prefixes agree across different
     num_starts and the best value can only improve as starts are added.
     """
-    idx = _TARGETS[target]
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    if num_starts < 1:
-        raise ValueError("num_starts must be >= 1")
-    sign = -1.0 if mode == "max" else 1.0
-    base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
-    rates = EulerAngles(*(float(a) for a in angles))
-    lo = [b[0] for b in bounds]
-    hi = [min(b[1], BOX_HI) for b in bounds]
-    span = [h - l for l, h in zip(lo, hi)]
-
-    def objective(x) -> float:
-        return sign * delta_closed_form((x[0], x[1], x[2]), x[3], rates, base)[idx]
-
-    best_x: list[float] | None = None
-    best_f = float("inf")
-    for i in range(num_starts):
-        u = np.random.default_rng([seed, i]).random(4)
-        x0 = [lo[j] + span[j] * float(u[j]) for j in range(4)]
-        x, fx, _ = _nelder_mead(objective, x0, lo, hi)
-        if fx < best_f:
-            best_x, best_f = x, fx
-
-    assert best_x is not None
-    return ExtremumResult(
-        kind=f"{mode}_{target}",
-        value=sign * best_f,
-        at=tuple(float(c) for c in best_x),
-        base_vector=base,
-        num_starts=num_starts,
-        seed=seed,
-    )
+    return _search([(target, mode)], base_vector, angles, num_starts, seed, bounds)[0]
 
 
 def find_extrema(
@@ -214,12 +263,13 @@ def find_extrema(
     seed: int,
     bounds: tuple[tuple[float, float], ...] = SEARCH_BOX,
 ) -> tuple[ExtremumResult, ...]:
-    """The four extrema in report order: max_az, max_el, min_az, min_el."""
-    return tuple(
-        find_extremum(target, mode, base_vector, angles, num_starts=num_starts, seed=seed, bounds=bounds)
-        for mode in ("max", "min")
-        for target in ("az", "el")
-    )
+    """The four extrema in report order: max_az, max_el, min_az, min_el.
+
+    All four searches run as one lockstep batch; each result equals the
+    corresponding find_extremum call.
+    """
+    kinds = [(target, mode) for mode in ("max", "min") for target in ("az", "el")]
+    return tuple(_search(kinds, base_vector, angles, num_starts, seed, bounds))
 
 
 def time_averaged_error(
@@ -258,7 +308,7 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     _require_unit(base, "base")
     t_period = period(angles)
     ts = np.linspace(0.0, t_period, PERIOD_GRID)
-    sig = np.array([delta_closed_form(err, t, angles, base)[idx] for t in ts])
+    sig = delta_batch(err, ts, angles, base)[:, idx]
     if float(sig.max() - sig.min()) < CONSTANT_SIGNAL_TOL:
         return PeriodEstimate(t_period, degenerate=True)
 
@@ -266,7 +316,7 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     candidates.append(t_period)
     candidates.extend(k * t_period for k in range(2, 11))
     for cand in candidates:
-        shifted = np.array([delta_closed_form(err, t + cand, angles, base)[idx] for t in ts])
+        shifted = delta_batch(err, ts + cand, angles, base)[:, idx]
         if float(np.abs(shifted - sig).max()) < PERIOD_MATCH_TOL:
             return PeriodEstimate(cand)
     raise PeriodEstimationError(

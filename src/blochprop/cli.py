@@ -271,6 +271,8 @@ def _case_row(report: CaseReport) -> tuple:
 
 
 def cmd_cases(args) -> None:
+    if args.starts < 1:
+        raise ValueError("num_starts must be >= 1")
     outdir = Path(args.output)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -51,6 +51,11 @@ from .rotations import euler_matrix, rotate_su2, su2_from_euler
 ANTISYMMETRY_TOL = 1e-12
 # min(d, 2*pi - d) can exceed pi by a rounding ulp when d is near pi
 DELTA_RANGE_SLACK = 1e-12
+# rotation_log reads the axis of rotations this close to a half-turn (in sin
+# of the angle) from the symmetric part; within HALF_TURN_TOL the axis sign
+# is lost in rounding
+NEAR_HALF_TURN = 1e-2
+HALF_TURN_TOL = 1e-12
 
 
 class DegenerateRotationError(ValueError):
@@ -144,7 +149,7 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
             we = rotate_su2(we, u)
             daz[i], del_[i] = delta_pair(w, we)
     elif pipeline == "closed":
-        gen = rotation_log(euler_matrix(step))
+        gen = rotation_log(euler_matrix(step), allow_half_turn=True)
         for i in range(n + 1):
             r = matrix_exp_generator(gen, float(i))
             daz[i], del_[i] = delta_pair(v @ r, v_err @ r)
@@ -249,11 +254,18 @@ def matrix_exp_generator(j, t: float) -> np.ndarray:
     return np.eye(3) + sin(wt) * jn + (2.0 * sin(wt / 2.0) ** 2) * (jn @ jn)
 
 
-def rotation_log(r) -> np.ndarray:
+def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     """Principal matrix logarithm of a 3x3 rotation (antisymmetric result).
 
-    Inverse of matrix_exp_generator at t = 1 for rotation angles below pi.
-    Rotations by exactly pi have an ambiguous axis sign and are rejected.
+    Inverse of matrix_exp_generator at t = 1.  Near a half-turn, dividing
+    the antisymmetric part by sin amplifies rounding (the angle from arccos
+    is off by about 1e-16 / sin), so within NEAR_HALF_TURN of pi the unit
+    axis u is read from the symmetric part, which equals I + (1 - cos)
+    (u u^T - I); the antisymmetric part, sin [u], gives only its sign and
+    the angle.  A half-turn to within HALF_TURN_TOL has two logarithms,
+    +pi [u] and -pi [u]; it is rejected as ambiguous unless
+    ``allow_half_turn``, which returns one of them.  Both reproduce every
+    integer power of r.
     """
     r = np.asarray(r, dtype=float)
     cos_angle = (float(np.trace(r)) - 1.0) / 2.0
@@ -261,11 +273,20 @@ def rotation_log(r) -> np.ndarray:
     angle = np.arccos(cos_angle)
     anti = (r - r.T) / 2.0
     sin_angle = sin(angle)
+    if cos_angle < 0.0 and sin_angle < NEAR_HALF_TURN:
+        uu = ((r + r.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
+        k = int(np.argmax(np.diag(uu)))
+        u = uu[:, k] / sqrt(uu[k, k])
+        sin_u = float(u[0] * anti[2, 1] + u[1] * anti[0, 2] + u[2] * anti[1, 0])
+        if abs(sin_u) <= HALF_TURN_TOL and not allow_half_turn:
+            raise ValueError("rotation angle is pi: logarithm axis is ambiguous")
+        if sin_u < 0.0:
+            u, sin_u = -u, -sin_u
+        ux, uy, uz = atan2(sin_u, cos_angle) * u
+        return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
     if sin_angle < 1e-9:
-        if cos_angle > 0.0:
-            # angle ~ 0: anti already equals the log to O(angle^3)
-            return anti
-        raise ValueError("rotation angle is pi: logarithm axis is ambiguous")
+        # angle ~ 0: anti already equals the log to O(angle^3)
+        return anti
     return anti * (angle / sin_angle)
 
 
@@ -289,10 +310,19 @@ def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
     return EulerAngles(a_eff / 2.0, theta_eff, a_eff / 2.0)
 
 
-# -- scalar fast path -------------------------------------------------------
+# -- two evaluation paths ---------------------------------------------------
 #
-# The extrema search evaluates the closed-form discrepancies millions of
-# times; plain-float arithmetic avoids numpy's small-array overhead there.
+# The closed-form discrepancies have two implementations of one formula.
+# The plain-float path below (_row_times_euler, _sp_rows, _delta_scalar)
+# serves single points: delta_closed_form, which adaptive quadrature in
+# analysis.time_averaged_error calls one point at a time and which the tests
+# use as the reference, and delta_pair, which the discrete pipelines call once
+# per step.  A numpy call on one point costs about ten times a float one.
+# delta_batch serves many points at once: the multistart extremum search and
+# the period grid.  It repeats the float path's arithmetic element by
+# element; only numpy's hypot and arctan2 may round differently, so the two
+# paths agree to about 1e-15 but not bit for bit.  analysis.case_series stays
+# on the float path because its samples equal delta_closed_form exactly.
 
 
 def _row_times_euler(vx: float, vy: float, vz: float, ex: float, ey: float, ez: float):
@@ -369,3 +399,74 @@ def delta_closed_form(
     wey = vex * p12 + vey * p22 + vez * p32
     wez = vex * p13 + vey * p23 + vez * p33
     return _delta_scalar(wx, wy, wz, wex, wey, wez)
+
+
+def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
+    """delta_closed_form over many points: discrepancies [..., 2] (az, el).
+
+    ``err`` has shape [..., 3] and ``t`` broadcasts against ``err[..., 0]``;
+    a single error triple with a vector of times samples one trajectory.
+    Every output element depends only on its own inputs, so a point's value
+    does not depend on what else shares the call.  ``base`` is not checked,
+    as in delta_closed_form.
+    """
+    err = np.asarray(err, dtype=float)
+    t = np.asarray(t, dtype=float)
+    # pad both to the broadcast rank so the leading component axes line up
+    nd = max(err.ndim - 1, t.ndim)
+    err = err.reshape((1,) * (nd + 1 - err.ndim) + err.shape)
+    t = t.reshape((1,) * (nd - t.ndim) + t.shape)
+    bx, by, bz = (float(c) for c in base)
+    theta, a, omega = _rates(rates)
+    cos_e, sin_e = np.cos(err), np.sin(err)
+    cf, ct, cp = cos_e[..., 0], cos_e[..., 1], cos_e[..., 2]
+    sf, st, sp = sin_e[..., 0], sin_e[..., 1], sin_e[..., 2]
+    # r[i, j]: entry (i, j) of S3(ez) @ S2(ey) @ S1(ex), as in _row_times_euler
+    r = np.empty((3, 3) + cf.shape)
+    cpct = cp * ct
+    nspct = -sp * ct
+    np.subtract(cpct * cf, sp * sf, out=r[0, 0, ...])
+    np.add(cpct * sf, sp * cf, out=r[0, 1, ...])
+    np.multiply(-cp, st, out=r[0, 2, ...])
+    np.subtract(nspct * cf, cp * sf, out=r[1, 0, ...])
+    np.add(nspct * sf, cp * cf, out=r[1, 1, ...])
+    np.multiply(sp, st, out=r[1, 2, ...])
+    np.multiply(st, cf, out=r[2, 0, ...])
+    np.multiply(st, sf, out=r[2, 1, ...])
+    r[2, 2] = ct
+    # v[k, j]: component k of the clean (j = 0) and perturbed (j = 1) vector
+    v = np.empty((3, 2) + np.broadcast(cf, t).shape)
+    v[0, 0], v[1, 0], v[2, 0] = bx, by, bz
+    v[:, 1] = bx * r[0] + by * r[1] + bz * r[2]
+    if omega == 0.0:
+        return _delta_rows(v)
+    # p[i, j]: entry (i, j) of sp_general, as in _sp_rows
+    na, nt = a / omega, theta / omega
+    p = np.empty((3, 3) + t.shape)
+    wt = omega * t
+    s = np.sin(wt)
+    mc = 2.0 * np.sin(wt / 2.0) ** 2
+    mcna = mc * na
+    np.cos(wt, out=p[0, 0, ...])
+    np.multiply(na, s, out=p[0, 1, ...])
+    np.multiply(-nt, s, out=p[0, 2, ...])
+    np.multiply(-na, s, out=p[1, 0, ...])
+    np.subtract(1.0, mcna * na, out=p[1, 1, ...])
+    np.multiply(mcna, nt, out=p[1, 2, ...])
+    np.multiply(nt, s, out=p[2, 0, ...])
+    p[2, 1] = p[1, 2]
+    np.subtract(1.0, mc * nt * nt, out=p[2, 2, ...])
+    # w[j] = v[0] p[0, j] + v[1] p[1, j] + v[2] p[2, j]
+    return _delta_rows(v[0] * p[0, :, None] + v[1] * p[1, :, None] + v[2] * p[2, :, None])
+
+
+def _delta_rows(w: np.ndarray) -> np.ndarray:
+    """_delta_scalar over w[k, j, ...] (component k, clean j = 0, perturbed j = 1)."""
+    rho = np.hypot(w[0], w[1])
+    ang = np.empty(rho.shape + (2,))
+    np.arctan2(w[1], w[0], out=ang[..., 0])
+    ang[..., 0][rho < POLE_EPS] = 0.0
+    np.arctan2(rho, w[2], out=ang[..., 1])
+    d = np.abs(ang[0] - ang[1])
+    d %= 2.0 * pi
+    return np.minimum(d, 2.0 * pi - d)

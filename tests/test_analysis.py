@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import blochprop.analysis as analysis
 from blochprop.analysis import (
     CASE_STUDIES,
+    MAX_EVALS,
     PROBE_ERR,
     CaseSpec,
     PeriodEstimate,
     PeriodEstimationError,
     _nelder_mead,
+    _nelder_mead_batch,
     case_series,
     estimate_period_numeric,
     find_extrema,
@@ -22,7 +26,7 @@ from blochprop.analysis import (
     time_averaged_error,
 )
 from blochprop.bloch import EulerAngles
-from blochprop.propagation import DegenerateRotationError, delta_closed_form, period
+from blochprop.propagation import DegenerateRotationError, delta_batch, delta_closed_form, period
 
 SQRT5 = math.sqrt(5.0)
 X_BASE = (1.0, 0.0, 0.0)
@@ -50,6 +54,41 @@ class TestNelderMead:
         f = lambda x: calls.append(1) or (x[0] - 0.3) ** 2
         _nelder_mead(f, [5.0], [0.0], [10.0], maxfev=50)
         assert len(calls) <= 51
+
+
+class TestLockstepNelderMead:
+    # rows mix the four extrema kinds; a low cap makes some rows stop early
+    KINDS = [(-1.0, 0), (-1.0, 1), (1.0, 0), (1.0, 1)]
+
+    def objective(self, kinds, rates):
+        signs = np.array([k[0] for k in kinds])
+        cols = np.array([k[1] for k in kinds])
+
+        def f(x, rows):
+            d = delta_batch(x[:, :3], x[:, 3], rates, X_BASE)
+            return signs[rows] * d[np.arange(len(rows)), cols[rows]]
+
+        return f
+
+    @pytest.mark.parametrize("maxfev", [120, MAX_EVALS])
+    def test_row_results_do_not_depend_on_the_batch(self, maxfev):
+        rng = np.random.default_rng(17)
+        x0 = rng.uniform(0.0, 2 * math.pi, (8, 4))
+        kinds = [self.KINDS[i % 4] for i in range(8)]
+        lo, hi = [0.0] * 4, [analysis.BOX_HI] * 4
+        rates = (0.7, -1.3, 2.1)
+        xb, fb, nb = _nelder_mead_batch(self.objective(kinds, rates), x0, lo, hi, maxfev=maxfev)
+        assert len(set(nb.tolist())) > 1
+        for i in range(8):
+            xa, fa, na = _nelder_mead_batch(self.objective(kinds[i : i + 1], rates), x0[i : i + 1], lo, hi, maxfev=maxfev)
+            assert xa[0].tolist() == xb[i].tolist()
+            assert fa[0] == fb[i] and na[0] == nb[i]
+
+    def test_one_row_wrapper_matches_batch(self):
+        f = lambda x: (x[0] - 0.3) ** 2 + (x[1] - 1.7) ** 2
+        x, fx, nfev = _nelder_mead(f, [2.0, 0.5], [0.0] * 2, [3.0] * 2)
+        xb, fb, nb = _nelder_mead_batch(lambda pts, rows: np.array([f(p) for p in pts]), [[2.0, 0.5]], [0.0] * 2, [3.0] * 2)
+        assert x == xb[0].tolist() and fx == fb[0] and nfev == nb[0]
 
 
 class TestFindExtremum:
@@ -114,6 +153,22 @@ class TestFindExtremum:
             find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=0)
 
 
+class TestEvaluationCounts:
+    def test_counts_add_up_per_start(self):
+        counts = [find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=k, seed=2).nfev for k in range(1, 5)]
+        per_start = np.diff([0] + counts)
+        # n + 1 initial vertices; the last iteration may pass the cap by n + 1
+        assert all(5 <= c <= MAX_EVALS + 5 for c in per_start), per_start
+
+    def test_capped_starts(self, monkeypatch):
+        r = find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=6, seed=0)
+        assert 0 <= r.capped_starts <= 6
+        monkeypatch.setattr(analysis, "MAX_EVALS", 30)
+        capped = find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=6, seed=0)
+        assert capped.capped_starts == 6
+        assert 6 * 30 <= capped.nfev <= 6 * 35
+
+
 class TestFindExtrema:
     def test_four_extrema_in_report_order(self):
         box = ((0.0, 3.0),) * 4
@@ -123,6 +178,26 @@ class TestFindExtrema:
             for mode, target in (("max", "az"), ("max", "el"), ("min", "az"), ("min", "el"))
         ]
         assert list(results) == expected
+
+
+rate_triples = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(rate_triples)
+def test_search_meets_base_x_closed_forms(angles):
+    # for base (1,0,0) the clean polar angle sweeps
+    # [arccos(|theta|/omega), arccos(-|theta|/omega)] and the error can put
+    # the perturbed vector on either pole or opposite in azimuth
+    phi, theta, psi = angles
+    omega = math.hypot(theta, phi + psi)
+    assume(omega >= 1.0)
+    max_az, max_el, min_az, min_el = (
+        r.value for r in find_extrema(X_BASE, angles, num_starts=64, seed=0)
+    )
+    assert abs(max_az - math.pi) <= 1e-9
+    assert abs(max_el - math.acos(-abs(theta) / omega)) <= 1e-9
+    assert min_az <= 1e-9 and min_el <= 1e-9
 
 
 class TestBaseVectorValidation:

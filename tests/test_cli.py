@@ -244,6 +244,26 @@ def test_cases_zero_starts_exits_1(tmp_path, capsys):
     assert "num_starts" in one_line_error(capsys)
 
 
+def test_cases_zero_starts_creates_nothing(tmp_path):
+    outdir = tmp_path / "cases"
+    assert run_cli("cases", "--starts", "0", "--output", str(outdir)) == 1
+    assert not outdir.exists()
+
+
+def test_half_turn_step_pipelines_agree(tmp_path):
+    # S(pi/2, 0, pi/2) is a half-turn about z; its matrix logarithm has no
+    # preferred axis sign, and the closed pipeline must still run
+    paths = {}
+    for pipe in ("euler", "su2", "closed"):
+        p = tmp_path / f"{pipe}.csv"
+        argv = ("simulate", "--step", "pi/2,0,pi/2", "--steps", "3", "--pipeline", pipe, "--output", str(p))
+        assert run_cli(*argv) == 0
+        paths[pipe] = np.loadtxt(p, delimiter=",", skiprows=1)
+    assert paths["euler"].shape == (4, 3)
+    assert np.abs(paths["closed"] - paths["euler"]).max() < 1e-9
+    assert np.abs(paths["su2"] - paths["euler"]).max() < 1e-9
+
+
 def test_period_estimation_failure_exits_1(monkeypatch, capsys):
     def no_match(*args, **kwargs):
         raise PeriodEstimationError("no period below 10 analytic periods fits")

@@ -14,6 +14,7 @@ from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
     ErrorSeries,
+    delta_batch,
     delta_closed_form,
     delta_pair,
     equivalent_continuous_angles,
@@ -372,6 +373,26 @@ class TestRotationLog:
         with pytest.raises(ValueError, match="ambiguous"):
             rotation_log(r)
 
+    @pytest.mark.parametrize("gap", [1e-10, 1e-7, 1e-4, 5e-3])
+    def test_near_half_turn_round_trip(self, gap):
+        # dividing by sin(angle) would lose about 1e-16 / gap**2 here
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            j = (math.pi - gap) * np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
+            r = matrix_exp_generator(j, 1.0)
+            assert np.abs(rotation_log(r) - j).max() < 1e-12
+
+    def test_half_turn_allowed_reproduces_powers(self):
+        r = euler_matrix(EulerAngles(math.pi / 2, 0.0, math.pi / 2))
+        log = rotation_log(r, allow_half_turn=True)
+        assert np.abs(log + log.T).max() == 0.0
+        assert abs(np.linalg.norm([log[2, 1], log[0, 2], log[1, 0]]) - math.pi) < 1e-15
+        for i in range(5):
+            power = np.linalg.matrix_power(r, i)
+            assert np.abs(matrix_exp_generator(log, float(i)) - power).max() < 1e-12
+
 
 class TestEquivalentContinuousAngles:
     def test_reference_step_rates(self):
@@ -391,6 +412,39 @@ class TestEquivalentContinuousAngles:
     def test_rejects_unequal_outer_angles(self):
         with pytest.raises(ValueError, match="x-generator"):
             equivalent_continuous_angles(EulerAngles(0.1, 0.2, 0.3))
+
+
+pole_bases = st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)])
+err_triples = st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    angle_triples,
+    pole_bases,
+    st.lists(st.tuples(err_triples, st.floats(-4.0, 4.0)), min_size=1, max_size=12),
+)
+def test_delta_batch_matches_scalar(angles, base, points):
+    # t spans four periods either way of 0; only numpy's hypot and arctan2
+    # may round differently from the plain-float path
+    omega = math.hypot(angles[1], angles[0] + angles[2])
+    cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
+    errs = np.array([p[0] for p in points])
+    ts = np.array([p[1] * cycle for p in points])
+    batch = delta_batch(errs, ts, angles, base)
+    assert batch.shape == (len(points), 2)
+    for k in range(len(points)):
+        scalar = delta_closed_form(errs[k], ts[k], angles, base)
+        assert np.abs(batch[k] - scalar).max() <= 1e-14
+
+
+def test_delta_batch_broadcasts_one_error_over_times():
+    ts = np.linspace(0.0, 3.0, 7)
+    batch = delta_batch(REF_ERR, ts, (1, 1, 1))
+    assert batch.shape == (7, 2)
+    for k, t in enumerate(ts):
+        assert np.abs(batch[k] - delta_closed_form(REF_ERR, t, (1, 1, 1))).max() <= 1e-15
+    assert delta_batch(REF_ERR, 1.5, (1, 1, 1)).shape == (2,)
 
 
 class TestDeltaClosedForm:
