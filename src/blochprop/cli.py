@@ -91,7 +91,7 @@ def _json(doc: dict) -> str:
 
 
 def series_to_csv(series: ErrorSeries) -> str:
-    return _csv("t,delta_az,delta_el", zip(series.t, series.delta_az, series.delta_el))
+    return _csv("t,delta_az,delta_el", zip(series.t.tolist(), series.delta_az.tolist(), series.delta_el.tolist()))
 
 
 def series_to_json(series: ErrorSeries) -> str:

@@ -6,8 +6,8 @@ discrepancies (delta_az, delta_el) after each rotation.
 
 Two equivalent descriptions are implemented:
 
-* discrete: ``simulate`` iterates the one-step matrix S(step) and samples
-  the discrepancies at integer step counts;
+* discrete: ``simulate`` applies the powers of the one-step matrix S(step)
+  and samples the discrepancies at integer step counts;
 * continuous: ``sp_general(t, angles)`` is the one-parameter rotation
   family exp(t * G(angles)) obtained as the limit of n-fold application of
   S(angles / n), and ``delta_closed_form`` evaluates the discrepancies
@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, POLE_EPS
-from .rotations import euler_matrix, rotate_su2, su2_from_euler
+from .bloch import EulerAngles, POLE_EPS, VALIDATION_TOL, qubit_to_matrix
+from .rotations import euler_matrix, su2_from_euler
 
 ANTISYMMETRY_TOL = 1e-12
 # min(d, 2*pi - d) can exceed pi by a rounding ulp when d is near pi
@@ -117,10 +117,16 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     """Rotate both vectors ``steps`` times by ``step`` and sample discrepancies.
 
     Sample i holds the discrepancies after i applications; sample 0 is the
-    initial discrepancy, so the series has steps + 1 rows.  The ``euler``
-    and ``su2`` pipelines iterate their one-step operator; ``closed``
-    samples the continuous interpolation exp(i * log S(step)), which agrees
-    with the discrete pipelines at every integer i (see module docstring).
+    initial discrepancy, so the series has steps + 1 rows.  Each pipeline
+    builds the whole trajectory of both vectors as one [steps + 1, 2, 3]
+    array: ``euler`` applies the powers of S(step), ``su2`` conjugates the
+    qubit matrices by the powers of U(step), both by doubling (the states
+    k..2k - 1 are the k-th power applied to the states 0..k - 1), so a run
+    costs about log2(steps) numpy calls; ``closed`` evaluates the continuous
+    interpolation exp(i * log S(step)) at every i in one broadcast, which
+    agrees with the discrete pipelines at every integer i (see module
+    docstring).  Sample 0 is the input pair itself.  The discrepancies are
+    then read row by row with the scalar formula of ``delta_pair``.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -129,34 +135,89 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
 
     n = int(steps)
     t = np.arange(n + 1, dtype=float)
-    daz = np.empty(n + 1)
-    del_ = np.empty(n + 1)
+    pair = np.stack([v, v_err])
 
     if pipeline == "euler":
-        s = euler_matrix(step)
-        w, we = v.copy(), v_err.copy()
-        daz[0], del_[0] = delta_pair(w, we)
-        for i in range(1, n + 1):
-            w = w @ s
-            we = we @ s
-            daz[i], del_[i] = delta_pair(w, we)
+        traj = _by_doubling(pair, euler_matrix(step), n, lambda s, w: w @ s)
     elif pipeline == "su2":
-        u = su2_from_euler(step)
-        w, we = v.copy(), v_err.copy()
-        daz[0], del_[0] = delta_pair(w, we)
-        for i in range(1, n + 1):
-            w = rotate_su2(w, u)
-            we = rotate_su2(we, u)
-            daz[i], del_[i] = delta_pair(w, we)
+        m0 = np.stack([qubit_to_matrix(v), qubit_to_matrix(v_err)])
+        m = _by_doubling(m0, su2_from_euler(step), n, _conjugate)
+        traj = _cartesian_from_qubit(m)
     elif pipeline == "closed":
         gen = rotation_log(euler_matrix(step), allow_half_turn=True)
-        for i in range(n + 1):
-            r = matrix_exp_generator(gen, float(i))
-            daz[i], del_[i] = delta_pair(v @ r, v_err @ r)
+        w = float(np.hypot(np.hypot(gen[2, 1], gen[0, 2]), gen[1, 0]))
+        if w == 0.0:
+            traj = np.broadcast_to(pair, (n + 1, 2, 3))
+        else:
+            # matrix_exp_generator(gen, i) for every i at once
+            jn = gen / w
+            wt = (w * t)[:, None, None]
+            traj = pair @ (np.eye(3) + np.sin(wt) * jn + (2.0 * np.sin(wt / 2.0) ** 2) * (jn @ jn))
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
 
+    daz, del_ = _trajectory_deltas(pair, traj)
     return ErrorSeries(t=t, delta_az=daz, delta_el=del_)
+
+
+def _by_doubling(x0: np.ndarray, op: np.ndarray, n: int, act) -> np.ndarray:
+    """[act(op^i, x0) for i = 0..n] as one array, in about log2(n) calls of act.
+
+    ``act(p, x)`` applies the operator p to a stack x of states; the powers
+    k..2k - 1 are op^k applied to the powers 0..k - 1, then op^k is squared.
+    """
+    x = np.empty((n + 1,) + x0.shape, dtype=np.result_type(x0, op))
+    x[0] = x0
+    k = 1
+    while k <= n:
+        m = min(k, n + 1 - k)
+        x[k : k + m] = act(op, x[:m])
+        op = op @ op
+        k *= 2
+    return x
+
+
+def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u @ m @ u^H for a stack m[..., 2, 2]: kron(u, conj(u)) acting on each m flattened row-major."""
+    return (m.reshape(-1, 4) @ np.kron(u, u.conj()).T).reshape(m.shape)
+
+
+def _cartesian_from_qubit(m: np.ndarray) -> np.ndarray:
+    """matrix_to_cartesian over m[..., 2, 2], with the checks of rotate_su2.
+
+    Every matrix must be Hermitian traceless and every vector read from one
+    unit norm, to the tolerances and with the messages of matrix_to_cartesian
+    and qubit_to_matrix.
+    """
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    off = (
+        (np.abs(m00 - np.conj(m00)) > VALIDATION_TOL)
+        | (np.abs(m11 - np.conj(m11)) > VALIDATION_TOL)
+        | (np.abs(m01 - np.conj(m10)) > VALIDATION_TOL)
+        | (np.abs(m00 + m11) > VALIDATION_TOL)
+    )
+    if off.any():
+        raise ValueError("matrix is not Hermitian traceless")
+    w = np.empty(m.shape[:-2] + (3,))
+    w[..., 0] = ((m01 + m10) / 2.0).real
+    w[..., 1] = ((m10 - m01) / 2j).real
+    w[..., 2] = m00.real
+    norm = np.hypot(np.hypot(w[..., 0], w[..., 1]), w[..., 2])
+    bad = np.abs(norm - 1.0) > VALIDATION_TOL
+    if bad.any():
+        raise ValueError(f"qubit vector must be unit norm, got |v| = {float(norm[bad][0])!r}")
+    return w
+
+
+def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """delta_pair over the rows of traj[i, (clean, perturbed), 3]; row 0 is ``pair``."""
+    rows = np.array(traj, dtype=float).reshape(-1, 6)
+    rows[0] = pair.reshape(6)
+    norm = np.hypot(np.hypot(rows[:, 0::3], rows[:, 1::3]), rows[:, 2::3])
+    if (norm < POLE_EPS).any():
+        raise ValueError("discrepancies are undefined for zero vectors")
+    daz, del_ = zip(*map(_delta_scalar, *rows.T.tolist()))
+    return np.array(daz), np.array(del_)
 
 
 def _rates(angles) -> tuple[float, float, float]:
@@ -257,22 +318,23 @@ def matrix_exp_generator(j, t: float) -> np.ndarray:
 def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     """Principal matrix logarithm of a 3x3 rotation (antisymmetric result).
 
-    Inverse of matrix_exp_generator at t = 1.  Near a half-turn, dividing
-    the antisymmetric part by sin amplifies rounding (the angle from arccos
-    is off by about 1e-16 / sin), so within NEAR_HALF_TURN of pi the unit
-    axis u is read from the symmetric part, which equals I + (1 - cos)
-    (u u^T - I); the antisymmetric part, sin [u], gives only its sign and
-    the angle.  A half-turn to within HALF_TURN_TOL has two logarithms,
-    +pi [u] and -pi [u]; it is rejected as ambiguous unless
+    Inverse of matrix_exp_generator at t = 1.  The antisymmetric part is
+    sin [u] for the unit axis u: its norm is sin, the angle is atan2(sin,
+    cos), and the log is the antisymmetric part times angle / sin, with sin
+    and the angle read from the same numbers.  Near a half-turn that
+    division amplifies rounding in the antisymmetric part, so within
+    NEAR_HALF_TURN of pi the axis is read from the symmetric part, which
+    equals I + (1 - cos) (u u^T - I); the antisymmetric part gives only its
+    sign and the angle.  A half-turn to within HALF_TURN_TOL has two
+    logarithms, +pi [u] and -pi [u]; it is rejected as ambiguous unless
     ``allow_half_turn``, which returns one of them.  Both reproduce every
     integer power of r.
     """
     r = np.asarray(r, dtype=float)
     cos_angle = (float(np.trace(r)) - 1.0) / 2.0
     cos_angle = min(1.0, max(-1.0, cos_angle))
-    angle = np.arccos(cos_angle)
     anti = (r - r.T) / 2.0
-    sin_angle = sin(angle)
+    sin_angle = hypot(hypot(anti[2, 1], anti[0, 2]), anti[1, 0])
     if cos_angle < 0.0 and sin_angle < NEAR_HALF_TURN:
         uu = ((r + r.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
         k = int(np.argmax(np.diag(uu)))
@@ -287,7 +349,7 @@ def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     if sin_angle < 1e-9:
         # angle ~ 0: anti already equals the log to O(angle^3)
         return anti
-    return anti * (angle / sin_angle)
+    return anti * (atan2(sin_angle, cos_angle) / sin_angle)
 
 
 def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
@@ -316,13 +378,17 @@ def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
 # The plain-float path below (_row_times_euler, _sp_rows, _delta_scalar)
 # serves single points: delta_closed_form, which adaptive quadrature in
 # analysis.time_averaged_error calls one point at a time and which the tests
-# use as the reference, and delta_pair, which the discrete pipelines call once
-# per step.  A numpy call on one point costs about ten times a float one.
-# delta_batch serves many points at once: the multistart extremum search and
-# the period grid.  It repeats the float path's arithmetic element by
-# element; only numpy's hypot and arctan2 may round differently, so the two
-# paths agree to about 1e-15 but not bit for bit.  analysis.case_series stays
-# on the float path because its samples equal delta_closed_form exactly.
+# use as the reference, and delta_pair.  A numpy call on one point costs
+# about ten times a float one.  delta_batch serves many points at once: the
+# multistart extremum search and the period grid.  It repeats the float
+# path's arithmetic element by element; only numpy's hypot and arctan2 may
+# round differently, so the two paths agree to about 1e-15 but not bit for
+# bit.  analysis.case_series stays on the float path because its samples
+# equal delta_closed_form exactly.  simulate builds its trajectories with
+# numpy but reads each sample's discrepancies with _delta_scalar, mapped
+# over the rows as Python floats (about 2 us a row), so that sample 0 is
+# delta_pair of the input pair bit for bit (_delta_rows would read the
+# reference run's initial 0.19999999999999996 as 0.20000000000000018).
 
 
 def _row_times_euler(vx: float, vy: float, vz: float, ex: float, ey: float, ez: float):

@@ -47,8 +47,10 @@ def render_series_svg(series: ErrorSeries, title: str = "") -> str:
     def sy(v: float) -> float:
         return MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
+    ts = t.tolist()
+
     def polyline(ys, color: str) -> str:
-        pts = " ".join(f"{sx(float(tv)):.2f},{sy(float(yv)):.2f}" for tv, yv in zip(t, ys))
+        pts = " ".join(f"{sx(tv):.2f},{sy(yv):.2f}" for tv, yv in zip(ts, ys.tolist()))
         return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
     parts = [

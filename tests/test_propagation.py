@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -28,7 +28,7 @@ from blochprop.propagation import (
     sp_general,
     sp_special,
 )
-from blochprop.rotations import euler_matrix
+from blochprop.rotations import euler_matrix, rotate_euler, rotate_su2, su2_from_euler
 
 SQRT5 = math.sqrt(5.0)
 REF_ERR = (0.0, 0.2, 0.0)
@@ -160,6 +160,81 @@ class TestSimulate:
             simulate(v, v_err, REF_STEP, -1)
         with pytest.raises(ValueError, match="pipeline"):
             simulate(v, v_err, REF_STEP, 5, pipeline="rk4")
+
+
+def reference_simulate(v, v_err, step, steps, pipeline):
+    """simulate one sample at a time: one rotation or exponential, then delta_pair."""
+    w, we = np.asarray(v, dtype=float), np.asarray(v_err, dtype=float)
+    rows = [delta_pair(w, we)]
+    if pipeline == "closed":
+        gen = rotation_log(euler_matrix(step), allow_half_turn=True)
+        for i in range(1, steps + 1):
+            r = matrix_exp_generator(gen, float(i))
+            rows.append(delta_pair(w @ r, we @ r))
+        return np.array(rows)
+    s, u = euler_matrix(step), su2_from_euler(step)
+    for _ in range(steps):
+        if pipeline == "euler":
+            w, we = rotate_euler(w, s), rotate_euler(we, s)
+        else:
+            w, we = rotate_su2(w, u), rotate_su2(we, u)
+        rows.append(delta_pair(w, we))
+    return np.array(rows)
+
+
+sim_unit_vectors = (
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+# the identity step (its log is 0) and a half-turn (its log has no preferred sign)
+IDENTITY_STEP = (0.3, 0.0, -0.3)
+HALF_TURN_STEP = (math.pi / 2, 0.0, math.pi / 2)
+
+
+@pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+# 1, 2, 3 and 7, 8, 9 and 1023, 1024, 1025 straddle the powers of two where
+# the doubling adds a level
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    v=sim_unit_vectors,
+    err=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    step=st.one_of(
+        st.sampled_from([IDENTITY_STEP, HALF_TURN_STEP]), st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+    ),
+)
+@example(v=np.array([1.0, 0.0, 0.0]), err=REF_ERR, step=IDENTITY_STEP)
+@example(v=np.array([0.6, 0.0, 0.8]), err=(0.1, 0.2, 0.3), step=HALF_TURN_STEP)
+# the qubit matrix and the exponential at t = 0 turn y = -0.0 into +0.0, which
+# moves the azimuth from -pi to pi
+@example(v=np.array([-0.6, -0.0, 0.8]), err=(0.3, 0.2, 0.1), step=(0.1, 0.2, 0.3))
+def test_simulate_matches_step_by_step_reference(pipeline, steps, v, err, step):
+    v_err = v @ euler_matrix(err)
+    series = simulate(v, v_err, step, steps, pipeline=pipeline)
+    ref = reference_simulate(v, v_err, step, steps, pipeline)
+    assert np.array_equal(series.t, np.arange(steps + 1.0))
+    assert (series.delta_az[0], series.delta_el[0]) == delta_pair(v, v_err)
+    assert np.abs(series.delta_az - ref[:, 0]).max() <= 1e-11
+    assert np.abs(series.delta_el - ref[:, 1]).max() <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        (1.1 * np.eye(2, dtype=complex), "unit norm"),
+        (np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex), "Hermitian traceless"),
+    ],
+)
+def test_su2_pipeline_checks_like_rotate_su2(monkeypatch, u, message):
+    # a matrix that is not in SU(2) fails the checks of rotate_su2, with its messages
+    v, v_err = ref_pair()
+    with pytest.raises(ValueError, match=message):
+        rotate_su2(rotate_su2(v, u), u)
+    monkeypatch.setattr("blochprop.propagation.su2_from_euler", lambda step: u)
+    with pytest.raises(ValueError, match=message):
+        simulate(v, v_err, REF_STEP, 3, pipeline="su2")
 
 
 class TestSpGeneral:
@@ -383,6 +458,18 @@ class TestRotationLog:
             j = (math.pi - gap) * np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
             r = matrix_exp_generator(j, 1.0)
             assert np.abs(rotation_log(r) - j).max() < 1e-12
+
+    @pytest.mark.parametrize("gap", [0.5, 0.1, 0.03, 0.011])
+    def test_round_trip_outside_near_half_turn_branch(self, gap):
+        # an angle from arccos, divided by a sin from other numbers, lost
+        # about 1e-16 / gap**2 here
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            j = (math.pi - gap) * np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
+            r = matrix_exp_generator(j, 1.0)
+            assert np.abs(rotation_log(r) - j).max() <= 1e-13
 
     def test_half_turn_allowed_reproduces_powers(self):
         r = euler_matrix(EulerAngles(math.pi / 2, 0.0, math.pi / 2))
