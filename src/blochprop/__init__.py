@@ -48,6 +48,7 @@ from .analysis import (
     ExtremumResult,
     PeriodEstimate,
     PeriodEstimationError,
+    TimeAverage,
     estimate_period_numeric,
     find_extrema,
     find_extremum,
@@ -93,6 +94,7 @@ __all__ = [
     "ExtremumResult",
     "PeriodEstimate",
     "PeriodEstimationError",
+    "TimeAverage",
     "estimate_period_numeric",
     "find_extrema",
     "find_extremum",

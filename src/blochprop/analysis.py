@@ -20,15 +20,16 @@ same value.  Only the values are meaningful.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import nextafter, pi
 from typing import Iterator
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .bloch import EulerAngles
-from .propagation import ErrorSeries, _require_unit, delta_batch, delta_closed_form, period
+from .propagation import ErrorSeries, _closed_form_at, _require_unit, delta_batch, period
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
@@ -40,6 +41,8 @@ MAX_EVALS = 2000
 
 PERIOD_GRID = 1024
 PERIOD_MATCH_TOL = 1e-6
+# every PERIOD_SCREEN_STRIDE-th grid point screens all period candidates at once
+PERIOD_SCREEN_STRIDE = 64
 CONSTANT_SIGNAL_TOL = 1e-9
 
 _TARGETS = {"az": 0, "el": 1}
@@ -54,14 +57,36 @@ class PeriodEstimate(float):
 
     A constant discrepancy signal (zero error, or an error that commutes
     with the rotation) is periodic with every period, so the analytic value
-    is returned by convention and flagged instead of raising.
+    is returned by convention and flagged instead of raising.  ``residual``
+    is the matched candidate's max |delta(t + period) - delta(t)| over the
+    grid, 0.0 when degenerate.
     """
 
     degenerate: bool
+    residual: float
 
-    def __new__(cls, value: float, degenerate: bool = False) -> "PeriodEstimate":
+    def __new__(cls, value: float, degenerate: bool = False, residual: float = 0.0) -> "PeriodEstimate":
         self = super().__new__(cls, value)
         self.degenerate = bool(degenerate)
+        self.residual = float(residual)
+        return self
+
+
+class TimeAverage(float):
+    """Time-averaged discrepancy with its quadrature's error estimate.
+
+    ``abserr`` is quad's absolute error estimate of the integral divided by
+    the period, so it bounds the error of the average itself; ``neval`` is
+    the number of integrand evaluations quad made.
+    """
+
+    abserr: float
+    neval: int
+
+    def __new__(cls, value: float, abserr: float, neval: int) -> "TimeAverage":
+        self = super().__new__(cls, value)
+        self.abserr = float(abserr)
+        self.neval = int(neval)
         return self
 
 
@@ -274,25 +299,33 @@ def find_extrema(
 
 def time_averaged_error(
     target: str, err, angles, base=(1.0, 0.0, 0.0), tol: float = 1e-8
-) -> float:
+) -> TimeAverage:
     """Mean discrepancy over one full period, (1/T) * integral of delta.
 
     Adaptive quadrature to absolute tolerance ``tol``; the integrand has
     kinks where the wrapped difference folds, which the subdivision
-    resolves without assistance.
+    resolves without assistance.  The integrand is delta_closed_form at
+    fixed err, angles and base, evaluated through its per-t closure.  The
+    result is a float that also carries the error estimate and evaluation
+    count (see TimeAverage).
     """
     idx = _TARGETS[target]
     _require_unit(base, "base")
     t_period = period(angles)
-    val, _ = quad(
-        lambda t: delta_closed_form(err, t, angles, base)[idx],
+    at = _closed_form_at(err, angles, base)
+    val, abserr, info, *message = quad(
+        lambda t: at(t)[idx],
         0.0,
         t_period,
         epsabs=tol,
         epsrel=1e-10,
         limit=200,
+        full_output=1,
     )
-    return val / t_period
+    if message:
+        # quad warns this way itself when full_output is off
+        warnings.warn(message[0], IntegrationWarning, stacklevel=2)
+    return TimeAverage(val / t_period, abserr / t_period, info["neval"])
 
 
 def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> PeriodEstimate:
@@ -300,9 +333,17 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
 
     Candidates T/16 ... T/2, T, 2T ... 10T around the analytic period T are
     accepted when max_t |delta(t) - delta(t + candidate)| over a dense
-    one-period grid stays below 1e-6.  A constant signal is flagged
-    degenerate and assigned the analytic period (every positive number is a
-    period of a constant).
+    one-period grid of PERIOD_GRID points stays below PERIOD_MATCH_TOL.
+    A constant signal is flagged degenerate and assigned the analytic
+    period (every positive number is a period of a constant).
+
+    All candidates are first screened together, in one delta_batch call, on
+    every PERIOD_SCREEN_STRIDE-th grid point; only those that pass are
+    checked on the full grid, in candidate order.  The screen never drops
+    the candidate the full check would accept: its points are a subset of
+    the grid, and delta_batch gives each point the same value whatever else
+    shares the call, so a candidate's screen maximum never exceeds its grid
+    maximum.
     """
     idx = _TARGETS[target]
     _require_unit(base, "base")
@@ -315,10 +356,14 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     candidates = [t_period / k for k in range(16, 1, -1)]
     candidates.append(t_period)
     candidates.extend(k * t_period for k in range(2, 11))
-    for cand in candidates:
-        shifted = delta_batch(err, ts + cand, angles, base)[:, idx]
-        if float(np.abs(shifted - sig).max()) < PERIOD_MATCH_TOL:
-            return PeriodEstimate(cand)
+    tol = PERIOD_MATCH_TOL
+    cands = np.array(candidates)
+    stride = slice(None, None, PERIOD_SCREEN_STRIDE)
+    screen = delta_batch(err, ts[stride] + cands[:, None], angles, base)[..., idx]
+    for cand in cands[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
+        residual = float(np.abs(delta_batch(err, ts + cand, angles, base)[:, idx] - sig).max())
+        if residual < tol:
+            return PeriodEstimate(cand, residual=residual)
     raise PeriodEstimationError(
         f"no period below 10 analytic periods fits the {target} signal for angles {tuple(angles)}"
     )
@@ -331,7 +376,7 @@ CASE_SERIES_SAMPLES = 512
 def case_series(spec: CaseSpec) -> ErrorSeries:
     """One-period closed-form series of the probe error (0, 0.2, 0)."""
     ts = np.linspace(0.0, period(spec.angles), CASE_SERIES_SAMPLES)
-    pairs = [delta_closed_form(PROBE_ERR, t, spec.angles, base=spec.base_vector) for t in ts]
+    pairs = list(map(_closed_form_at(PROBE_ERR, spec.angles, spec.base_vector), ts.tolist()))
     return ErrorSeries(
         t=ts,
         delta_az=np.array([p[0] for p in pairs]),

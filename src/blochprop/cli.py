@@ -12,6 +12,7 @@ plain-float parsing is tried first).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -86,8 +87,25 @@ def _csv(header: str, rows) -> str:
 
 
 def _json(doc: dict) -> str:
-    """A versioned JSON report: sorted keys, two-space indent, final newline."""
-    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
+    """A versioned JSON report: sorted keys, two-space indent, final newline.
+
+    The bytes are those of json.dumps(..., sort_keys=True, indent=2).  Any
+    indent makes json.dumps use its pure-Python encoder, so each top-level
+    value is written on its own: a list of numbers through the C encoder,
+    its ", " separators then broken onto indented lines (no number's text
+    holds one), anything else through json.dumps with its lines shifted one
+    level in (the encoder escapes newlines inside strings).
+    """
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    items = ",\n".join(f"  {json.dumps(key)}: {_json_value(doc[key])}" for key in sorted(doc))
+    return "{\n" + items + "\n}\n"
+
+
+def _json_value(value) -> str:
+    """One top-level value of _json, at one level of indent."""
+    if isinstance(value, list) and value and all(type(x) in (float, int) for x in value):
+        return "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def series_to_csv(series: ErrorSeries) -> str:
@@ -317,9 +335,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one subcommand; library input errors exit 1, unwritable outputs exit 2."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
     except (ValueError, PeriodEstimationError) as exc:

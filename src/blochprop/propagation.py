@@ -376,19 +376,22 @@ def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
 #
 # The closed-form discrepancies have two implementations of one formula.
 # The plain-float path below (_row_times_euler, _sp_rows, _delta_scalar)
-# serves single points: delta_closed_form, which adaptive quadrature in
-# analysis.time_averaged_error calls one point at a time and which the tests
-# use as the reference, and delta_pair.  A numpy call on one point costs
-# about ten times a float one.  delta_batch serves many points at once: the
-# multistart extremum search and the period grid.  It repeats the float
-# path's arithmetic element by element; only numpy's hypot and arctan2 may
-# round differently, so the two paths agree to about 1e-15 but not bit for
-# bit.  analysis.case_series stays on the float path because its samples
-# equal delta_closed_form exactly.  simulate builds its trajectories with
-# numpy but reads each sample's discrepancies with _delta_scalar, mapped
-# over the rows as Python floats (about 2 us a row), so that sample 0 is
-# delta_pair of the input pair bit for bit (_delta_rows would read the
-# reference run's initial 0.19999999999999996 as 0.20000000000000018).
+# serves single points: delta_closed_form, which the tests use as the
+# reference, and delta_pair.  _closed_form_at splits delta_closed_form into
+# a per-trajectory part (the error rotation and the rates, done once) and a
+# per-t closure; adaptive quadrature in analysis.time_averaged_error and the
+# samples of analysis.case_series call that closure one point at a time, and
+# it equals delta_closed_form bit for bit because delta_closed_form is built
+# from it.  A numpy call on one point costs about ten times a float one.
+# delta_batch serves many points at once: the multistart extremum search and
+# the period grid.  It repeats the float path's arithmetic element by
+# element; only numpy's hypot and arctan2 may round differently, so the two
+# paths agree to about 1e-15 but not bit for bit.  simulate builds its
+# trajectories with numpy but reads each sample's discrepancies with
+# _delta_scalar, mapped over the rows as Python floats (about 2 us a row),
+# so that sample 0 is delta_pair of the input pair bit for bit (_delta_rows
+# would read the reference run's initial 0.19999999999999996 as
+# 0.20000000000000018).
 
 
 def _row_times_euler(vx: float, vy: float, vz: float, ex: float, ey: float, ez: float):
@@ -448,23 +451,38 @@ def delta_closed_form(
     The clean vector is ``base`` (default (1,0,0)); the perturbed one is
     base @ S(err) with err = (eps_x, eps_y, eps_z).  Both ride the
     continuous family sp_general(t, angles).  Written in plain-float
-    arithmetic because the extrema search calls it millions of times.
+    arithmetic, which costs about a tenth of a numpy call on one point.
+    """
+    return _closed_form_at(err, angles, base)(t)
+
+
+def _closed_form_at(err, angles, base):
+    """delta_closed_form(err, t, angles, base) as a function of t alone.
+
+    The perturbed start vector and the rates are computed once; each call
+    then evaluates only sp_general's rows at t and the two row products, so
+    a caller that samples one trajectory at many times pays for the error
+    rotation once.
     """
     bx, by, bz = (float(c) for c in base)
     ex, ey, ez = (float(c) for c in err)
     theta, a, omega = _rates(angles)
     vex, vey, vez = _row_times_euler(bx, by, bz, ex, ey, ez)
     if omega == 0.0:
-        return _delta_scalar(bx, by, bz, vex, vey, vez)
-    rows = _sp_rows(float(t), theta, a, omega)
-    (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = rows
-    wx = bx * p11 + by * p21 + bz * p31
-    wy = bx * p12 + by * p22 + bz * p32
-    wz = bx * p13 + by * p23 + bz * p33
-    wex = vex * p11 + vey * p21 + vez * p31
-    wey = vex * p12 + vey * p22 + vez * p32
-    wez = vex * p13 + vey * p23 + vez * p33
-    return _delta_scalar(wx, wy, wz, wex, wey, wez)
+        constant = _delta_scalar(bx, by, bz, vex, vey, vez)
+        return lambda t: constant
+
+    def at(t: float) -> tuple[float, float]:
+        (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = _sp_rows(float(t), theta, a, omega)
+        wx = bx * p11 + by * p21 + bz * p31
+        wy = bx * p12 + by * p22 + bz * p32
+        wz = bx * p13 + by * p23 + bz * p33
+        wex = vex * p11 + vey * p21 + vez * p31
+        wey = vex * p12 + vey * p22 + vez * p32
+        wez = vex * p13 + vey * p23 + vez * p33
+        return _delta_scalar(wx, wy, wz, wex, wey, wez)
+
+    return at
 
 
 def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import minimize
 
 import blochprop.analysis as analysis
@@ -16,6 +17,7 @@ from blochprop.analysis import (
     CaseSpec,
     PeriodEstimate,
     PeriodEstimationError,
+    TimeAverage,
     _nelder_mead,
     _nelder_mead_batch,
     case_series,
@@ -247,6 +249,35 @@ class TestTimeAveragedError:
         with pytest.raises(DegenerateRotationError):
             time_averaged_error("el", PROBE_ERR, (0.5, 0.0, -0.5))
 
+    @pytest.mark.parametrize(
+        "err,angles,base",
+        [
+            (PROBE_ERR, UNIT_RATES, X_BASE),
+            ((0.3, 1.1, 2.0), (2.0, 1.0, 3.0), X_BASE),
+            ((5.1, 0.4, 3.3), (math.e, math.pi, 3.0), (0.0, 0.6, -0.8)),
+            ((0.0, 0.0, 0.0), UNIT_RATES, (0.0, 0.0, 1.0)),
+        ],
+    )
+    def test_equals_quad_over_delta_closed_form(self, err, angles, base):
+        # the hoisted integrand changes no bit of the average, its error
+        # estimate or quad's evaluation count
+        t_period = period(angles)
+        for target, idx in (("az", 0), ("el", 1)):
+            val, abserr, info = quad(
+                lambda t: delta_closed_form(err, t, angles, base)[idx],
+                0.0,
+                t_period,
+                epsabs=1e-8,
+                epsrel=1e-10,
+                limit=200,
+                full_output=1,
+            )
+            avg = time_averaged_error(target, err, angles, base)
+            assert isinstance(avg, TimeAverage)
+            assert avg == val / t_period
+            assert avg.abserr == abserr / t_period
+            assert avg.neval == info["neval"] > 0
+
 
 class TestEstimatePeriodNumeric:
     def test_unit_rates(self):
@@ -278,6 +309,72 @@ class TestEstimatePeriodNumeric:
     def test_degenerate_rates_rejected(self):
         with pytest.raises(DegenerateRotationError):
             estimate_period_numeric("el", PROBE_ERR, (0, 0, 0))
+
+    def test_residual_of_the_matched_candidate(self):
+        est = estimate_period_numeric("el", PROBE_ERR, UNIT_RATES)
+        assert 0.0 <= est.residual < analysis.PERIOD_MATCH_TOL
+        assert est.residual == full_scan_period("el", PROBE_ERR, UNIT_RATES, X_BASE)[2]
+        assert estimate_period_numeric("el", (0.0, 0.0, 0.0), UNIT_RATES).residual == 0.0
+
+    def test_candidate_passing_the_screen_is_checked_on_the_grid(self, monkeypatch):
+        # choose a tolerance between T/16's screen and grid maxima: T/16
+        # passes the screen, fails the full grid and must not be returned
+        err, angles, idx = (0.3, 1.1, 2.0), UNIT_RATES, 0
+        t_period = period(angles)
+        ts = np.linspace(0.0, t_period, analysis.PERIOD_GRID)
+        gap = np.abs(delta_batch(err, ts + t_period / 16, angles)[:, idx] - delta_batch(err, ts, angles)[:, idx])
+        on_screen = float(gap[:: analysis.PERIOD_SCREEN_STRIDE].max())
+        on_grid = float(gap.max())
+        assert on_screen < on_grid
+        tol = (on_screen + on_grid) / 2
+        monkeypatch.setattr(analysis, "PERIOD_MATCH_TOL", tol)
+        calls = []
+        monkeypatch.setattr(analysis, "delta_batch", lambda *a: calls.append(a) or delta_batch(*a))
+        est = estimate_period_numeric("az", err, angles)
+        assert float(est) == full_scan_period("az", err, angles, X_BASE, tol)[0] == t_period
+        # signal, screen, T/16 on the grid, T on the grid
+        assert len(calls) == 4
+
+
+def full_scan_period(target, err, angles, base, tol=None):
+    """(value, degenerate, residual) by checking every candidate on the full grid, or None."""
+    idx = {"az": 0, "el": 1}[target]
+    tol = analysis.PERIOD_MATCH_TOL if tol is None else tol
+    t_period = period(angles)
+    ts = np.linspace(0.0, t_period, analysis.PERIOD_GRID)
+    sig = delta_batch(err, ts, angles, base)[:, idx]
+    if float(sig.max() - sig.min()) < analysis.CONSTANT_SIGNAL_TOL:
+        return t_period, True, 0.0
+    for cand in [t_period / k for k in range(16, 1, -1)] + [k * t_period for k in range(1, 11)]:
+        gap = float(np.abs(delta_batch(err, ts + cand, angles, base)[:, idx] - sig).max())
+        if gap < tol:
+            return cand, False, gap
+    return None
+
+
+@st.composite
+def period_inputs(draw):
+    rates = draw(rate_triples)
+    assume(math.hypot(rates[1], rates[0] + rates[2]) >= 1.0)
+    base = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    assume(math.hypot(*base) > 1e-3)
+    base = tuple(c / math.hypot(*base) for c in base)
+    # the floats' boundary values include zero errors, whose signal is constant
+    err = draw(st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3))
+    return draw(st.sampled_from(["az", "el"])), err, rates, base
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(period_inputs())
+def test_period_screen_matches_full_scan(inputs):
+    target, err, rates, base = inputs
+    want = full_scan_period(target, err, rates, base)
+    if want is None:
+        with pytest.raises(PeriodEstimationError):
+            estimate_period_numeric(target, err, rates, base)
+        return
+    est = estimate_period_numeric(target, err, rates, base)
+    assert (float(est), est.degenerate, est.residual) == want
 
 
 class TestCaseStudies:

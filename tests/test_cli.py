@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from blochprop.analysis import PeriodEstimationError
-from blochprop.cli import main, parse_angle, parse_triple
+from blochprop.cli import SCHEMA_VERSION, _json, build_parser, main, parse_angle, parse_triple, series_to_json
+from blochprop.propagation import simulate
 
 
 def run_cli(*argv):
@@ -277,3 +278,60 @@ def test_unknown_command_exits_1():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
     assert exc.value.code == 1
+
+
+class TestRepeatedMain:
+    # main builds its parser once per process; no call may see another's flags
+
+    def test_output_flag_does_not_carry_over(self, tmp_path, capsys):
+        report = tmp_path / "rep.json"
+        argv = ("extrema", "--starts", "4", "--seed", "3")
+        assert run_cli(*argv, "--output", str(report)) == 0
+        first = capsys.readouterr().out
+        report.unlink()
+        assert run_cli(*argv) == 0
+        second = capsys.readouterr().out
+        assert first == second + f"report written to {report}\n"
+        assert not report.exists()
+
+    def test_bad_flag_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("period", "--angles", "1,1,1", "--bogus", "2")
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run_cli("period", "--angles", "1,1,1") == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert "numeric estimate" in out.out
+
+    def test_format_falls_back_to_its_default(self, capsys):
+        argv = ("simulate", "--step", "1,1,1", "--steps", "2")
+        assert run_cli(*argv, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["schema_version"] == SCHEMA_VERSION
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("t,delta_az,delta_el\n")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"t": [], "x": [0.1, -0.0, 1e-300, 2, float("inf"), float("nan")]},
+        {"nested": {"b": [1.0, 2.0], "a": "x, y\nz"}, "mixed": ["a, b", 1.5, None], "rows": [[1.0, 2.0]]},
+        {"seed": 3, "flag": True, "label": "1:1:2", "none": None},
+    ],
+)
+def test_json_writer_bytes_equal_the_indenting_encoder(doc):
+    want = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
+    assert _json(doc) == want
+
+
+def test_series_json_bytes_equal_the_indenting_encoder():
+    v = np.array([0.6, 0.0, 0.8])
+    series = simulate(v, v @ np.diag([1.0, -1.0, -1.0]), (0.1, 0.2, 0.3), 50)
+    doc = {"t": series.t.tolist(), "delta_az": series.delta_az.tolist(), "delta_el": series.delta_el.tolist()}
+    want = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
+    assert series_to_json(series) == want

@@ -13,6 +13,7 @@ from blochprop.bloch import POLE_EPS, EulerAngles, angle_distance, cartesian_to_
 from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
+    _closed_form_at,
     ErrorSeries,
     delta_batch,
     delta_closed_form,
@@ -587,3 +588,25 @@ class TestDeltaClosedForm:
         one = max(delta_closed_form(REF_ERR, t, (1, 1, 1))[1] for t in ts1)
         ten = max(delta_closed_form(REF_ERR, t, (1, 1, 1))[1] for t in ts10)
         assert abs(one - ten) < 1e-6
+
+
+unit_bases = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda b: math.hypot(*b) > 1e-3)
+zero_rate_triples = st.sampled_from([(0.0, 0.0, 0.0), (0.5, 0.0, -0.5), (-1.25, 0.0, 1.25)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    err_triples,
+    st.one_of(zero_rate_triples, angle_triples),
+    unit_bases,
+    st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8),
+)
+def test_closed_form_closure_equals_delta_closed_form(err, angles, base, fractions):
+    # one closure serves every t of a trajectory, over five periods, and
+    # gives delta_closed_form's value bit for bit, also when omega = 0
+    base = tuple(c / math.hypot(*base) for c in base)
+    omega = math.hypot(angles[1], angles[0] + angles[2])
+    cycle = 2 * math.pi / omega if omega > 0.0 else 1.0
+    at = _closed_form_at(err, angles, base)
+    for f in fractions:
+        assert at(f * cycle) == delta_closed_form(err, f * cycle, angles, base)
