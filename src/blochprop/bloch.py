@@ -77,31 +77,41 @@ def qubit_to_matrix(v) -> np.ndarray:
     traceless with eigenvalues +-1.
     """
     x, y, z = (float(c) for c in v)
-    norm = hypot(hypot(x, y), z)
-    if abs(norm - 1.0) > VALIDATION_TOL:
-        raise ValueError(f"qubit vector must be unit norm, got |v| = {norm!r}")
+    _require_unit_norm(hypot(hypot(x, y), z))
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]])
 
 
-def matrix_to_cartesian(m) -> np.ndarray:
-    """Recover the Bloch vector from a Hermitian traceless 2x2 matrix.
+def _require_unit_norm(norm) -> None:
+    """Raise unless every qubit-vector norm is within VALIDATION_TOL of 1; NaN fails."""
+    norm = np.asarray(norm, dtype=float)
+    bad = ~(np.abs(norm - 1.0) <= VALIDATION_TOL)
+    if bad.any():
+        raise ValueError(f"qubit vector must be unit norm, got |v| = {float(norm[bad][0])!r}")
 
-    q1 = Re(m12 + m21)/2, q2 = Re((m21 - m12)/2i), q3 = Re(m11).
+
+def matrix_to_cartesian(m) -> np.ndarray:
+    """Recover the Bloch vectors [..., 3] from Hermitian traceless matrices m[..., 2, 2].
+
+    q1 = Re(m12 + m21)/2, q2 = Re((m21 - m12)/2i), q3 = Re(m11).  Every
+    matrix in a stack must pass the check, and NaN entries fail it.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if (
-        abs(m[0, 0] - np.conj(m[0, 0])) > VALIDATION_TOL
-        or abs(m[1, 1] - np.conj(m[1, 1])) > VALIDATION_TOL
-        or abs(m[0, 1] - np.conj(m[1, 0])) > VALIDATION_TOL
-        or abs(m[0, 0] + m[1, 1]) > VALIDATION_TOL
-    ):
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    ok = (
+        (np.abs(m00 - np.conj(m00)) <= VALIDATION_TOL)
+        & (np.abs(m11 - np.conj(m11)) <= VALIDATION_TOL)
+        & (np.abs(m01 - np.conj(m10)) <= VALIDATION_TOL)
+        & (np.abs(m00 + m11) <= VALIDATION_TOL)
+    )
+    if not ok.all():
         raise ValueError("matrix is not Hermitian traceless")
-    q1 = ((m[0, 1] + m[1, 0]) / 2.0).real
-    q2 = ((m[1, 0] - m[0, 1]) / 2j).real
-    q3 = m[0, 0].real
-    return np.array([q1, q2, q3])
+    q = np.empty(m.shape[:-2] + (3,))
+    q[..., 0] = ((m01 + m10) / 2.0).real
+    q[..., 1] = ((m10 - m01) / 2j).real
+    q[..., 2] = m00.real
+    return q
 
 
 def angle_distance(a: float, b: float) -> float:

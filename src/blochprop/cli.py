@@ -45,22 +45,24 @@ _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?(pi|e)(?:/(\d+(?:\.\d+)?))?$")
 
 
 def parse_angle(text: str) -> float:
-    """One angle literal: a float, or [sign][coeff](pi|e)[/divisor]."""
+    """One finite angle literal: a float, or [sign][coeff](pi|e)[/divisor]."""
     s = text.strip().lower()
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
-        pass
-    m = _ANGLE_RE.match(s)
-    if m is None:
-        raise ValueError(f"cannot parse angle {text!r}")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    coeff = float(m.group(2)) if m.group(2) else 1.0
-    base = math.pi if m.group(3) == "pi" else math.e
-    divisor = float(m.group(4)) if m.group(4) else 1.0
-    if divisor == 0.0:
-        raise ValueError(f"zero divisor in angle {text!r}")
-    return sign * coeff * base / divisor
+        m = _ANGLE_RE.match(s)
+        if m is None:
+            raise ValueError(f"cannot parse angle {text!r}") from None
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coeff = float(m.group(2)) if m.group(2) else 1.0
+        base = math.pi if m.group(3) == "pi" else math.e
+        divisor = float(m.group(4)) if m.group(4) else 1.0
+        if divisor == 0.0:
+            raise ValueError(f"zero divisor in angle {text!r}") from None
+        value = sign * coeff * base / divisor
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def parse_triple(text: str) -> tuple[float, float, float]:

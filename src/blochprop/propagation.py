@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, POLE_EPS, VALIDATION_TOL, qubit_to_matrix
+from .bloch import EulerAngles, POLE_EPS, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
 from .rotations import euler_matrix, su2_from_euler
 
 ANTISYMMETRY_TOL = 1e-12
@@ -87,7 +87,8 @@ class ErrorSeries:
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
         hi = pi + DELTA_RANGE_SLACK
-        if daz.size and (daz.min() < 0 or daz.max() > hi or del_.min() < 0 or del_.max() > hi):
+        # written so that NaN, which compares False, fails the range check
+        if daz.size and not (daz.min() >= 0 and daz.max() <= hi and del_.min() >= 0 and del_.max() <= hi):
             raise ValueError("discrepancies must lie in [0, pi]")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "delta_az", daz)
@@ -108,7 +109,7 @@ def delta_pair(w, w_err) -> tuple[float, float]:
 
 def _require_unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+    if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
         raise ValueError(f"{name} must be a unit 3-vector")
     return v
 
@@ -122,11 +123,13 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     array: ``euler`` applies the powers of S(step), ``su2`` conjugates the
     qubit matrices by the powers of U(step), both by doubling (the states
     k..2k - 1 are the k-th power applied to the states 0..k - 1), so a run
-    costs about log2(steps) numpy calls; ``closed`` evaluates the continuous
-    interpolation exp(i * log S(step)) at every i in one broadcast, which
-    agrees with the discrete pipelines at every integer i (see module
-    docstring).  Sample 0 is the input pair itself.  The discrepancies are
-    then read row by row with the scalar formula of ``delta_pair``.
+    costs about log2(steps) numpy calls, and ``su2`` reads the vectors back
+    with one matrix_to_cartesian call on the whole stack; ``closed`` evaluates
+    the continuous interpolation exp(i * log S(step)) with one
+    matrix_exp_generator call on every i at once, which agrees with the
+    discrete pipelines at every integer i (see module docstring).  Sample 0
+    is the input pair itself.  The discrepancies are then read row by row
+    with the scalar formula of ``delta_pair``.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -141,18 +144,13 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
         traj = _by_doubling(pair, euler_matrix(step), n, lambda s, w: w @ s)
     elif pipeline == "su2":
         m0 = np.stack([qubit_to_matrix(v), qubit_to_matrix(v_err)])
-        m = _by_doubling(m0, su2_from_euler(step), n, _conjugate)
-        traj = _cartesian_from_qubit(m)
+        traj = matrix_to_cartesian(_by_doubling(m0, su2_from_euler(step), n, _conjugate))
+        # a step outside SU(2) changes the norm, as rotate_su2 then reports
+        _require_unit_norm(np.hypot(np.hypot(traj[..., 0], traj[..., 1]), traj[..., 2]))
     elif pipeline == "closed":
         gen = rotation_log(euler_matrix(step), allow_half_turn=True)
-        w = float(np.hypot(np.hypot(gen[2, 1], gen[0, 2]), gen[1, 0]))
-        if w == 0.0:
-            traj = np.broadcast_to(pair, (n + 1, 2, 3))
-        else:
-            # matrix_exp_generator(gen, i) for every i at once
-            jn = gen / w
-            wt = (w * t)[:, None, None]
-            traj = pair @ (np.eye(3) + np.sin(wt) * jn + (2.0 * np.sin(wt / 2.0) ** 2) * (jn @ jn))
+        # a zero generator leaves the pair as it is: pair @ I would turn -0.0 into +0.0
+        traj = pair @ matrix_exp_generator(gen, t) if gen.any() else np.broadcast_to(pair, (n + 1, 2, 3))
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
 
@@ -182,33 +180,6 @@ def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m.reshape(-1, 4) @ np.kron(u, u.conj()).T).reshape(m.shape)
 
 
-def _cartesian_from_qubit(m: np.ndarray) -> np.ndarray:
-    """matrix_to_cartesian over m[..., 2, 2], with the checks of rotate_su2.
-
-    Every matrix must be Hermitian traceless and every vector read from one
-    unit norm, to the tolerances and with the messages of matrix_to_cartesian
-    and qubit_to_matrix.
-    """
-    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    off = (
-        (np.abs(m00 - np.conj(m00)) > VALIDATION_TOL)
-        | (np.abs(m11 - np.conj(m11)) > VALIDATION_TOL)
-        | (np.abs(m01 - np.conj(m10)) > VALIDATION_TOL)
-        | (np.abs(m00 + m11) > VALIDATION_TOL)
-    )
-    if off.any():
-        raise ValueError("matrix is not Hermitian traceless")
-    w = np.empty(m.shape[:-2] + (3,))
-    w[..., 0] = ((m01 + m10) / 2.0).real
-    w[..., 1] = ((m10 - m01) / 2j).real
-    w[..., 2] = m00.real
-    norm = np.hypot(np.hypot(w[..., 0], w[..., 1]), w[..., 2])
-    bad = np.abs(norm - 1.0) > VALIDATION_TOL
-    if bad.any():
-        raise ValueError(f"qubit vector must be unit norm, got |v| = {float(norm[bad][0])!r}")
-    return w
-
-
 def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """delta_pair over the rows of traj[i, (clean, perturbed), 3]; row 0 is ``pair``."""
     rows = np.array(traj, dtype=float).reshape(-1, 6)
@@ -227,20 +198,22 @@ def _rates(angles) -> tuple[float, float, float]:
     return theta, a, hypot(theta, a)
 
 
-def sp_general(t: float, angles) -> np.ndarray:
-    """Continuous rotation family S_P(t) = exp(t * G(angles)).
+def sp_general(t, angles) -> np.ndarray:
+    """Continuous rotation family S_P(t) = exp(t * G(angles)), [..., 3, 3] for t of any shape.
 
     Evaluated in real trigonometric form with omega = sqrt(theta^2 +
     (phi+psi)^2): entries combine cos(omega t), sin(omega t), and
     2 sin^2(omega t / 2) for the 1 - cos terms, scaled by the unit ratios
     theta/omega and (phi+psi)/omega so no bare omega^2 can underflow for
     subnormal rates.  When omega = 0 the generator vanishes and the family
-    is the identity for all t.
+    is the identity for all t.  Each matrix depends only on its own t, so
+    sp_general(ts, angles)[k] equals sp_general(ts[k], angles).
     """
+    t = np.asarray(t, dtype=float)
     theta, a, omega = _rates(angles)
     if omega == 0.0:
-        return np.eye(3)
-    return np.array(_sp_rows(float(t), theta, a, omega))
+        return np.tile(np.eye(3), t.shape + (1, 1))
+    return np.moveaxis(_sp_entries(t, theta, a, omega), (0, 1), (-2, -1))
 
 
 _SQRT5 = sqrt(5.0)
@@ -296,23 +269,26 @@ def period(angles) -> float:
     return 2.0 * pi / omega
 
 
-def matrix_exp_generator(j, t: float) -> np.ndarray:
-    """Rotation exponential exp(t j) of an antisymmetric 3x3 matrix.
+def matrix_exp_generator(j, t) -> np.ndarray:
+    """Rotation exponential exp(t j) of an antisymmetric 3x3 matrix, [..., 3, 3] for t of any shape.
 
     Rodrigues construction on the normalized matrix n = j / w with
     w = |(j32, j13, j21)| the rotation rate: exp(t j) = I + sin(w t) n
     + (1 - cos(w t)) n^2.  For the generator of rates (phi, theta, psi)
-    the axis direction is -(0, theta, phi+psi) and w = omega.
+    the axis direction is -(0, theta, phi+psi) and w = omega.  Each matrix
+    depends only on its own t, so matrix_exp_generator(j, ts)[k] equals
+    matrix_exp_generator(j, ts[k]).
     """
     j = np.asarray(j, dtype=float)
     if j.shape != (3, 3) or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
         raise ValueError("generator must be an antisymmetric 3x3 matrix")
+    t = np.asarray(t, dtype=float)
     w = float(np.hypot(np.hypot(j[2, 1], j[0, 2]), j[1, 0]))
     if w == 0.0:
-        return np.eye(3)
+        return np.tile(np.eye(3), t.shape + (1, 1))
     jn = j / w
-    wt = w * float(t)
-    return np.eye(3) + sin(wt) * jn + (2.0 * sin(wt / 2.0) ** 2) * (jn @ jn)
+    wt = (w * t)[..., None, None]
+    return np.eye(3) + np.sin(wt) * jn + (2.0 * np.sin(wt / 2.0) ** 2) * (jn @ jn)
 
 
 def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
@@ -385,8 +361,10 @@ def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
 # from it.  A numpy call on one point costs about ten times a float one.
 # delta_batch serves many points at once: the multistart extremum search and
 # the period grid.  It repeats the float path's arithmetic element by
-# element; only numpy's hypot and arctan2 may round differently, so the two
-# paths agree to about 1e-15 but not bit for bit.  simulate builds its
+# element: _sp_rows pairs with the numpy helper _sp_entries, which is the one
+# numpy copy of the rotation family (sp_general is built on it too).  Only
+# numpy's transcendental functions may round differently, so the two paths
+# agree to about 1e-15 but not bit for bit.  simulate builds its
 # trajectories with numpy but reads each sample's discrepancies with
 # _delta_scalar, mapped over the rows as Python floats (about 2 us a row),
 # so that sample 0 is delta_pair of the input pair bit for bit (_delta_rows
@@ -524,7 +502,13 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     v[:, 1] = bx * r[0] + by * r[1] + bz * r[2]
     if omega == 0.0:
         return _delta_rows(v)
-    # p[i, j]: entry (i, j) of sp_general, as in _sp_rows
+    p = _sp_entries(t, theta, a, omega)
+    # w[j] = v[0] p[0, j] + v[1] p[1, j] + v[2] p[2, j]
+    return _delta_rows(v[0] * p[0, :, None] + v[1] * p[1, :, None] + v[2] * p[2, :, None])
+
+
+def _sp_entries(t: np.ndarray, theta: float, a: float, omega: float) -> np.ndarray:
+    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _sp_rows; omega must be positive."""
     na, nt = a / omega, theta / omega
     p = np.empty((3, 3) + t.shape)
     wt = omega * t
@@ -540,8 +524,7 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     np.multiply(nt, s, out=p[2, 0, ...])
     p[2, 1] = p[1, 2]
     np.subtract(1.0, mc * nt * nt, out=p[2, 2, ...])
-    # w[j] = v[0] p[0, j] + v[1] p[1, j] + v[2] p[2, j]
-    return _delta_rows(v[0] * p[0, :, None] + v[1] * p[1, :, None] + v[2] * p[2, :, None])
+    return p
 
 
 def _delta_rows(w: np.ndarray) -> np.ndarray:

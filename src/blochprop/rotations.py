@@ -47,7 +47,7 @@ def su2_from_axis(axis, angle: float) -> np.ndarray:
     """SU(2) rotation about a unit axis: cos(a/2) I - i sin(a/2) (n . sigma)."""
     n = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > AXIS_NORM_TOL:
+    if not abs(norm - 1.0) <= AXIS_NORM_TOL:
         raise ValueError(f"rotation axis must be unit norm, got |n| = {norm!r}")
     half = float(angle) / 2.0
     n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z

@@ -212,6 +212,17 @@ class TestBaseVectorValidation:
         with pytest.raises(ValueError, match="unit"):
             time_averaged_error("el", PROBE_ERR, UNIT_RATES, base=base)
 
+    @pytest.mark.parametrize("base", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+    def test_non_finite_base_rejected(self, base):
+        with pytest.raises(ValueError, match="unit"):
+            find_extremum("el", "max", base, UNIT_RATES, num_starts=1)
+        with pytest.raises(ValueError, match="unit"):
+            find_extrema(base, UNIT_RATES, num_starts=1, seed=0)
+        with pytest.raises(ValueError, match="unit"):
+            estimate_period_numeric("el", PROBE_ERR, UNIT_RATES, base=base)
+        with pytest.raises(ValueError, match="unit"):
+            time_averaged_error("el", PROBE_ERR, UNIT_RATES, base=base)
+
 
 class TestTimeAveragedError:
     def test_zero_error_averages_zero(self):

@@ -161,3 +161,43 @@ class TestAngleDistance:
 def test_euler_angles_fields():
     a = EulerAngles(0.1, 0.2, 0.3)
     assert (a.phi, a.theta, a.psi) == (0.1, 0.2, 0.3)
+
+
+class TestStackedQubitMatrices:
+    def stack(self, k=7, seed=0):
+        rng = np.random.default_rng(seed)
+        vs = rng.normal(size=(k, 3))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        return np.stack([qubit_to_matrix(v) for v in vs])
+
+    def test_stack_equals_per_matrix_calls(self):
+        ms = self.stack()
+        qs = matrix_to_cartesian(ms)
+        assert qs.shape == (7, 3)
+        for m, q in zip(ms, qs):
+            assert np.array_equal(q, matrix_to_cartesian(m))
+        assert np.array_equal(matrix_to_cartesian(ms.reshape(7, 1, 2, 2)), qs.reshape(7, 1, 3))
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_one_bad_matrix_fails_the_stack(self, k):
+        ms = self.stack()
+        ms[k, 0, 1] += 0.1
+        with pytest.raises(ValueError, match="Hermitian traceless"):
+            matrix_to_cartesian(ms)
+
+    def test_rejects_a_nan_matrix(self):
+        ms = self.stack()
+        ms[2, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="Hermitian traceless"):
+            matrix_to_cartesian(ms)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3, 2), (2,), (2, 3)])
+    def test_rejects_non_2x2_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            matrix_to_cartesian(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("v", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (math.nan, math.nan, math.nan)])
+def test_qubit_to_matrix_rejects_non_finite(v):
+    with pytest.raises(ValueError, match="unit norm"):
+        qubit_to_matrix(v)

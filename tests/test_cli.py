@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,3 +336,35 @@ def test_series_json_bytes_equal_the_indenting_encoder():
     doc = {"t": series.t.tolist(), "delta_az": series.delta_az.tolist(), "delta_el": series.delta_el.tolist()}
     want = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2) + "\n"
     assert series_to_json(series) == want
+
+
+@pytest.mark.parametrize(
+    "text", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e400", "-1e999", pytest.param("9" * 400 + "pi", id="9x400pi")]
+)
+def test_parse_angle_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_angle(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extrema", "--vec", "nan,0,0", "--starts", "2"),
+        ("extrema", "--angles", "nan,1,1", "--starts", "2"),
+        ("simulate", "--step", "nan,0,0", "--steps", "3"),
+        ("simulate", "--err", "inf,0,0", "--step", "1,1,1", "--steps", "3"),
+        ("period", "--angles", "inf,1,1"),
+        ("average", "--angles", "1,nan,1"),
+        ("average", "--err", "0,-inf,0"),
+    ],
+)
+def test_non_finite_angle_exits_1_without_warning(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+    assert exc.value.code == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err and "Traceback" not in captured.err

@@ -610,3 +610,61 @@ def test_closed_form_closure_equals_delta_closed_form(err, angles, base, fractio
     at = _closed_form_at(err, angles, base)
     for f in fractions:
         assert at(f * cycle) == delta_closed_form(err, f * cycle, angles, base)
+
+
+# -- stacked forms and non-finite input ---------------------------------------
+
+stack_times = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12).map(np.array)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ts=stack_times, angles=angle_triples)
+@example(ts=np.array([0.0, 1.5, -2.0]), angles=(0.5, 0.0, -0.5))
+def test_sp_general_stack_equals_one_t_calls(ts, angles):
+    stack = sp_general(ts, angles)
+    assert stack.shape == ts.shape + (3, 3)
+    for k, t in enumerate(ts):
+        assert np.array_equal(stack[k], sp_general(float(t), angles))
+    grid = ts.reshape(1, -1)
+    assert np.array_equal(sp_general(grid, angles)[0], stack)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ts=stack_times, angles=angle_triples)
+def test_matrix_exp_generator_stack_equals_one_t_calls(ts, angles):
+    for j in (generator(angles), rotation_log(euler_matrix(angles), allow_half_turn=True), np.zeros((3, 3))):
+        stack = matrix_exp_generator(j, ts)
+        assert stack.shape == ts.shape + (3, 3)
+        for k, t in enumerate(ts):
+            assert np.array_equal(stack[k], matrix_exp_generator(j, float(t)))
+
+
+def test_one_t_forms_keep_their_shape():
+    assert sp_general(0.7, (1, 1, 1)).shape == (3, 3)
+    assert sp_general(0.7, (0.5, 0.0, -0.5)).shape == (3, 3)
+    assert matrix_exp_generator(generator((1, 1, 1)), 0.7).shape == (3, 3)
+    assert matrix_exp_generator(np.zeros((3, 3)), 0.7).shape == (3, 3)
+
+
+def test_error_series_rejects_nan_discrepancies():
+    for column in ("delta_az", "delta_el"):
+        cols = {"delta_az": np.zeros(3), "delta_el": np.zeros(3)}
+        cols[column] = np.array([0.1, math.nan, 0.2])
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            ErrorSeries(t=np.arange(3.0), **cols)
+
+
+@pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+def test_simulate_rejects_nan_vectors(pipeline):
+    v, v_err = ref_pair()
+    with pytest.raises(ValueError, match="unit"):
+        simulate((math.nan, 0.0, 0.0), v_err, REF_STEP, 3, pipeline=pipeline)
+    with pytest.raises(ValueError, match="unit"):
+        simulate(v, (0.0, math.nan, 0.0), REF_STEP, 3, pipeline=pipeline)
+
+
+@pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+def test_simulate_rejects_a_nan_step(pipeline):
+    v, v_err = ref_pair()
+    with pytest.raises(ValueError):
+        simulate(v, v_err, (math.nan, 0.0, 0.0), 3, pipeline=pipeline)

@@ -158,3 +158,9 @@ class TestRotateConventions:
         s = euler_matrix(a)
         twice = rotate_euler(rotate_euler(v, s), s)
         assert np.allclose(twice, rotate_euler(v, s @ s), atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+def test_su2_from_axis_rejects_non_finite_axis(axis):
+    with pytest.raises(ValueError, match="unit norm"):
+        su2_from_axis(axis, 0.3)
