@@ -52,7 +52,6 @@ from .analysis import (
     estimate_period_numeric,
     find_extrema,
     find_extremum,
-    iter_case_reports,
     run_case_study,
     time_averaged_error,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "estimate_period_numeric",
     "find_extrema",
     "find_extremum",
-    "iter_case_reports",
     "run_case_study",
     "time_averaged_error",
     "__version__",

@@ -23,13 +23,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import nextafter, pi
-from typing import Iterator
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .bloch import EulerAngles
-from .propagation import ErrorSeries, _closed_form_at, _require_unit, delta_batch, period
+from .propagation import ErrorSeries, _closed_form_at, _require_finite, _require_unit, delta_batch, period
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
@@ -46,6 +45,20 @@ PERIOD_SCREEN_STRIDE = 64
 CONSTANT_SIGNAL_TOL = 1e-9
 
 _TARGETS = {"az": 0, "el": 1}
+
+
+class UnknownTargetError(ValueError, KeyError):
+    """A target other than "az" or "el"; also a KeyError, as the lookup raised before."""
+
+    __str__ = ValueError.__str__
+
+
+def _target_index(target: str) -> int:
+    """Column of ``target`` in a (delta_az, delta_el) pair."""
+    try:
+        return _TARGETS[target]
+    except (KeyError, TypeError):
+        raise UnknownTargetError(f"target must be 'az' or 'el', got {target!r}") from None
 
 
 class PeriodEstimationError(RuntimeError):
@@ -129,7 +142,7 @@ class CaseReport:
     series: ErrorSeries
 
 
-def _nelder_mead_batch(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=MAX_EVALS):
+def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS):
     """Bounded Nelder-Mead from N starts advanced in lockstep.
 
     ``f(x, rows)`` returns the values [m] of the points x [m, n], where
@@ -162,8 +175,9 @@ def _nelder_mead_batch(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=MAX_EVALS)
         ix = np.arange(rows.size)[:, None]
         order = vals.argsort(axis=1, kind="stable")
         sim, vals = sim[ix, order], vals[ix, order]
+        # a start stops at the cap, or once its values span 1e-10 and its vertices lie within 1e-8
         done = (nfev >= maxfev) | (
-            (vals[:, n] - vals[:, 0] <= fatol) & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+            (vals[:, n] - vals[:, 0] <= 1e-10) & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-8)
         )
         live = np.flatnonzero(~done)
         if live.size < rows.size:
@@ -211,10 +225,10 @@ def _nelder_mead_batch(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=MAX_EVALS)
     return x_best, f_best, nfev_out
 
 
-def _nelder_mead(f, x0, lo, hi, fatol=1e-10, xatol=1e-8, maxfev=MAX_EVALS):
+def _nelder_mead(f, x0, lo, hi, maxfev=MAX_EVALS):
     """One start of _nelder_mead_batch for a scalar ``f``; returns (x_best, f_best, nfev)."""
     x, fx, nfev = _nelder_mead_batch(
-        lambda pts, _rows: np.array([f(p) for p in pts.tolist()]), [x0], lo, hi, fatol, xatol, maxfev
+        lambda pts, _rows: np.array([f(p) for p in pts.tolist()]), [x0], lo, hi, maxfev
     )
     return x[0].tolist(), float(fx[0]), int(nfev[0])
 
@@ -230,7 +244,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
             raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
-    cols = np.repeat([_TARGETS[target] for target, _ in kinds], num_starts)
+    cols = np.repeat([_target_index(target) for target, _ in kinds], num_starts)
     signs = np.repeat([-1.0 if mode == "max" else 1.0 for _, mode in kinds], num_starts)
     base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
     rates = EulerAngles(*(float(a) for a in angles))
@@ -309,7 +323,8 @@ def time_averaged_error(
     result is a float that also carries the error estimate and evaluation
     count (see TimeAverage).
     """
-    idx = _TARGETS[target]
+    idx = _target_index(target)
+    _require_finite(err, "err")
     _require_unit(base, "base")
     t_period = period(angles)
     at = _closed_form_at(err, angles, base)
@@ -345,7 +360,8 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     shares the call, so a candidate's screen maximum never exceeds its grid
     maximum.
     """
-    idx = _TARGETS[target]
+    idx = _target_index(target)
+    _require_finite(err, "err")
     _require_unit(base, "base")
     t_period = period(angles)
     ts = np.linspace(0.0, t_period, PERIOD_GRID)
@@ -422,7 +438,3 @@ CASE_STUDIES: tuple[CaseSpec, ...] = (
     CaseSpec(label="mixed 1, pi, 1", angles=EulerAngles(1.0, pi, 1.0)),
 )
 
-
-def iter_case_reports(num_starts: int = 1000, seed: int = 0) -> Iterator[CaseReport]:
-    for spec in CASE_STUDIES:
-        yield run_case_study(spec, num_starts=num_starts, seed=seed)

@@ -40,13 +40,13 @@ machine precision (~3e-15).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, pi, sin, sqrt
+from math import atan2, cos, hypot, isfinite, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .bloch import EulerAngles, POLE_EPS, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
-from .rotations import euler_matrix, su2_from_euler
+from .rotations import _euler_entries, _row_times, euler_matrix, su2_from_euler
 
 ANTISYMMETRY_TOL = 1e-12
 # min(d, 2*pi - d) can exceed pi by a rounding ulp when d is near pi
@@ -107,6 +107,13 @@ def delta_pair(w, w_err) -> tuple[float, float]:
     return _delta_scalar(vx, vy, vz, wx, wy, wz)
 
 
+def _require_finite(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 def _require_unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
@@ -133,6 +140,7 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    step = _require_finite(step, "step angles")
     v = _require_unit(v, "v")
     v_err = _require_unit(v_err, "v_err")
 
@@ -192,10 +200,14 @@ def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _rates(angles) -> tuple[float, float, float]:
-    """(theta, phi+psi, omega) for a rotation-rate triple."""
+    """(theta, phi+psi, omega) for a rotation-rate triple; rejects NaN, infinite or overflowing rates."""
     phi, theta, psi = (float(a) for a in angles)
     a = phi + psi
-    return theta, a, hypot(theta, a)
+    omega = hypot(theta, a)
+    # hypot is NaN or infinite whenever an input is, or when phi + psi overflows
+    if not isfinite(omega):
+        raise ValueError(f"rotation rates and phi + psi must be finite, got {(phi, theta, psi)!r}")
+    return theta, a, omega
 
 
 def sp_general(t, angles) -> np.ndarray:
@@ -328,7 +340,7 @@ def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     return anti * (atan2(sin_angle, cos_angle) / sin_angle)
 
 
-def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
+def equivalent_continuous_angles(step) -> EulerAngles:
     """Continuous rates whose family interpolates the discrete step exactly.
 
     For a step with equal first and last angles, log S(step) stays inside
@@ -338,7 +350,7 @@ def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
     family and are rejected.
     """
     gen = rotation_log(euler_matrix(step))
-    if abs(float(gen[2, 1])) > tol:
+    if abs(float(gen[2, 1])) > 1e-9:
         raise ValueError(
             "step matrix logarithm has an x-generator component; "
             "no equivalent rates exist in the z-y-z family"
@@ -350,48 +362,30 @@ def equivalent_continuous_angles(step, tol: float = 1e-9) -> EulerAngles:
 
 # -- two evaluation paths ---------------------------------------------------
 #
-# The closed-form discrepancies have two implementations of one formula.
-# The plain-float path below (_row_times_euler, _sp_rows, _delta_scalar)
-# serves single points: delta_closed_form, which the tests use as the
-# reference, and delta_pair.  _closed_form_at splits delta_closed_form into
-# a per-trajectory part (the error rotation and the rates, done once) and a
-# per-t closure; adaptive quadrature in analysis.time_averaged_error and the
+# The closed-form discrepancies have two implementations of one formula.  They
+# share the error rotation: both take S(err) from rotations._euler_entries,
+# the one copy of the z-y-z entries, and form base @ S(err) in the same order
+# (rotations._row_times on arrays, plain floats on one point), so the
+# perturbed start vector has the same bytes on both paths.  The per-t part
+# differs.  delta_closed_form, which the tests use as the reference, evaluates
+# it in plain floats (_sp_rows, _delta_scalar), as does delta_pair.
+# _closed_form_at splits delta_closed_form into a per-trajectory part (the
+# error rotation and the rates, done once per closure) and a plain-float per-t
+# closure; adaptive quadrature in analysis.time_averaged_error and the
 # samples of analysis.case_series call that closure one point at a time, and
 # it equals delta_closed_form bit for bit because delta_closed_form is built
 # from it.  A numpy call on one point costs about ten times a float one.
 # delta_batch serves many points at once: the multistart extremum search and
-# the period grid.  It repeats the float path's arithmetic element by
+# the period grid.  It repeats the float path's per-t arithmetic element by
 # element: _sp_rows pairs with the numpy helper _sp_entries, which is the one
 # numpy copy of the rotation family (sp_general is built on it too).  Only
 # numpy's transcendental functions may round differently, so the two paths
 # agree to about 1e-15 but not bit for bit.  simulate builds its
 # trajectories with numpy but reads each sample's discrepancies with
-# _delta_scalar, mapped over the rows as Python floats (about 2 us a row),
-# so that sample 0 is delta_pair of the input pair bit for bit (_delta_rows
+# _delta_scalar, mapped over the rows as Python floats (about 2 us a row), so
+# that sample 0 is delta_pair of the input pair bit for bit (_delta_rows
 # would read the reference run's initial 0.19999999999999996 as
 # 0.20000000000000018).
-
-
-def _row_times_euler(vx: float, vy: float, vz: float, ex: float, ey: float, ez: float):
-    """Row vector (vx,vy,vz) times the z-y-z matrix of angles (ex,ey,ez)."""
-    cf, sf = cos(ex), sin(ex)
-    ct, st = cos(ey), sin(ey)
-    cp, sp = cos(ez), sin(ez)
-    # rows of S3(ez) @ S2(ey) @ S1(ex)
-    r11 = cp * ct * cf - sp * sf
-    r12 = cp * ct * sf + sp * cf
-    r13 = -cp * st
-    r21 = -sp * ct * cf - cp * sf
-    r22 = -sp * ct * sf + cp * cf
-    r23 = sp * st
-    r31 = st * cf
-    r32 = st * sf
-    r33 = ct
-    return (
-        vx * r11 + vy * r21 + vz * r31,
-        vx * r12 + vy * r22 + vz * r32,
-        vx * r13 + vy * r23 + vz * r33,
-    )
 
 
 def _sp_rows(t: float, theta: float, a: float, omega: float):
@@ -428,8 +422,10 @@ def delta_closed_form(
 
     The clean vector is ``base`` (default (1,0,0)); the perturbed one is
     base @ S(err) with err = (eps_x, eps_y, eps_z).  Both ride the
-    continuous family sp_general(t, angles).  Written in plain-float
-    arithmetic, which costs about a tenth of a numpy call on one point.
+    continuous family sp_general(t, angles).  The error rotation comes from
+    the same formula as euler_matrix and delta_batch; the rest, the family
+    at t and the discrepancies, is plain-float arithmetic, which costs about
+    a tenth of a numpy call on one point.
     """
     return _closed_form_at(err, angles, base)(t)
 
@@ -438,14 +434,17 @@ def _closed_form_at(err, angles, base):
     """delta_closed_form(err, t, angles, base) as a function of t alone.
 
     The perturbed start vector and the rates are computed once; each call
-    then evaluates only sp_general's rows at t and the two row products, so
-    a caller that samples one trajectory at many times pays for the error
-    rotation once.
+    then evaluates only sp_general's rows at t and the two row products in
+    plain floats, so a caller that samples one trajectory at many times pays
+    for the error rotation once.
     """
     bx, by, bz = (float(c) for c in base)
-    ex, ey, ez = (float(c) for c in err)
     theta, a, omega = _rates(angles)
-    vex, vey, vez = _row_times_euler(bx, by, bz, ex, ey, ez)
+    # base @ S(err) in the same order as _row_times, in floats: numpy costs more on one point
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = euler_matrix(err).tolist()
+    vex = bx * r11 + by * r21 + bz * r31
+    vey = bx * r12 + by * r22 + bz * r32
+    vez = bx * r13 + by * r23 + bz * r33
     if omega == 0.0:
         constant = _delta_scalar(bx, by, bz, vex, vey, vez)
         return lambda t: constant
@@ -480,31 +479,16 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     t = t.reshape((1,) * (nd - t.ndim) + t.shape)
     bx, by, bz = (float(c) for c in base)
     theta, a, omega = _rates(rates)
-    cos_e, sin_e = np.cos(err), np.sin(err)
-    cf, ct, cp = cos_e[..., 0], cos_e[..., 1], cos_e[..., 2]
-    sf, st, sp = sin_e[..., 0], sin_e[..., 1], sin_e[..., 2]
-    # r[i, j]: entry (i, j) of S3(ez) @ S2(ey) @ S1(ex), as in _row_times_euler
-    r = np.empty((3, 3) + cf.shape)
-    cpct = cp * ct
-    nspct = -sp * ct
-    np.subtract(cpct * cf, sp * sf, out=r[0, 0, ...])
-    np.add(cpct * sf, sp * cf, out=r[0, 1, ...])
-    np.multiply(-cp, st, out=r[0, 2, ...])
-    np.subtract(nspct * cf, cp * sf, out=r[1, 0, ...])
-    np.add(nspct * sf, cp * cf, out=r[1, 1, ...])
-    np.multiply(sp, st, out=r[1, 2, ...])
-    np.multiply(st, cf, out=r[2, 0, ...])
-    np.multiply(st, sf, out=r[2, 1, ...])
-    r[2, 2] = ct
+    r = _euler_entries(err)
     # v[k, j]: component k of the clean (j = 0) and perturbed (j = 1) vector
-    v = np.empty((3, 2) + np.broadcast(cf, t).shape)
+    v = np.empty((3, 2) + np.broadcast(r[0, 0], t).shape)
     v[0, 0], v[1, 0], v[2, 0] = bx, by, bz
-    v[:, 1] = bx * r[0] + by * r[1] + bz * r[2]
+    v[:, 1] = _row_times((bx, by, bz), r)
     if omega == 0.0:
         return _delta_rows(v)
     p = _sp_entries(t, theta, a, omega)
-    # w[j] = v[0] p[0, j] + v[1] p[1, j] + v[2] p[2, j]
-    return _delta_rows(v[0] * p[0, :, None] + v[1] * p[1, :, None] + v[2] * p[2, :, None])
+    # w[:, j] = v[:, j] @ sp_general(t), for clean and perturbed at once
+    return _delta_rows(_row_times(v, p[:, :, None]))
 
 
 def _sp_entries(t: np.ndarray, theta: float, a: float, omega: float) -> np.ndarray:

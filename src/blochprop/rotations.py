@@ -61,16 +61,29 @@ def rotate_su2(v, u: np.ndarray) -> np.ndarray:
     return matrix_to_cartesian(u @ m @ u.conj().T)
 
 
-def _z_factor(a: float) -> np.ndarray:
-    return np.array(
-        [[cos(a), sin(a), 0.0], [-sin(a), cos(a), 0.0], [0.0, 0.0, 1.0]]
-    )
+def _euler_entries(angles: np.ndarray) -> np.ndarray:
+    """r[i, j, ...]: entry (i, j) of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3].
+
+    The one copy of the z-y-z entries: elementwise, so no BLAS kernel changes its bytes.  One triple
+    runs on Python floats, which round as numpy's float64 does, far cheaper than numpy scalars.
+    """
+    c, s = np.cos(angles), np.sin(angles)
+    if c.ndim == 1:
+        (cf, ct, cp), (sf, st, sp) = c.tolist(), s.tolist()
+    else:
+        cf, ct, cp, sf, st, sp = c[..., 0], c[..., 1], c[..., 2], s[..., 0], s[..., 1], s[..., 2]
+    cpct = cp * ct
+    nspct = -sp * ct
+    return np.array([
+        [cpct * cf - sp * sf, cpct * sf + sp * cf, -cp * st],
+        [nspct * cf - cp * sf, nspct * sf + cp * cf, sp * st],
+        [st * cf, st * sf, ct],
+    ])
 
 
-def _y_factor(a: float) -> np.ndarray:
-    return np.array(
-        [[cos(a), 0.0, -sin(a)], [0.0, 1.0, 0.0], [sin(a), 0.0, cos(a)]]
-    )
+def _row_times(b, r: np.ndarray) -> np.ndarray:
+    """Row vector b times the matrices r[3, 3, ...]: b[0] r[0] + b[1] r[1] + b[2] r[2], in that order."""
+    return b[0] * r[0] + b[1] * r[1] + b[2] * r[2]
 
 
 def euler_matrix(angles) -> np.ndarray:
@@ -79,7 +92,7 @@ def euler_matrix(angles) -> np.ndarray:
     Acts on row vectors: w = v @ S.
     """
     phi, theta, psi = (float(a) for a in angles)
-    return _z_factor(psi) @ _y_factor(theta) @ _z_factor(phi)
+    return _euler_entries(np.array([phi, theta, psi]))
 
 
 def rotate_euler(v, s: np.ndarray) -> np.ndarray:

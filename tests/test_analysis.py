@@ -224,6 +224,40 @@ class TestBaseVectorValidation:
             time_averaged_error("el", PROBE_ERR, UNIT_RATES, base=base)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("rates", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1e308, 0.0, 1e308)])
+    def test_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="rotation rates"):
+            find_extrema(X_BASE, rates, num_starts=2, seed=0)
+        with pytest.raises(ValueError, match="rotation rates"):
+            find_extremum("el", "max", X_BASE, rates, num_starts=2)
+        with pytest.raises(ValueError, match="rotation rates"):
+            period(rates)
+        with pytest.raises(ValueError, match="rotation rates"):
+            time_averaged_error("el", PROBE_ERR, rates)
+        with pytest.raises(ValueError, match="rotation rates"):
+            estimate_period_numeric("el", PROBE_ERR, rates)
+
+    @pytest.mark.parametrize("err", [(math.nan, 0.2, 0.0), (0.0, math.inf, 0.0), (0.0, 0.2, -math.inf)])
+    def test_error_triple_rejected(self, err):
+        with pytest.raises(ValueError, match="err must be finite"):
+            time_averaged_error("el", err, UNIT_RATES)
+        with pytest.raises(ValueError, match="err must be finite"):
+            estimate_period_numeric("el", err, UNIT_RATES)
+
+
+class TestUnknownTarget:
+    @pytest.mark.parametrize("target", ["xx", "elevation", "", None])
+    def test_raises_value_error(self, target):
+        for call in (
+            lambda: find_extremum(target, "max", X_BASE, UNIT_RATES, num_starts=2),
+            lambda: time_averaged_error(target, PROBE_ERR, UNIT_RATES),
+            lambda: estimate_period_numeric(target, PROBE_ERR, UNIT_RATES),
+        ):
+            with pytest.raises(ValueError, match="target must be 'az' or 'el'"):
+                call()
+
+
 class TestTimeAveragedError:
     def test_zero_error_averages_zero(self):
         assert time_averaged_error("el", (0, 0, 0), UNIT_RATES) == pytest.approx(0.0, abs=1e-12)

@@ -668,3 +668,28 @@ def test_simulate_rejects_a_nan_step(pipeline):
     v, v_err = ref_pair()
     with pytest.raises(ValueError):
         simulate(v, v_err, (math.nan, 0.0, 0.0), 3, pipeline=pipeline)
+
+
+@pytest.mark.parametrize("step", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
+@pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+def test_simulate_names_a_non_finite_step(pipeline, step):
+    v, v_err = ref_pair()
+    with pytest.raises(ValueError, match="step angles must be finite"):
+        simulate(v, v_err, step, 3, pipeline=pipeline)
+
+
+NON_FINITE_RATES = [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf), (1e308, 0.0, 1e308)]
+
+
+@pytest.mark.parametrize("rates", NON_FINITE_RATES)
+def test_rate_functions_reject_non_finite_rates(rates):
+    for call in (
+        lambda: period(rates),
+        lambda: sp_general(0.5, rates),
+        lambda: generator(rates),
+        lambda: generator_eigenvalues(rates),
+        lambda: delta_closed_form(REF_ERR, 0.5, rates),
+        lambda: delta_batch(REF_ERR, np.linspace(0.0, 1.0, 4), rates),
+    ):
+        with pytest.raises(ValueError, match="rotation rates and phi \\+ psi must be finite"):
+            call()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from blochprop.bloch import EulerAngles
 from blochprop.rotations import (
     SIGMA_0,
+    _euler_entries,
     euler_matrix,
     rotate_euler,
     rotate_su2,
@@ -104,6 +105,52 @@ class TestEulerMatrix:
         s = euler_matrix(EulerAngles(*angles))
         assert np.allclose(s.T @ s, np.eye(3), atol=1e-12)
         assert np.linalg.det(s) == pytest.approx(1.0, abs=1e-12)
+
+
+def _z_rows(a):
+    return [[math.cos(a), math.sin(a), 0.0], [-math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]]
+
+
+def _y_rows(a):
+    return [[math.cos(a), 0.0, -math.sin(a)], [0.0, 1.0, 0.0], [math.sin(a), 0.0, math.cos(a)]]
+
+
+def _float_matmul(a, b):
+    out = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            acc = 0.0
+            for k in range(3):
+                acc += a[i][k] * b[k][j]
+            out[i][j] = acc
+    return out
+
+
+# edge angles and values past 2 pi, mixed with plain floats
+euler_reference_angles = st.sampled_from([0.0, math.pi, -math.pi, 2.5 * math.pi, -7.0, 13.0]) | st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(euler_reference_angles, euler_reference_angles, euler_reference_angles))
+def test_euler_matrix_equals_the_plain_float_product(angles):
+    """euler_matrix is S3(psi) @ S2(theta) @ S1(phi) multiplied out in plain floats, bit for bit.
+
+    The reference uses no BLAS, so this pins euler_matrix's bytes whatever
+    matrix-product kernel numpy runs on.  Signed zeros compare equal.
+    """
+    phi, theta, psi = angles
+    expected = _float_matmul(_float_matmul(_z_rows(psi), _y_rows(theta)), _z_rows(phi))
+    assert euler_matrix(EulerAngles(*angles)).tolist() == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(euler_reference_angles, euler_reference_angles, euler_reference_angles), min_size=1, max_size=12))
+def test_stacked_euler_entries_equal_one_triple_at_a_time(triples):
+    """A stack runs on numpy arrays, one triple on Python floats; the bytes agree."""
+    stack = np.array(triples).reshape(len(triples), 1, 3)
+    entries = _euler_entries(stack)
+    for k, angles in enumerate(triples):
+        assert entries[:, :, k, 0].tobytes() == euler_matrix(angles).tobytes()
 
 
 class TestRotateConventions:
