@@ -6,9 +6,10 @@ box [0, 2*pi)^4 with the rotation rates held fixed.  It is cheap, bounded,
 multimodal, and non-smooth where the wrapped angle differences kink, so
 extrema are located by multi-start Nelder-Mead restricted to the box.  All
 starts, and in find_extrema all four extrema, advance together as one
-batch of simplices evaluated through propagation.delta_batch; each start
-still follows its own path, stop test and evaluation cap, exactly as it
-would alone, and ExtremumResult reports the evaluations spent and the
+batch of simplices evaluated through propagation.delta_batch, and the last
+few live starts finish one at a time in plain floats on its one-point form;
+each start still follows its own path, stop test and evaluation cap,
+exactly as it would alone, and ExtremumResult reports the evaluations spent and the
 starts that hit the cap.  Every reported extremum is attained at its
 reported point, which makes max values certified lower bounds of the true suprema (and min values upper
 bounds of the infima); no global-optimality claim is made.
@@ -21,14 +22,18 @@ same value.  Only the values are meaningful.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from math import nextafter, pi
+from operator import add, sub
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .bloch import EulerAngles
-from .propagation import ErrorSeries, _closed_form_at, _require_finite, _require_unit, delta_batch, period
+from .propagation import ErrorSeries, _closed_form_at, _delta_point, _require_finite, _require_unit, delta_batch, period
+from .rotations import _triple
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
@@ -37,6 +42,8 @@ SEARCH_BOX = ((0.0, TWO_PI),) * 4
 
 # evaluation cap of one Nelder-Mead start
 MAX_EVALS = 2000
+# a lockstep batch with this many live starts or fewer finishes each of them alone, in plain floats
+HANDOFF_ROWS = 8
 
 PERIOD_GRID = 1024
 PERIOD_MATCH_TOL = 1e-6
@@ -142,7 +149,7 @@ class CaseReport:
     series: ErrorSeries
 
 
-def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS):
+def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS, point=None):
     """Bounded Nelder-Mead from N starts advanced in lockstep.
 
     ``f(x, rows)`` returns the values [m] of the points x [m, n], where
@@ -153,9 +160,18 @@ def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS):
     so a simplex can flatten against a face; the evaluation cap then ends
     that start, and its best vertex is still a valid attained value.  Only
     the points the method uses are evaluated, so every start follows the
-    same path and count as it would alone.  Returns (x_best [N, n],
-    f_best [N], nfev [N]).
+    same path and count as it would alone.
+
+    A lockstep iteration costs about the same numpy time whatever its size,
+    so once HANDOFF_ROWS or fewer starts are live, each is finished by
+    _nelder_mead_tail, the same method in plain floats.  ``point(row)``
+    returns the objective of start ``row`` on one point (a list of n
+    floats); it must equal f's value of that point bit for bit, or the
+    handoff changes the start's path.  By default it calls f on a one-row
+    batch.  Returns (x_best [N, n], f_best [N], nfev [N]).
     """
+    if point is None:
+        point = lambda row: lambda p: float(f(np.array([p]), np.array([row]))[0])
     x0 = np.asarray(x0, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -186,6 +202,12 @@ def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS):
             if not live.size:
                 break
             rows, sim, vals, nfev = rows[live], sim[live], vals[live], nfev[live]
+        if rows.size <= HANDOFF_ROWS:
+            for k, row in enumerate(rows.tolist()):
+                x_best[row], f_best[row], nfev_out[row] = _nelder_mead_tail(
+                    point(row), sim[k].tolist(), vals[k].tolist(), int(nfev[k]), lo.tolist(), hi.tolist(), maxfev
+                )
+            break
 
         cen = sim[:, 0]
         for k in range(1, n):
@@ -225,10 +247,69 @@ def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS):
     return x_best, f_best, nfev_out
 
 
+def _nelder_mead_tail(f, sim, vals, nfev, lo, hi, maxfev):
+    """One start of _nelder_mead_batch, continued in plain floats from its state.
+
+    ``sim`` holds the n+1 vertices (lists of n floats), ``vals`` their values
+    and ``nfev`` the evaluations so far; ``f(p)`` is the value of one point.
+    Every step is the batch's arithmetic on floats, in the same order, and
+    the points are evaluated in the same order, so the start takes the same
+    path, stop test and count as in the batch.  Returns (x_best, f_best,
+    nfev).
+    """
+    n = len(lo)
+    # the batch's stable argsort: ties keep their order
+    order = sorted(range(n + 1), key=vals.__getitem__)
+    sim, vals = [sim[k] for k in order], [vals[k] for k in order]
+    while True:
+        best = sim[0]
+        if nfev >= maxfev or (
+            vals[n] - vals[0] <= 1e-10 and all(abs(c - b) <= 1e-8 for v in sim[1:] for c, b in zip(v, best))
+        ):
+            return best, vals[0], nfev
+
+        cen = [reduce(add, c) / n for c in zip(*sim[:n])]
+        step = list(map(sub, cen, sim[n]))
+        # the batch's np.minimum(np.maximum(x, lo), hi)
+        refl = [l if x < l else h if x > h else x for x, l, h in zip(map(add, cen, step), lo, hi)]
+        fr = f(refl)
+        nfev += 1
+        expand = fr < vals[0]
+        if expand or not fr < vals[n - 1]:
+            if expand:
+                cand = [c + 2.0 * d for c, d in zip(cen, step)]
+            elif fr < vals[n]:
+                cand = [c + 0.5 * (r - c) for c, r in zip(cen, refl)]
+            else:
+                cand = [c - 0.5 * d for c, d in zip(cen, step)]
+            cand = [l if x < l else h if x > h else x for x, l, h in zip(cand, lo, hi)]
+            fc = f(cand)
+            nfev += 1
+            if fc < fr if expand else fc < min(fr, vals[n]):
+                refl, fr = cand, fc
+            elif not expand:
+                # shrink toward the best vertex, then sort all of it again
+                pts = [[b + 0.5 * (x - b) for b, x in zip(best, v)] for v in sim[1:]]
+                sim[1:], vals[1:] = pts, [f(p) for p in pts]
+                nfev += n
+                order = sorted(range(n + 1), key=vals.__getitem__)
+                sim, vals = [sim[k] for k in order], [vals[k] for k in order]
+                continue
+        # the sorted first n vertices stay in order; a stable sort puts the new worst vertex
+        # after every one whose value it equals
+        k = bisect_right(vals, fr, 0, n)
+        del sim[n], vals[n]
+        sim.insert(k, refl)
+        vals.insert(k, fr)
+
+
 def _nelder_mead(f, x0, lo, hi, maxfev=MAX_EVALS):
-    """One start of _nelder_mead_batch for a scalar ``f``; returns (x_best, f_best, nfev)."""
+    """One start for a scalar ``f(p)``, on _nelder_mead_tail from the batch's first simplex.
+
+    Returns (x_best, f_best, nfev).
+    """
     x, fx, nfev = _nelder_mead_batch(
-        lambda pts, _rows: np.array([f(p) for p in pts.tolist()]), [x0], lo, hi, maxfev
+        lambda pts, _rows: np.array([f(p) for p in pts.tolist()]), [x0], lo, hi, maxfev, lambda _row: f
     )
     return x[0].tolist(), float(fx[0]), int(nfev[0])
 
@@ -247,9 +328,12 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     cols = np.repeat([_target_index(target) for target, _ in kinds], num_starts)
     signs = np.repeat([-1.0 if mode == "max" else 1.0 for _, mode in kinds], num_starts)
     base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
-    rates = EulerAngles(*(float(a) for a in angles))
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([min(b[1], BOX_HI) for b in bounds])
+    rates = _triple(angles, "rotation rates")
+    box = np.asarray(bounds, dtype=float)
+    if box.shape != (4, 2) or not np.isfinite(box).all() or not (box[:, 0] <= box[:, 1]).all():
+        raise ValueError(f"bounds must be four finite (lo, hi) pairs with lo <= hi, got {bounds!r}")
+    lo = box[:, 0]
+    hi = np.minimum(box[:, 1], BOX_HI)
     u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
 
@@ -257,7 +341,13 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
         d = delta_batch(x[:, :3], x[:, 3], rates, base)
         return signs[rows] * d[np.arange(len(rows)), cols[rows]]
 
-    x, fx, nfev = _nelder_mead_batch(objective, x0, lo, hi, maxfev=MAX_EVALS)
+    at = _delta_point(rates, base)
+
+    def point(row):
+        sign, col = float(signs[row]), int(cols[row])
+        return lambda p: sign * at(p[:3], p[3])[col]
+
+    x, fx, nfev = _nelder_mead_batch(objective, x0, lo, hi, maxfev=MAX_EVALS, point=point)
     results = []
     for k, (target, mode) in enumerate(kinds):
         part = slice(k * num_starts, (k + 1) * num_starts)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import EulerAngles, POLE_EPS, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
-from .rotations import _euler_entries, _row_times, euler_matrix, su2_from_euler
+from .rotations import _euler_entries, _euler_rows, _row_times, _triple, euler_matrix, su2_from_euler
 
 ANTISYMMETRY_TOL = 1e-12
 # min(d, 2*pi - d) can exceed pi by a rounding ulp when d is near pi
@@ -201,7 +201,7 @@ def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, 
 
 def _rates(angles) -> tuple[float, float, float]:
     """(theta, phi+psi, omega) for a rotation-rate triple; rejects NaN, infinite or overflowing rates."""
-    phi, theta, psi = (float(a) for a in angles)
+    phi, theta, psi = _triple(angles, "rotation rates")
     a = phi + psi
     omega = hypot(theta, a)
     # hypot is NaN or infinite whenever an input is, or when phi + psi overflows
@@ -363,28 +363,36 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # -- two evaluation paths ---------------------------------------------------
 #
 # The closed-form discrepancies have two implementations of one formula.  They
-# share the error rotation: both take S(err) from rotations._euler_entries,
-# the one copy of the z-y-z entries, and form base @ S(err) in the same order
+# share the error rotation: both take S(err) from rotations._euler_rows, the
+# one copy of the z-y-z entries, and form base @ S(err) in the same order
 # (rotations._row_times on arrays, plain floats on one point), so the
-# perturbed start vector has the same bytes on both paths.  The per-t part
-# differs.  delta_closed_form, which the tests use as the reference, evaluates
-# it in plain floats (_sp_rows, _delta_scalar), as does delta_pair.
-# _closed_form_at splits delta_closed_form into a per-trajectory part (the
-# error rotation and the rates, done once per closure) and a plain-float per-t
-# closure; adaptive quadrature in analysis.time_averaged_error and the
-# samples of analysis.case_series call that closure one point at a time, and
-# it equals delta_closed_form bit for bit because delta_closed_form is built
-# from it.  A numpy call on one point costs about ten times a float one.
-# delta_batch serves many points at once: the multistart extremum search and
-# the period grid.  It repeats the float path's per-t arithmetic element by
-# element: _sp_rows pairs with the numpy helper _sp_entries, which is the one
-# numpy copy of the rotation family (sp_general is built on it too).  Only
-# numpy's transcendental functions may round differently, so the two paths
-# agree to about 1e-15 but not bit for bit.  simulate builds its
-# trajectories with numpy but reads each sample's discrepancies with
-# _delta_scalar, mapped over the rows as Python floats (about 2 us a row), so
-# that sample 0 is delta_pair of the input pair bit for bit (_delta_rows
-# would read the reference run's initial 0.19999999999999996 as
+# perturbed start vector has the same bytes on both paths.  The rotation
+# family at t also has the same bytes: _sp_rows (plain floats) and
+# _sp_entries (numpy) do the same operations in the same order, and squaring
+# is a product in both, because float ** calls libm pow, which can round
+# otherwise.  _pair_at forms the clean and perturbed vectors at t in plain
+# floats, in _row_times's order, and hands them to a reader of the angles.
+#
+# The paths differ in the angles.  delta_closed_form, which the tests use as
+# the reference, reads them with math.hypot and math.atan2 (_delta_scalar), as
+# does delta_pair.  _closed_form_at splits delta_closed_form into a
+# per-trajectory part (the error rotation and the rates, done once per
+# closure) and a plain-float per-t closure; adaptive quadrature in
+# analysis.time_averaged_error and the samples of analysis.case_series call
+# that closure one point at a time, and it equals delta_closed_form bit for
+# bit because delta_closed_form is built from it.  A numpy call on one point
+# costs about ten times a float one.  delta_batch serves many points at once:
+# the multistart extremum search and the period grid.  It reads the angles
+# with numpy's hypot and arctan2 (_delta_rows), which may round otherwise
+# than math's, so delta_batch and delta_closed_form agree to about 1e-15 but
+# not bit for bit.  _delta_point is delta_batch on one point: _pair_at's pair,
+# read with numpy's hypot and arctan2 on the two vectors at once.  It equals
+# delta_batch bit for bit wherever math's cos and sin round as numpy's do, as
+# on every host tried, and the search's last few live starts use it.  simulate
+# builds its trajectories with numpy but reads each sample's discrepancies
+# with _delta_scalar, mapped over the rows as Python floats (about 2 us a
+# row), so that sample 0 is delta_pair of the input pair bit for bit
+# (_delta_rows would read the reference run's initial 0.19999999999999996 as
 # 0.20000000000000018).
 
 
@@ -394,7 +402,8 @@ def _sp_rows(t: float, theta: float, a: float, omega: float):
     wt = omega * t
     c = cos(wt)
     s = sin(wt)
-    mc = 2.0 * sin(wt / 2.0) ** 2
+    h = sin(wt / 2.0)
+    mc = 2.0 * (h * h)
     return (
         (c, na * s, -nt * s),
         (-na * s, 1.0 - mc * na * na, mc * na * nt),
@@ -438,28 +447,66 @@ def _closed_form_at(err, angles, base):
     plain floats, so a caller that samples one trajectory at many times pays
     for the error rotation once.
     """
-    bx, by, bz = (float(c) for c in base)
-    theta, a, omega = _rates(angles)
-    # base @ S(err) in the same order as _row_times, in floats: numpy costs more on one point
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = euler_matrix(err).tolist()
+    r = _euler_rows(np.array(_triple(err, "Euler angles")))
+    return _pair_at(r, tuple(float(c) for c in base), *_rates(angles), _delta_scalar)
+
+
+def _pair_at(r, b, theta, a, omega, read):
+    """read(clean, perturbed) at t as a function of t, for b @ sp_general(t) and b @ S(err) @ sp_general(t).
+
+    ``r`` holds the rows of S(err) as floats, from _euler_rows, and ``b`` the base; ``read`` takes
+    the six plain floats, clean then perturbed.  Every row product runs in _row_times's order, so
+    the pair has delta_batch's bytes.
+    """
+    bx, by, bz = b
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = r
     vex = bx * r11 + by * r21 + bz * r31
     vey = bx * r12 + by * r22 + bz * r32
     vez = bx * r13 + by * r23 + bz * r33
     if omega == 0.0:
-        constant = _delta_scalar(bx, by, bz, vex, vey, vez)
+        constant = read(bx, by, bz, vex, vey, vez)
         return lambda t: constant
 
-    def at(t: float) -> tuple[float, float]:
+    def at(t: float):
         (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = _sp_rows(float(t), theta, a, omega)
-        wx = bx * p11 + by * p21 + bz * p31
-        wy = bx * p12 + by * p22 + bz * p32
-        wz = bx * p13 + by * p23 + bz * p33
-        wex = vex * p11 + vey * p21 + vez * p31
-        wey = vex * p12 + vey * p22 + vez * p32
-        wez = vex * p13 + vey * p23 + vez * p33
-        return _delta_scalar(wx, wy, wz, wex, wey, wez)
+        return read(
+            bx * p11 + by * p21 + bz * p31,
+            bx * p12 + by * p22 + bz * p32,
+            bx * p13 + by * p23 + bz * p33,
+            vex * p11 + vey * p21 + vez * p31,
+            vex * p12 + vey * p22 + vez * p32,
+            vex * p13 + vey * p23 + vez * p33,
+        )
 
     return at
+
+
+def _delta_point(rates, base):
+    """delta_batch(err, t, rates, base) at one point, as a function of (err, t): an (az, el) pair of floats.
+
+    Equal to delta_batch bit for bit on a host where math's cos and sin round as numpy's do: the
+    pair is _pair_at's, and its angles come from numpy's hypot and arctan2, as in _delta_rows,
+    because math.hypot and math.atan2 can round otherwise.  Costs about a tenth of a delta_batch
+    call on one row.
+    """
+    b = tuple(float(c) for c in base)
+    rates = _rates(rates)
+    # arctan2's arguments (y, y_err, rho, rho_err) and (x, x_err, z, z_err), reused from call to
+    # call: on a few floats a numpy call costs mostly the conversion of its arguments
+    num, den = np.empty(4), np.empty(4)
+    y, x, rho = num[:2], den[:2], num[2:]
+
+    def read(wx, wy, wz, wex, wey, wez) -> tuple[float, float]:
+        num[:2] = wy, wey
+        den[:] = wx, wex, wz, wez
+        np.hypot(x, y, out=rho)
+        rho1, rho2 = rho.tolist()
+        az1, az2, el1, el2 = np.arctan2(num, den).tolist()
+        daz = abs((0.0 if rho1 < POLE_EPS else az1) - (0.0 if rho2 < POLE_EPS else az2)) % (2.0 * pi)
+        del_ = abs(el1 - el2) % (2.0 * pi)
+        return min(daz, 2.0 * pi - daz), min(del_, 2.0 * pi - del_)
+
+    return lambda err, t: _pair_at(_euler_rows(np.array(err, dtype=float)), b, *rates, read)(t)
 
 
 def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
@@ -497,7 +544,9 @@ def _sp_entries(t: np.ndarray, theta: float, a: float, omega: float) -> np.ndarr
     p = np.empty((3, 3) + t.shape)
     wt = omega * t
     s = np.sin(wt)
-    mc = 2.0 * np.sin(wt / 2.0) ** 2
+    # a product, as in _sp_rows: on a 0-d t numpy computes ** 2 with libm pow
+    h = np.sin(wt / 2.0)
+    mc = 2.0 * (h * h)
     mcna = mc * na
     np.cos(wt, out=p[0, 0, ...])
     np.multiply(na, s, out=p[0, 1, ...])

@@ -62,10 +62,16 @@ def rotate_su2(v, u: np.ndarray) -> np.ndarray:
 
 
 def _euler_entries(angles: np.ndarray) -> np.ndarray:
-    """r[i, j, ...]: entry (i, j) of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3].
+    """r[i, j, ...]: entry (i, j) of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3], as one array."""
+    return np.array(_euler_rows(angles))
+
+
+def _euler_rows(angles: np.ndarray) -> tuple:
+    """Entries r[i][j] of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3], as nested tuples.
 
     The one copy of the z-y-z entries: elementwise, so no BLAS kernel changes its bytes.  One triple
-    runs on Python floats, which round as numpy's float64 does, far cheaper than numpy scalars.
+    runs on Python floats, which round as numpy's float64 does, far cheaper than numpy scalars, and
+    its entries are floats; a stack's entries are arrays [...].
     """
     c, s = np.cos(angles), np.sin(angles)
     if c.ndim == 1:
@@ -74,11 +80,19 @@ def _euler_entries(angles: np.ndarray) -> np.ndarray:
         cf, ct, cp, sf, st, sp = c[..., 0], c[..., 1], c[..., 2], s[..., 0], s[..., 1], s[..., 2]
     cpct = cp * ct
     nspct = -sp * ct
-    return np.array([
-        [cpct * cf - sp * sf, cpct * sf + sp * cf, -cp * st],
-        [nspct * cf - cp * sf, nspct * sf + cp * cf, sp * st],
-        [st * cf, st * sf, ct],
-    ])
+    return (
+        (cpct * cf - sp * sf, cpct * sf + sp * cf, -cp * st),
+        (nspct * cf - cp * sf, nspct * sf + cp * cf, sp * st),
+        (st * cf, st * sf, ct),
+    )
+
+
+def _triple(x, name: str) -> tuple[float, float, float]:
+    """x as three floats; a ValueError that names x when it has another length."""
+    x = tuple(float(a) for a in x)
+    if len(x) != 3:
+        raise ValueError(f"{name} must be a triple (phi, theta, psi), got {len(x)} values {x!r}")
+    return x
 
 
 def _row_times(b, r: np.ndarray) -> np.ndarray:
@@ -91,8 +105,7 @@ def euler_matrix(angles) -> np.ndarray:
 
     Acts on row vectors: w = v @ S.
     """
-    phi, theta, psi = (float(a) for a in angles)
-    return _euler_entries(np.array([phi, theta, psi]))
+    return _euler_entries(np.array(_triple(angles, "Euler angles")))
 
 
 def rotate_euler(v, s: np.ndarray) -> np.ndarray:

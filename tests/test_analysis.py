@@ -28,7 +28,7 @@ from blochprop.analysis import (
     time_averaged_error,
 )
 from blochprop.bloch import EulerAngles
-from blochprop.propagation import DegenerateRotationError, delta_batch, delta_closed_form, period
+from blochprop.propagation import DegenerateRotationError, _delta_point, delta_batch, delta_closed_form, period
 
 SQRT5 = math.sqrt(5.0)
 X_BASE = (1.0, 0.0, 0.0)
@@ -471,3 +471,134 @@ class TestCaseStudies:
         report = run_case_study(spec, num_starts=10, seed=0)
         # the quarter-turn azimuth maximum is unreachable inside the narrow box
         assert report.max_az < math.pi / 2
+
+
+# -- the plain-float finish of the lockstep search --------------------------------
+
+
+def search_objective(kinds, rates, base=X_BASE):
+    """The batch and one-point objectives of a search over rows of the given (sign, column) kinds."""
+    signs = np.array([k[0] for k in kinds])
+    cols = np.array([k[1] for k in kinds])
+    at = _delta_point(rates, base)
+
+    def f(x, rows):
+        d = delta_batch(x[:, :3], x[:, 3], rates, base)
+        return signs[rows] * d[np.arange(len(rows)), cols[rows]]
+
+    def point(row):
+        return lambda p: float(signs[row]) * at(p[:3], p[3])[int(cols[row])]
+
+    return f, point
+
+
+@pytest.mark.parametrize("size", [1, analysis.HANDOFF_ROWS, analysis.HANDOFF_ROWS + 1, 4 * 64])
+def test_alone_equals_batched_with_the_handoff(size):
+    # a batch larger than HANDOFF_ROWS runs in lockstep first and finishes in plain floats; each
+    # row alone runs in plain floats throughout; every row must end at the same point and count
+    assert analysis.HANDOFF_ROWS >= 1
+    rng = np.random.default_rng(size)
+    x0 = rng.uniform(0.0, 2 * math.pi, (size, 4))
+    kinds = [TestLockstepNelderMead.KINDS[i % 4] for i in range(size)]
+    lo, hi = [0.0] * 4, [analysis.BOX_HI] * 4
+    rates = (0.7, -1.3, 2.1)
+    f, point = search_objective(kinds, rates)
+    xb, fb, nb = _nelder_mead_batch(f, x0, lo, hi, point=point)
+    for i in range(size):
+        f, point = search_objective(kinds[i : i + 1], rates)
+        xa, fa, na = _nelder_mead_batch(f, x0[i : i + 1], lo, hi, point=point)
+        assert xa[0].tolist() == xb[i].tolist()
+        assert fa[0] == fb[i] and na[0] == nb[i]
+
+
+def test_handoff_matches_the_default_one_point_objective():
+    # without a one-point objective the handoff evaluates f on one-row batches: same result
+    kinds = TestLockstepNelderMead.KINDS * 3
+    x0 = np.random.default_rng(5).uniform(0.0, 2 * math.pi, (12, 4))
+    lo, hi = [0.0] * 4, [analysis.BOX_HI] * 4
+    f, point = search_objective(kinds, (1.0, 1.0, 1.0))
+    fast = _nelder_mead_batch(f, x0, lo, hi, point=point)
+    default = _nelder_mead_batch(f, x0, lo, hi)
+    for a, b in zip(fast, default):
+        assert a.tolist() == b.tolist()
+
+
+SEARCH_CASES = [
+    ((1.0, 0.0, 0.0), (0.7, -1.3, 2.1), 16, 3),
+    ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 9, 0),
+    ((0.6, 0.0, 0.8), (2.0, 1.0, 3.0), 1, 11),
+]
+
+
+@pytest.mark.parametrize("base, rates, starts, seed", SEARCH_CASES)
+def test_find_extrema_equals_a_run_without_the_handoff(monkeypatch, base, rates, starts, seed):
+    with_handoff = find_extrema(base, rates, num_starts=starts, seed=seed)
+    monkeypatch.setattr(analysis, "HANDOFF_ROWS", 0)
+    lockstep = find_extrema(base, rates, num_starts=starts, seed=seed)
+    assert with_handoff == lockstep
+    for a, b in zip(with_handoff, lockstep):
+        assert (a.value, a.at, a.nfev, a.capped_starts) == (b.value, b.at, b.nfev, b.capped_starts)
+
+
+def test_capped_counts_equal_a_run_without_the_handoff(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_EVALS", 40)
+    with_handoff = find_extrema(X_BASE, UNIT_RATES, num_starts=5, seed=1)
+    monkeypatch.setattr(analysis, "HANDOFF_ROWS", 0)
+    lockstep = find_extrema(X_BASE, UNIT_RATES, num_starts=5, seed=1)
+    assert with_handoff == lockstep
+    assert sum(r.capped_starts for r in lockstep) > 0
+
+
+def test_run_case_study_equals_a_run_without_the_handoff(monkeypatch):
+    spec = CASE_STUDIES[4]
+    with_handoff = run_case_study(spec, num_starts=12, seed=2)
+    monkeypatch.setattr(analysis, "HANDOFF_ROWS", 0)
+    lockstep = run_case_study(spec, num_starts=12, seed=2)
+    for name in ("analytic_period", "numeric_period", "max_az", "max_el", "min_az", "min_el"):
+        assert getattr(with_handoff, name) == getattr(lockstep, name), name
+    for column in ("t", "delta_az", "delta_el"):
+        assert getattr(with_handoff.series, column).tolist() == getattr(lockstep.series, column).tolist()
+
+
+class TestSearchBox:
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ((0.0, math.nan),) * 4,
+            ((math.nan, 1.0),) * 4,
+            ((0.0, 1.0),) * 3 + ((0.0, math.inf),),
+            ((-math.inf, 1.0),) + ((0.0, 1.0),) * 3,
+        ],
+    )
+    def test_non_finite_edge_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            find_extrema(X_BASE, UNIT_RATES, num_starts=2, seed=0, bounds=bounds)
+        with pytest.raises(ValueError, match="bounds"):
+            find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=2, bounds=bounds)
+
+    def test_reversed_edges_rejected(self):
+        bounds = ((0.0, 1.0), (2.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="lo <= hi"):
+            find_extrema(X_BASE, UNIT_RATES, num_starts=2, seed=0, bounds=bounds)
+        spec = CaseSpec(label="reversed box", angles=UNIT_RATES, err_search=bounds)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            run_case_study(spec, num_starts=2, seed=0)
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_other_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="four"):
+            find_extrema(X_BASE, UNIT_RATES, num_starts=2, seed=0, bounds=((0.0, 1.0),) * count)
+
+    def test_one_point_box_is_accepted(self):
+        # lo == hi pins a coordinate; here all four, so every start sits on the one point
+        point = (0.1, 0.2, 0.3, 0.4)
+        r = find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=3, seed=0, bounds=tuple((c, c) for c in point))
+        assert r.at == point
+        assert r.value == delta_batch(point[:3], [point[3]], UNIT_RATES)[0, 1]
+
+
+def test_wrong_length_rates_are_named():
+    with pytest.raises(ValueError, match="rotation rates must be a triple"):
+        find_extrema(X_BASE, (1.0, 2.0), num_starts=2, seed=0)
+    with pytest.raises(ValueError, match="rotation rates must be a triple"):
+        time_averaged_error("el", PROBE_ERR, (1.0, 2.0))

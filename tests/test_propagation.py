@@ -14,6 +14,8 @@ from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
     _closed_form_at,
+    _delta_point,
+    _sp_rows,
     ErrorSeries,
     delta_batch,
     delta_closed_form,
@@ -693,3 +695,77 @@ def test_rate_functions_reject_non_finite_rates(rates):
     ):
         with pytest.raises(ValueError, match="rotation rates and phi \\+ psi must be finite"):
             call()
+
+
+# -- the one-point form of delta_batch -----------------------------------------
+
+# error components with many zeros and quarter turns, bases on the axes, at the poles and in between
+err_components = st.one_of(
+    st.just(0.0), st.sampled_from([math.pi / 2, math.pi, 1.5 * math.pi]), st.floats(0.0, 2 * math.pi)
+)
+axis_bases = st.sampled_from(
+    [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(zero_rate_triples, angle_triples),
+    st.one_of(axis_bases, pole_bases, unit_bases),
+    st.lists(st.tuples(st.tuples(*[err_components] * 3), st.floats(0.0, 12.0)), min_size=1, max_size=8),
+)
+@example(angles=(1.0, 1.0, 1.0), base=(0.0, 0.0, 1.0), points=[((0.0, 0.0, 0.0), 0.0), ((math.pi, 0.0, 0.0), 7.5)])
+def test_delta_point_equals_delta_batch(angles, base, points):
+    # the search finishes its last live starts on _delta_point, so it must give delta_batch's bytes,
+    # over twelve periods, on a batch of points as well as on each one alone
+    base = tuple(c / math.hypot(*base) for c in base)
+    omega = math.hypot(angles[1], angles[0] + angles[2])
+    cycle = 2 * math.pi / omega if omega > 0.0 else 1.0
+    errs = np.array([p[0] for p in points])
+    ts = np.array([p[1] * cycle for p in points])
+    batch = delta_batch(errs, ts, angles, base).tolist()
+    at = _delta_point(angles, base)
+    for k in range(len(points)):
+        assert at(errs[k].tolist(), float(ts[k])) == tuple(batch[k])
+        assert at(errs[k].tolist(), float(ts[k])) == tuple(delta_batch(errs[k], ts[k], angles, base).tolist())
+
+
+def test_delta_point_equals_delta_batch_on_random_points():
+    # math.hypot and math.atan2 differ from numpy's on a small share of random points, which
+    # hypothesis's simple values rarely reach
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        rates = tuple(rng.uniform(-3.0, 3.0, 3))
+        base = rng.normal(size=3)
+        base = tuple(base / np.linalg.norm(base))
+        errs = rng.uniform(0.0, 2 * math.pi, (500, 3))
+        ts = rng.uniform(0.0, 40.0, 500)
+        at = _delta_point(rates, base)
+        batch = delta_batch(errs, ts, rates, base).tolist()
+        assert [list(at(e, t)) for e, t in zip(errs.tolist(), ts.tolist())] == batch
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(angle_triples.filter(lambda r: math.hypot(r[1], r[0] + r[2]) > 0.0), st.floats(-30.0, 30.0))
+@example(angles=(1.0, 0.0, 0.0), t=2.516)
+def test_sp_rows_equal_sp_general_bit_for_bit(angles, t):
+    # all three square sin(wt/2) by one multiplication; float ** and numpy ** on a 0-d t call
+    # libm pow, which differs from the product at wt/2 = 1.258, for example
+    theta, a = angles[1], angles[0] + angles[2]
+    rows = [list(r) for r in _sp_rows(t, theta, a, math.hypot(theta, a))]
+    assert rows == sp_general(t, angles).tolist()
+    assert rows == sp_general(np.array([t]), angles)[0].tolist()
+
+
+def test_wrong_length_triples_name_the_argument():
+    v, v_err = ref_pair()
+    with pytest.raises(ValueError, match=r"Euler angles must be a triple .* got 2 values"):
+        simulate(v, v_err, (0.1, 0.2), 3)
+    with pytest.raises(ValueError, match=r"rotation rates must be a triple .* got 2 values"):
+        period((1, 2))
+    with pytest.raises(ValueError, match=r"rotation rates must be a triple .* got 4 values"):
+        sp_general(0.5, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"Euler angles must be a triple"):
+        delta_closed_form((0.1, 0.2), 0.5, (1, 1, 1))
+    with pytest.raises(ValueError, match=r"Euler angles must be a triple .* got 4 values"):
+        euler_matrix((0.1, 0.2, 0.3, 0.4))
