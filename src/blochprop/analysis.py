@@ -32,7 +32,18 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .bloch import EulerAngles
-from .propagation import ErrorSeries, _closed_form_at, _delta_point, _require_finite, _require_unit, delta_batch, period
+from .propagation import (
+    ErrorSeries,
+    _closed_form_at,
+    _delta_az,
+    _delta_batch,
+    _delta_el,
+    _delta_point,
+    _require_finite,
+    _require_unit,
+    delta_batch,
+    period,
+)
 from .rotations import _triple
 
 TWO_PI = 2.0 * pi
@@ -338,7 +349,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
 
     def objective(x, rows):
-        d = delta_batch(x[:, :3], x[:, 3], rates, base)
+        d = _delta_batch(x[:, :3], x[:, 3], rates, base)
         return signs[rows] * d[np.arange(len(rows)), cols[rows]]
 
     at = _delta_point(rates, base)
@@ -408,18 +419,20 @@ def time_averaged_error(
 
     Adaptive quadrature to absolute tolerance ``tol``; the integrand has
     kinks where the wrapped difference folds, which the subdivision
-    resolves without assistance.  The integrand is delta_closed_form at
-    fixed err, angles and base, evaluated through its per-t closure.  The
-    result is a float that also carries the error estimate and evaluation
-    count (see TimeAverage).
+    resolves without assistance.  The integrand is delta_closed_form(err,
+    t, angles, base)[target] at fixed err, angles and base, evaluated
+    through a per-t closure that computes only the target's discrepancy
+    (see propagation's notes on the two evaluation paths); each sample
+    gives the pair's value bit for bit, so the result does not depend on
+    the shortcut.  The result is a float that also carries the error
+    estimate and evaluation count (see TimeAverage).
     """
     idx = _target_index(target)
     _require_finite(err, "err")
     _require_unit(base, "base")
     t_period = period(angles)
-    at = _closed_form_at(err, angles, base)
     val, abserr, info, *message = quad(
-        lambda t: at(t)[idx],
+        _closed_form_at(err, angles, base, (_delta_az, _delta_el)[idx]),
         0.0,
         t_period,
         epsabs=tol,

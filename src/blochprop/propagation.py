@@ -56,6 +56,7 @@ DELTA_RANGE_SLACK = 1e-12
 # is lost in rounding
 NEAR_HALF_TURN = 1e-2
 HALF_TURN_TOL = 1e-12
+_TWO_PI = 2.0 * pi
 
 
 class DegenerateRotationError(ValueError):
@@ -140,7 +141,7 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    step = _require_finite(step, "step angles")
+    step = _require_finite(_triple(step, "step: Euler angles"), "step angles")
     v = _require_unit(v, "v")
     v_err = _require_unit(v_err, "v_err")
 
@@ -195,8 +196,8 @@ def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, 
     norm = np.hypot(np.hypot(rows[:, 0::3], rows[:, 1::3]), rows[:, 2::3])
     if (norm < POLE_EPS).any():
         raise ValueError("discrepancies are undefined for zero vectors")
-    daz, del_ = zip(*map(_delta_scalar, *rows.T.tolist()))
-    return np.array(daz), np.array(del_)
+    cols = rows.T.tolist()
+    return np.array(list(map(_delta_az, *cols))), np.array(list(map(_delta_el, *cols)))
 
 
 def _rates(angles) -> tuple[float, float, float]:
@@ -278,7 +279,7 @@ def period(angles) -> float:
         raise DegenerateRotationError(
             "theta = 0 and phi + psi = 0: the rotation family is constant, no finite period"
         )
-    return 2.0 * pi / omega
+    return _TWO_PI / omega
 
 
 def matrix_exp_generator(j, t) -> np.ndarray:
@@ -367,61 +368,80 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # one copy of the z-y-z entries, and form base @ S(err) in the same order
 # (rotations._row_times on arrays, plain floats on one point), so the
 # perturbed start vector has the same bytes on both paths.  The rotation
-# family at t also has the same bytes: _sp_rows (plain floats) and
+# family at t also has the same bytes: _sp_flat (plain floats) and
 # _sp_entries (numpy) do the same operations in the same order, and squaring
 # is a product in both, because float ** calls libm pow, which can round
 # otherwise.  _pair_at forms the clean and perturbed vectors at t in plain
 # floats, in _row_times's order, and hands them to a reader of the angles.
 #
 # The paths differ in the angles.  delta_closed_form, which the tests use as
-# the reference, reads them with math.hypot and math.atan2 (_delta_scalar), as
-# does delta_pair.  _closed_form_at splits delta_closed_form into a
+# the reference, reads them with math.hypot and math.atan2, as does
+# delta_pair: _delta_az and _delta_el each read one discrepancy, and
+# _delta_scalar returns both.  _closed_form_at splits delta_closed_form into a
 # per-trajectory part (the error rotation and the rates, done once per
-# closure) and a plain-float per-t closure; adaptive quadrature in
-# analysis.time_averaged_error and the samples of analysis.case_series call
-# that closure one point at a time, and it equals delta_closed_form bit for
-# bit because delta_closed_form is built from it.  A numpy call on one point
-# costs about ten times a float one.  delta_batch serves many points at once:
-# the multistart extremum search and the period grid.  It reads the angles
-# with numpy's hypot and arctan2 (_delta_rows), which may round otherwise
-# than math's, so delta_batch and delta_closed_form agree to about 1e-15 but
-# not bit for bit.  _delta_point is delta_batch on one point: _pair_at's pair,
+# closure) and a plain-float per-t closure; the samples of
+# analysis.case_series call that closure one point at a time, and it equals
+# delta_closed_form bit for bit because delta_closed_form is built from it.
+# Adaptive quadrature in analysis.time_averaged_error integrates one
+# discrepancy, so its closure reads only that one with _delta_az or
+# _delta_el, the same operations as in the pair: about 1.4 us a sample
+# against 2.0 us for the pair's closure, with the same value, error
+# estimate and evaluation count.  A numpy call on one point costs
+# about ten times a float one.  delta_batch serves many points at once: the
+# multistart extremum search and the period grid.  The search checks its box
+# once and calls the unchecked body, _delta_batch.  It reads the angles with
+# numpy's hypot and arctan2 (_delta_rows), which may round otherwise than
+# math's, so delta_batch and delta_closed_form agree to about 1e-15 but not
+# bit for bit.  _delta_point is delta_batch on one point: _pair_at's pair,
 # read with numpy's hypot and arctan2 on the two vectors at once.  It equals
 # delta_batch bit for bit wherever math's cos and sin round as numpy's do, as
 # on every host tried, and the search's last few live starts use it.  simulate
 # builds its trajectories with numpy but reads each sample's discrepancies
-# with _delta_scalar, mapped over the rows as Python floats (about 2 us a
-# row), so that sample 0 is delta_pair of the input pair bit for bit
+# with _delta_az and _delta_el, each mapped over the rows as Python floats
+# (about 2 us a row for both), so that sample 0 is delta_pair of the input
+# pair bit for bit
 # (_delta_rows would read the reference run's initial 0.19999999999999996 as
 # 0.20000000000000018).
 
 
-def _sp_rows(t: float, theta: float, a: float, omega: float):
-    """Rows of sp_general as plain floats; omega must be positive."""
-    na, nt = a / omega, theta / omega
+def _sp_flat(t: float, omega: float, na: float, nt: float) -> tuple:
+    """The nine entries of sp_general at t, row by row, as plain floats.
+
+    ``na`` and ``nt`` are (phi+psi)/omega and theta/omega, and omega must be positive.  The one
+    plain-float copy of the family; _sp_entries does the same operations in the same order.
+    """
     wt = omega * t
     c = cos(wt)
     s = sin(wt)
     h = sin(wt / 2.0)
     mc = 2.0 * (h * h)
-    return (
-        (c, na * s, -nt * s),
-        (-na * s, 1.0 - mc * na * na, mc * na * nt),
-        (nt * s, mc * na * nt, 1.0 - mc * nt * nt),
-    )
+    off = mc * na * nt
+    return (c, na * s, -nt * s, -na * s, 1.0 - mc * na * na, off, nt * s, off, 1.0 - mc * nt * nt)
+
+
+def _sp_rows(t: float, theta: float, a: float, omega: float):
+    """Rows of sp_general as plain floats, from _sp_flat; omega must be positive."""
+    p = _sp_flat(t, omega, a / omega, theta / omega)
+    return p[:3], p[3:6], p[6:]
+
+
+def _delta_az(vx, vy, vz, wx, wy, wz) -> float:
+    """Wrapped azimuth discrepancy of two nonzero float triples; pole azimuth is 0."""
+    az1 = 0.0 if hypot(vx, vy) < POLE_EPS else atan2(vy, vx)
+    az2 = 0.0 if hypot(wx, wy) < POLE_EPS else atan2(wy, wx)
+    d = abs(az1 - az2) % _TWO_PI
+    return min(d, _TWO_PI - d)
+
+
+def _delta_el(vx, vy, vz, wx, wy, wz) -> float:
+    """Wrapped elevation discrepancy of two nonzero float triples."""
+    d = abs(atan2(hypot(vx, vy), vz) - atan2(hypot(wx, wy), wz)) % _TWO_PI
+    return min(d, _TWO_PI - d)
 
 
 def _delta_scalar(vx, vy, vz, wx, wy, wz) -> tuple[float, float]:
     """Wrapped (az, el) discrepancies of two nonzero float triples; pole azimuth is 0."""
-    rho1 = hypot(vx, vy)
-    az1 = 0.0 if rho1 < POLE_EPS else atan2(vy, vx)
-    el1 = atan2(rho1, vz)
-    rho2 = hypot(wx, wy)
-    az2 = 0.0 if rho2 < POLE_EPS else atan2(wy, wx)
-    el2 = atan2(rho2, wz)
-    daz = abs(az1 - az2) % (2.0 * pi)
-    del_ = abs(el1 - el2) % (2.0 * pi)
-    return min(daz, 2.0 * pi - daz), min(del_, 2.0 * pi - del_)
+    return _delta_az(vx, vy, vz, wx, wy, wz), _delta_el(vx, vy, vz, wx, wy, wz)
 
 
 def delta_closed_form(
@@ -434,25 +454,33 @@ def delta_closed_form(
     continuous family sp_general(t, angles).  The error rotation comes from
     the same formula as euler_matrix and delta_batch; the rest, the family
     at t and the discrepancies, is plain-float arithmetic, which costs about
-    a tenth of a numpy call on one point.
+    a tenth of a numpy call on one point.  A non-finite ``err`` or ``t``
+    raises ValueError.
     """
-    return _closed_form_at(err, angles, base)(t)
+    err = _triple(err, "Euler angles")
+    if not all(map(isfinite, err)):
+        raise ValueError(f"err must be finite, got {err!r}")
+    if not isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return _closed_form_at(err, angles, base)(float(t))
 
 
-def _closed_form_at(err, angles, base):
-    """delta_closed_form(err, t, angles, base) as a function of t alone.
+def _closed_form_at(err, angles, base, read=_delta_scalar):
+    """delta_closed_form(err, t, angles, base) as a function of a float t alone.
 
     The perturbed start vector and the rates are computed once; each call
-    then evaluates only sp_general's rows at t and the two row products in
+    then evaluates only sp_general's entries at t and the two row products in
     plain floats, so a caller that samples one trajectory at many times pays
-    for the error rotation once.
+    for the error rotation once.  With ``read`` _delta_az or _delta_el the
+    function returns that one discrepancy, equal to the pair's, and skips
+    the other's angles.
     """
     r = _euler_rows(np.array(_triple(err, "Euler angles")))
-    return _pair_at(r, tuple(float(c) for c in base), *_rates(angles), _delta_scalar)
+    return _pair_at(r, tuple(float(c) for c in base), *_rates(angles), read)
 
 
 def _pair_at(r, b, theta, a, omega, read):
-    """read(clean, perturbed) at t as a function of t, for b @ sp_general(t) and b @ S(err) @ sp_general(t).
+    """read(clean, perturbed) at a float t as a function of t, for b @ sp_general(t) and b @ S(err) @ sp_general(t).
 
     ``r`` holds the rows of S(err) as floats, from _euler_rows, and ``b`` the base; ``read`` takes
     the six plain floats, clean then perturbed.  Every row product runs in _row_times's order, so
@@ -466,9 +494,10 @@ def _pair_at(r, b, theta, a, omega, read):
     if omega == 0.0:
         constant = read(bx, by, bz, vex, vey, vez)
         return lambda t: constant
+    na, nt = a / omega, theta / omega
 
     def at(t: float):
-        (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = _sp_rows(float(t), theta, a, omega)
+        p11, p12, p13, p21, p22, p23, p31, p32, p33 = _sp_flat(t, omega, na, nt)
         return read(
             bx * p11 + by * p21 + bz * p31,
             bx * p12 + by * p22 + bz * p32,
@@ -502,9 +531,9 @@ def _delta_point(rates, base):
         np.hypot(x, y, out=rho)
         rho1, rho2 = rho.tolist()
         az1, az2, el1, el2 = np.arctan2(num, den).tolist()
-        daz = abs((0.0 if rho1 < POLE_EPS else az1) - (0.0 if rho2 < POLE_EPS else az2)) % (2.0 * pi)
-        del_ = abs(el1 - el2) % (2.0 * pi)
-        return min(daz, 2.0 * pi - daz), min(del_, 2.0 * pi - del_)
+        daz = abs((0.0 if rho1 < POLE_EPS else az1) - (0.0 if rho2 < POLE_EPS else az2)) % _TWO_PI
+        del_ = abs(el1 - el2) % _TWO_PI
+        return min(daz, _TWO_PI - daz), min(del_, _TWO_PI - del_)
 
     return lambda err, t: _pair_at(_euler_rows(np.array(err, dtype=float)), b, *rates, read)(t)
 
@@ -516,8 +545,13 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     a single error triple with a vector of times samples one trajectory.
     Every output element depends only on its own inputs, so a point's value
     does not depend on what else shares the call.  ``base`` is not checked,
-    as in delta_closed_form.
+    as in delta_closed_form; a non-finite ``err`` or ``t`` raises ValueError.
     """
+    return _delta_batch(_require_finite(err, "err"), _require_finite(t, "t"), rates, base)
+
+
+def _delta_batch(err, t, rates, base) -> np.ndarray:
+    """delta_batch without the finiteness check of err and t, for callers that have checked them."""
     err = np.asarray(err, dtype=float)
     t = np.asarray(t, dtype=float)
     # pad both to the broadcast rank so the leading component axes line up
@@ -539,12 +573,12 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
 
 
 def _sp_entries(t: np.ndarray, theta: float, a: float, omega: float) -> np.ndarray:
-    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _sp_rows; omega must be positive."""
+    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _sp_flat; omega must be positive."""
     na, nt = a / omega, theta / omega
     p = np.empty((3, 3) + t.shape)
     wt = omega * t
     s = np.sin(wt)
-    # a product, as in _sp_rows: on a 0-d t numpy computes ** 2 with libm pow
+    # a product, as in _sp_flat: on a 0-d t numpy computes ** 2 with libm pow
     h = np.sin(wt / 2.0)
     mc = 2.0 * (h * h)
     mcna = mc * na
@@ -568,5 +602,5 @@ def _delta_rows(w: np.ndarray) -> np.ndarray:
     ang[..., 0][rho < POLE_EPS] = 0.0
     np.arctan2(rho, w[2], out=ang[..., 1])
     d = np.abs(ang[0] - ang[1])
-    d %= 2.0 * pi
-    return np.minimum(d, 2.0 * pi - d)
+    d %= _TWO_PI
+    return np.minimum(d, _TWO_PI - d)

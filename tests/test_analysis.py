@@ -324,6 +324,49 @@ class TestTimeAveragedError:
             assert avg.neval == info["neval"] > 0
 
 
+def _random_average_configs():
+    rng = np.random.default_rng(22)
+    configs = []
+    for _ in range(4):
+        base = rng.normal(size=3)
+        configs.append(
+            (
+                tuple(rng.uniform(0.0, 2 * math.pi, 3).tolist()),
+                tuple(rng.uniform(-3.0, 3.0, 3).tolist()),
+                tuple((base / np.linalg.norm(base)).tolist()),
+            )
+        )
+    return configs
+
+
+@pytest.mark.parametrize(
+    "err,angles,base",
+    [
+        # the CLI's defaults, the periods benchmark's rates, and a perturbed vector that starts at a pole
+        (PROBE_ERR, UNIT_RATES, X_BASE),
+        ((0.3, 0.2, 0.1), (0.7, -1.3, 2.1), (0.48, 0.6, 0.64)),
+        ((0.0, math.pi / 2, 0.0), UNIT_RATES, X_BASE),
+    ]
+    + _random_average_configs(),
+)
+def test_one_channel_average_equals_quad_over_the_pair(err, angles, base):
+    # the integrand reads one discrepancy only, and quad still sees the same samples: the same
+    # average, error estimate and evaluation count as over delta_closed_form's pair
+    t_period = period(angles)
+    for target, idx in (("az", 0), ("el", 1)):
+        val, abserr, info = quad(
+            lambda t: delta_closed_form(err, t, angles, base)[idx],
+            0.0,
+            t_period,
+            epsabs=1e-8,
+            epsrel=1e-10,
+            limit=200,
+            full_output=1,
+        )[:3]
+        avg = time_averaged_error(target, err, angles, base)
+        assert (float(avg), avg.abserr, avg.neval) == (val / t_period, abserr / t_period, info["neval"])
+
+
 class TestEstimatePeriodNumeric:
     def test_unit_rates(self):
         est = estimate_period_numeric("el", PROBE_ERR, UNIT_RATES)

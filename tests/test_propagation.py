@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
     _closed_form_at,
+    _delta_az,
+    _delta_el,
     _delta_point,
     _sp_rows,
     ErrorSeries,
@@ -769,3 +772,93 @@ def test_wrong_length_triples_name_the_argument():
         delta_closed_form((0.1, 0.2), 0.5, (1, 1, 1))
     with pytest.raises(ValueError, match=r"Euler angles must be a triple .* got 4 values"):
         euler_matrix((0.1, 0.2, 0.3, 0.4))
+
+
+def test_wrong_length_step_names_the_step():
+    v, v_err = ref_pair()
+    for pipeline in ("euler", "su2", "closed"):
+        with pytest.raises(ValueError, match=r"^step: Euler angles must be a triple .* got 2 values"):
+            simulate(v, v_err, (0.1, 0.2), 3, pipeline=pipeline)
+
+
+# -- non-finite input at the public kernels -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "err,t",
+    [
+        ((math.nan, 0.0, 0.0), 0.5),
+        ((0.1, -math.inf, 0.3), 0.5),
+        ((0.1, 0.2, 0.3), math.inf),
+        ((0.1, 0.2, 0.3), math.nan),
+    ],
+)
+def test_delta_closed_form_rejects_non_finite_input(err, t):
+    name = "err" if not all(map(math.isfinite, err)) else "t"
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        delta_closed_form(err, t, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "err,t",
+    [
+        ((math.nan, 0.0, 0.0), [0.5]),
+        ([(0.1, 0.2, 0.3), (0.1, math.inf, 0.3)], [0.5, 1.0]),
+        ((0.1, 0.2, 0.3), [math.inf]),
+        ([(0.1, 0.2, 0.3)] * 2, [0.5, -math.nan]),
+    ],
+)
+def test_delta_batch_rejects_non_finite_input(err, t):
+    # raised before any numpy arithmetic, so no RuntimeWarning is printed either
+    name = "err" if not np.isfinite(err).all() else "t"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            delta_batch(err, t, (1.0, 1.0, 1.0))
+
+
+# -- one-channel closures ---------------------------------------------------------
+
+# the error triples that send (1, 0, 0), (0, 0, 1) and (0, 0, -1) onto a pole or keep them there
+pole_errors = st.sampled_from(
+    [(0.0, math.pi / 2, 0.0), (0.0, 1.5 * math.pi, 0.0), (0.3, math.pi, 1.1), (1.2, 0.0, 0.7), (math.pi / 2, math.pi / 2, 0.0)]
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(zero_rate_triples, angle_triples),
+    st.one_of(axis_bases, pole_bases, unit_bases),
+    st.one_of(st.just((0.0, 0.0, 0.0)), pole_errors, st.tuples(*[err_components] * 3)),
+    st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8),
+)
+@example(angles=(1.0, 1.0, 1.0), base=(1.0, 0.0, 0.0), err=(0.0, math.pi / 2, 0.0), fractions=[0.0, 0.25, 3.5])
+@example(angles=(0.7, -1.3, 2.1), base=(0.0, 0.0, 1.0), err=(0.3, math.pi, 1.1), fractions=[0.0, 1.0, 7.75])
+@example(angles=(1.0, 1.0, 1.0), base=(0.0, 0.0, -1.0), err=(0.0, 0.0, 0.0), fractions=[0.0, 0.5, 2.0])
+@example(angles=(0.0, 0.0, 2.2250738585e-313), base=(1.0, 0.0, 0.0), err=(0.0, 0.0, 0.0), fractions=[0.0, 3.0])
+def test_one_channel_closures_equal_delta_closed_form(angles, base, err, fractions):
+    # time_averaged_error integrates one of these, so each must give its channel of the pair bit
+    # for bit, at the poles and over eight periods; a tiny omega samples t in [0, 8] instead, as
+    # its period overflows
+    base = tuple(c / math.hypot(*base) for c in base)
+    omega = math.hypot(angles[1], angles[0] + angles[2])
+    cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
+    az = _closed_form_at(err, angles, base, _delta_az)
+    el = _closed_form_at(err, angles, base, _delta_el)
+    for f in fractions:
+        pair = delta_closed_form(err, f * cycle, angles, base)
+        assert az(f * cycle) == pair[0]
+        assert el(f * cycle) == pair[1]
+
+
+def test_one_channel_closures_equal_delta_closed_form_on_random_points():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        rates = tuple(rng.uniform(-3.0, 3.0, 3).tolist())
+        base = rng.normal(size=3)
+        base = tuple((base / np.linalg.norm(base)).tolist())
+        err = tuple(rng.uniform(0.0, 2 * math.pi, 3).tolist())
+        az = _closed_form_at(err, rates, base, _delta_az)
+        el = _closed_form_at(err, rates, base, _delta_el)
+        for t in rng.uniform(0.0, 40.0, 200).tolist():
+            assert (az(t), el(t)) == delta_closed_form(err, t, rates, base)
