@@ -29,7 +29,6 @@ from math import nextafter, pi
 from operator import add, sub
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .bloch import EulerAngles
 from .propagation import (
@@ -427,6 +426,9 @@ def time_averaged_error(
     the shortcut.  The result is a float that also carries the error
     estimate and evaluation count (see TimeAverage).
     """
+    # scipy is imported here, on the first call, so that importing the package costs numpy alone
+    from scipy.integrate import IntegrationWarning, quad
+
     idx = _target_index(target)
     _require_finite(err, "err")
     _require_unit(base, "base")

@@ -40,7 +40,7 @@ machine precision (~3e-15).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, isfinite, pi, sin, sqrt
+from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +60,7 @@ _TWO_PI = 2.0 * pi
 
 
 class DegenerateRotationError(ValueError):
-    """Raised when theta = 0 and phi + psi = 0 leave no finite period."""
+    """Raised when the rotation rates leave no finite period: omega = 0, or 2 pi / omega overflows."""
 
 
 class ErrorAngles(NamedTuple):
@@ -274,12 +274,21 @@ def generator_eigenvalues(angles) -> tuple[complex, complex, complex]:
 
 def period(angles) -> float:
     """Recurrence time of the discrepancy curves: 2 pi / omega."""
-    _, _, omega = _rates(angles)
+    rates = _triple(angles, "rotation rates")
+    _, _, omega = _rates(rates)
     if omega == 0.0:
         raise DegenerateRotationError(
-            "theta = 0 and phi + psi = 0: the rotation family is constant, no finite period"
+            f"rotation rates {rates!r}: theta = 0 and phi + psi = 0, the rotation family is constant, "
+            "no finite period"
         )
-    return _TWO_PI / omega
+    cycle = _TWO_PI / omega
+    # a subnormal omega, or one just above the normal floor, overflows 2 pi / omega
+    if cycle == inf:
+        raise DegenerateRotationError(
+            f"rotation rates {rates!r}: omega = {omega!r} is too small, 2*pi/omega overflows, "
+            "no finite period"
+        )
+    return cycle
 
 
 def matrix_exp_generator(j, t) -> np.ndarray:

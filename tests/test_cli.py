@@ -175,6 +175,12 @@ class TestPeriodCommand:
         assert run_cli("period", "--angles", "0,0,0") == 1
         assert "no finite period" in capsys.readouterr().err
 
+    def test_subnormal_rates_exit_1(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("period", "--angles", "0,0,1e-310") == 1
+        assert "(0.0, 0.0, 1e-310)" in one_line_error(capsys)
+
     def test_zero_error_reports_degenerate_signal(self, capsys):
         assert run_cli("period", "--angles", "1,1,1", "--err", "0,0,0") == 0
         assert "degenerate" in capsys.readouterr().out
@@ -225,6 +231,12 @@ class TestAverageCommand:
 
     def test_degenerate_exits_1(self):
         assert run_cli("average", "--err", "0,0.2,0", "--angles", "0.5,0,-0.5") == 1
+
+    def test_subnormal_rates_exit_1(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("average", "--angles", "0,0,1e-310") == 1
+        assert "(0.0, 0.0, 1e-310)" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize(

@@ -399,6 +399,12 @@ class TestPeriod:
         with pytest.raises(DegenerateRotationError):
             period((0, 0, 0))
 
+    def test_rates_too_small_for_a_finite_period_rejected(self):
+        # 2 pi / omega overflows for a subnormal omega; 1e-300 still has a finite period
+        with pytest.raises(DegenerateRotationError, match=r"\(0\.0, 0\.0, 2\.2250738585e-313\)"):
+            period((0, 0, 2.2250738585e-313))
+        assert period((0, 0, 1e-300)) == 2 * math.pi / 1e-300
+
 
 class TestMatrixExpGenerator:
     def test_t0_identity(self):
@@ -611,7 +617,7 @@ def test_closed_form_closure_equals_delta_closed_form(err, angles, base, fractio
     # gives delta_closed_form's value bit for bit, also when omega = 0
     base = tuple(c / math.hypot(*base) for c in base)
     omega = math.hypot(angles[1], angles[0] + angles[2])
-    cycle = 2 * math.pi / omega if omega > 0.0 else 1.0
+    cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
     at = _closed_form_at(err, angles, base)
     for f in fractions:
         assert at(f * cycle) == delta_closed_form(err, f * cycle, angles, base)
@@ -723,7 +729,7 @@ def test_delta_point_equals_delta_batch(angles, base, points):
     # over twelve periods, on a batch of points as well as on each one alone
     base = tuple(c / math.hypot(*base) for c in base)
     omega = math.hypot(angles[1], angles[0] + angles[2])
-    cycle = 2 * math.pi / omega if omega > 0.0 else 1.0
+    cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
     errs = np.array([p[0] for p in points])
     ts = np.array([p[1] * cycle for p in points])
     batch = delta_batch(errs, ts, angles, base).tolist()
