@@ -136,8 +136,8 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     the continuous interpolation exp(i * log S(step)) with one
     matrix_exp_generator call on every i at once, which agrees with the
     discrete pipelines at every integer i (see module docstring).  Sample 0
-    is the input pair itself.  The discrepancies are then read row by row
-    with the scalar formula of ``delta_pair``.
+    is the input pair itself.  The discrepancies are then read a column at
+    a time with the operations of ``delta_pair``, and equal it on every row.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -190,14 +190,23 @@ def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """delta_pair over the rows of traj[i, (clean, perturbed), 3]; row 0 is ``pair``."""
+    """delta_pair over the rows of traj[i, (clean, perturbed), 3]; row 0 is ``pair``.
+
+    _delta_az's and _delta_el's operations on whole columns: math.hypot and math.atan2 mapped
+    over the coordinate lists, then the pole rule and the wrap in numpy, which rounds abs, - and
+    % as Python floats do, so every row equals delta_pair bit for bit.
+    """
     rows = np.array(traj, dtype=float).reshape(-1, 6)
     rows[0] = pair.reshape(6)
     norm = np.hypot(np.hypot(rows[:, 0::3], rows[:, 1::3]), rows[:, 2::3])
     if (norm < POLE_EPS).any():
         raise ValueError("discrepancies are undefined for zero vectors")
-    cols = rows.T.tolist()
-    return np.array(list(map(_delta_az, *cols))), np.array(list(map(_delta_el, *cols)))
+    vx, vy, vz, wx, wy, wz = rows.T.tolist()
+    rho, rho_err = list(map(hypot, vx, vy)), list(map(hypot, wx, wy))
+    az = np.array([list(map(atan2, vy, vx)), list(map(atan2, wy, wx))])
+    az[np.array([rho, rho_err]) < POLE_EPS] = 0.0
+    el = np.array([list(map(atan2, rho, vz)), list(map(atan2, rho_err, wz))])
+    return _wrapped_gap(az[0], az[1]), _wrapped_gap(el[0], el[1])
 
 
 def _rates(angles) -> tuple[float, float, float]:
@@ -405,12 +414,13 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # read with numpy's hypot and arctan2 on the two vectors at once.  It equals
 # delta_batch bit for bit wherever math's cos and sin round as numpy's do, as
 # on every host tried, and the search's last few live starts use it.  simulate
-# builds its trajectories with numpy but reads each sample's discrepancies
-# with _delta_az and _delta_el, each mapped over the rows as Python floats
-# (about 2 us a row for both), so that sample 0 is delta_pair of the input
-# pair bit for bit
-# (_delta_rows would read the reference run's initial 0.19999999999999996 as
-# 0.20000000000000018).
+# builds its trajectories with numpy but reads their discrepancies with
+# _delta_az's and _delta_el's operations applied to whole columns
+# (_trajectory_deltas): math.hypot and math.atan2 mapped over the coordinate
+# lists, then the pole rule and the wrap in numpy, whose abs, - and % round
+# as Python's do.  So every sample is delta_pair of its row bit for bit, and
+# sample 0 that of the input pair (_delta_rows would read the reference run's
+# initial 0.19999999999999996 as 0.20000000000000018).
 
 
 def _sp_flat(t: float, omega: float, na: float, nt: float) -> tuple:
@@ -610,6 +620,11 @@ def _delta_rows(w: np.ndarray) -> np.ndarray:
     np.arctan2(w[1], w[0], out=ang[..., 0])
     ang[..., 0][rho < POLE_EPS] = 0.0
     np.arctan2(rho, w[2], out=ang[..., 1])
-    d = np.abs(ang[0] - ang[1])
+    return _wrapped_gap(ang[0], ang[1])
+
+
+def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(d, 2*pi - d) for d = abs(a - b) % (2*pi), elementwise, rounded as on Python floats."""
+    d = np.abs(a - b)
     d %= _TWO_PI
     return np.minimum(d, _TWO_PI - d)

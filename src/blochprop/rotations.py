@@ -70,13 +70,15 @@ def _euler_rows(angles: np.ndarray) -> tuple:
     """Entries r[i][j] of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3], as nested tuples.
 
     The one copy of the z-y-z entries: elementwise, so no BLAS kernel changes its bytes.  One triple
-    runs on Python floats, which round as numpy's float64 does, far cheaper than numpy scalars, and
-    its entries are floats; a stack's entries are arrays [...].
+    runs on Python floats, far cheaper than numpy scalars, and its entries are floats; a stack's
+    entries are arrays [...].  Float arithmetic rounds as numpy's float64 does, and math's cos and
+    sin have equalled numpy's bit for bit on every host tried, with or without numpy's AVX-512 loops.
     """
-    c, s = np.cos(angles), np.sin(angles)
-    if c.ndim == 1:
-        (cf, ct, cp), (sf, st, sp) = c.tolist(), s.tolist()
+    if angles.ndim == 1:
+        phi, theta, psi = angles.tolist()
+        cf, ct, cp, sf, st, sp = cos(phi), cos(theta), cos(psi), sin(phi), sin(theta), sin(psi)
     else:
+        c, s = np.cos(angles), np.sin(angles)
         cf, ct, cp, sf, st, sp = c[..., 0], c[..., 1], c[..., 2], s[..., 0], s[..., 1], s[..., 2]
     cpct = cp * ct
     nspct = -sp * ct

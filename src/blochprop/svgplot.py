@@ -7,6 +7,8 @@ the rest of the install.  Azimuth is drawn blue, elevation orange.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .propagation import ErrorSeries
 
 AZ_COLOR = "#1f77b4"
@@ -27,6 +29,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + k * step for k in range(n)]
 
 
+def _escape(text: str) -> str:
+    """Text with &, < and > written as entities, as xml.sax.saxutils.escape does.
+
+    That import pulls in urllib.request and costs tens of ms at start-up.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_series_svg(series: ErrorSeries, title: str = "") -> str:
     """Return an SVG document plotting delta_az and delta_el against t."""
     t = series.t
@@ -41,16 +51,17 @@ def render_series_svg(series: ErrorSeries, title: str = "") -> str:
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
     t_span = t_hi - t_lo if t_hi > t_lo else 1.0
 
-    def sx(v: float) -> float:
+    # on a float or, elementwise in the same operations, on an array
+    def sx(v):
         return MARGIN_L + (v - t_lo) / t_span * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
-    ts = t.tolist()
+    xs = list(map(format, sx(t).tolist(), repeat(".2f")))
 
     def polyline(ys, color: str) -> str:
-        pts = " ".join(f"{sx(tv):.2f},{sy(yv):.2f}" for tv, yv in zip(ts, ys.tolist()))
+        pts = " ".join(map("{},{}".format, xs, map(format, sy(ys).tolist(), repeat(".2f"))))
         return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
     parts = [
@@ -102,7 +113,7 @@ def render_series_svg(series: ErrorSeries, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.0f}" y="16" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
+            f'font-family="sans-serif">{_escape(title)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" font-size="12" '

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from blochprop.propagation import (
     _delta_el,
     _delta_point,
     _sp_rows,
+    _trajectory_deltas,
     ErrorSeries,
     delta_batch,
     delta_closed_form,
@@ -241,6 +243,68 @@ def test_su2_pipeline_checks_like_rotate_su2(monkeypatch, u, message):
     monkeypatch.setattr("blochprop.propagation.su2_from_euler", lambda step: u)
     with pytest.raises(ValueError, match=message):
         simulate(v, v_err, REF_STEP, 3, pipeline="su2")
+
+
+def assert_rows_equal_delta_pair(daz, del_, rows):
+    """daz[i], del_[i] are delta_pair(rows[i][:3], rows[i][3:]) bit for bit, signed zeros included."""
+    want = np.array([delta_pair(r[:3], r[3:]) for r in rows]).reshape(-1, 2)
+    assert daz.tobytes() == want[:, 0].tobytes()
+    assert del_.tobytes() == want[:, 1].tobytes()
+
+
+SOUTH_WEST = (-0.6, 0.0, 0.8)
+READOUT_ROWS = [
+    # pole rows: rho below POLE_EPS reads as azimuth 0, against a vector off the pole and on it
+    ((POLE_EPS / 2, POLE_EPS / 4, 1.0), (0.6, 0.8, 0.0)),
+    ((0.0, 0.0, -1.0), (-POLE_EPS / 3, 0.0, 1.0)),
+    # x < 0 on the y = 0 line: y = +0.0 reads as azimuth pi, y = -0.0 as -pi
+    (SOUTH_WEST, (-0.6, -0.0, 0.8)),
+    ((-0.6, -0.0, 0.8), SOUTH_WEST),
+    ((-0.6, -0.0, 0.8), (-0.6, -0.0, -0.8)),
+    (SOUTH_WEST, (0.6, -0.0, 0.8)),
+    # identical vectors
+    ((0.3, -0.4, 0.5), (0.3, -0.4, 0.5)),
+    (SOUTH_WEST, SOUTH_WEST),
+    # wrapped differences of exactly pi: azimuth 0 against pi, elevation 0 against pi
+    ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+    ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+    ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0)),
+    # an ordinary pair, and azimuths either side of the -x axis, whose gap of almost 2 pi wraps
+    ((0.48, 0.6, 0.64), (0.6, -0.48, -0.64)),
+    ((-0.6, 1e-9, 0.8), (-0.6, -1e-9, 0.8)),
+]
+
+
+@pytest.mark.parametrize("first", range(len(READOUT_ROWS)))
+def test_trajectory_deltas_equal_delta_pair_on_hand_built_rows(first):
+    # each row in turn comes first, where it is read from the pair
+    rows = READOUT_ROWS[first:] + READOUT_ROWS[:first]
+    traj = np.array(rows)
+    daz, del_ = _trajectory_deltas(traj[0], traj)
+    assert_rows_equal_delta_pair(daz, del_, [a + b for a, b in rows])
+
+
+@pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    v=st.one_of(sim_unit_vectors, st.sampled_from([np.array([0.0, 0.0, -1.0]), np.array([-0.6, -0.0, 0.8])])),
+    err=st.tuples(*[st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(-math.pi, math.pi)] * 3),
+    step=st.one_of(
+        st.sampled_from([IDENTITY_STEP, HALF_TURN_STEP]), st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+    ),
+    steps=st.integers(0, 300),
+)
+# su2 and closed turn y = -0.0 into +0.0 on their row 0, which is read from the input pair
+@example(v=np.array([-0.6, -0.0, 0.8]), err=(0.3, 0.2, 0.1), step=(0.1, 0.2, 0.3), steps=3)
+def test_simulate_reads_every_row_as_delta_pair(pipeline, v, err, step, steps):
+    # simulate's readout equals delta_pair on each row of the trajectory it built, bit for bit
+    v_err = v @ euler_matrix(err)
+    with mock.patch("blochprop.propagation._trajectory_deltas", wraps=_trajectory_deltas) as readout:
+        series = simulate(v, v_err, step, steps, pipeline=pipeline)
+    traj = readout.call_args.args[1]
+    rows = np.array(traj, dtype=float).reshape(-1, 6)
+    rows[0] = np.concatenate([v, v_err])
+    assert_rows_equal_delta_pair(series.delta_az, series.delta_el, rows.tolist())
 
 
 class TestSpGeneral:

@@ -62,3 +62,12 @@ def test_commands_run_with_scipy_blocked(capsys):
         unblocked.append([code, capsys.readouterr().out])
     assert blocked == unblocked + ["average needs scipy"]
     assert [code for code, _ in unblocked] == [0, 0, 0]
+
+
+def test_import_loads_no_xml_or_network_modules():
+    # xml.sax.saxutils, for one, imports urllib.request and ssl: tens of ms and MiB at start-up
+    code = (
+        "import sys, blochprop, blochprop.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] in ('xml', 'http', 'ssl', 'email') or m == 'urllib.request'])"
+    )
+    assert run_python("-c", code) == "[]\n"
