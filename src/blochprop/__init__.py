@@ -49,6 +49,7 @@ from .analysis import (
     PeriodEstimate,
     PeriodEstimationError,
     TimeAverage,
+    closed_form_extrema,
     estimate_period_numeric,
     find_extrema,
     find_extremum,
@@ -94,6 +95,7 @@ __all__ = [
     "PeriodEstimate",
     "PeriodEstimationError",
     "TimeAverage",
+    "closed_form_extrema",
     "estimate_period_numeric",
     "find_extrema",
     "find_extremum",

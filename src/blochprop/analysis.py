@@ -4,15 +4,21 @@ The objective throughout is delta_closed_form(err, t, angles, base) viewed
 as a function of the four search variables (eps_x, eps_y, eps_z, t) on the
 box [0, 2*pi)^4 with the rotation rates held fixed.  It is cheap, bounded,
 multimodal, and non-smooth where the wrapped angle differences kink, so
-extrema are located by multi-start Nelder-Mead restricted to the box.  All
-starts, and in find_extrema all four extrema, advance together as one
-batch of simplices evaluated through propagation.delta_batch, and the last
-few live starts finish one at a time in plain floats on its one-point form;
-each start still follows its own path, stop test and evaluation cap,
-exactly as it would alone, and ExtremumResult reports the evaluations spent and the
-starts that hit the cap.  Every reported extremum is attained at its
-reported point, which makes max values certified lower bounds of the true suprema (and min values upper
-bounds of the infima); no global-optimality claim is made.
+extrema are located by multi-start Nelder-Mead restricted to the box.  The
+starts minimize a pseudo-angle of the discrepancy, a strictly increasing
+function of it built from + - * / sqrt and abs only (see propagation's notes
+on the evaluation paths), so the search takes the same steps on every host.
+All starts, and in find_extrema all four extrema, advance together as one
+batch of simplices evaluated in numpy, and the last HANDOFF_ROWS live starts
+finish one at a time in plain floats; each start still follows its own path,
+stop test and evaluation cap, exactly as it would alone.  Each extremum
+reports delta_closed_form at the best point of its best start, with the
+evaluations spent, the starts that hit the cap and the starts that reached
+the reported value.  Every reported extremum is attained at its reported
+point, which makes max values certified lower bounds of the true suprema
+(and min values upper bounds of the infima); closed_form_extrema gives the
+suprema and infima themselves where the whole box is searched and
+omega >= 1.
 
 Reported extremum locations are not unique: the objective has large
 symmetry orbits, so different seeds reach different argmax points with the
@@ -25,7 +31,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from math import nextafter, pi
+from math import acos, nextafter, pi, sqrt
 from operator import add, sub
 
 import numpy as np
@@ -33,11 +39,16 @@ import numpy as np
 from .bloch import EulerAngles
 from .propagation import (
     ErrorSeries,
+    _check_phase,
     _closed_form_at,
     _delta_az,
-    _delta_batch,
     _delta_el,
-    _delta_point,
+    _pair_kernel,
+    _point_reader,
+    _pseudo_az,
+    _pseudo_el,
+    _pseudo_rows,
+    _rates,
     _require_finite,
     _require_unit,
     delta_batch,
@@ -53,7 +64,8 @@ SEARCH_BOX = ((0.0, TWO_PI),) * 4
 # evaluation cap of one Nelder-Mead start
 MAX_EVALS = 2000
 # a lockstep batch with this many live starts or fewer finishes each of them alone, in plain floats
-HANDOFF_ROWS = 8
+HANDOFF_ROWS = 16
+STARTS_AT_BEST_TOL = 1e-9
 
 PERIOD_GRID = 1024
 PERIOD_MATCH_TOL = 1e-6
@@ -125,6 +137,7 @@ class ExtremumResult:
     """One extremum of a discrepancy over (eps_x, eps_y, eps_z, t)."""
 
     kind: str
+    # delta_closed_form's discrepancy at ``at``, the best point of the best start
     value: float
     at: tuple[float, float, float, float]
     base_vector: tuple[float, float, float]
@@ -133,6 +146,8 @@ class ExtremumResult:
     # objective evaluations over all starts, and starts ended by the cap
     nfev: int
     capped_starts: int
+    # starts whose value lies within STARTS_AT_BEST_TOL of the reported one
+    starts_at_best: int
 
 
 @dataclass(frozen=True)
@@ -163,10 +178,10 @@ def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS, point=None):
     """Bounded Nelder-Mead from N starts advanced in lockstep.
 
     ``f(x, rows)`` returns the values [m] of the points x [m, n], where
-    rows[k] is the start that x[k] belongs to.  Each start keeps its own
-    (n+1)-vertex simplex, evaluation count and stop test; the standard
-    reflection/expansion/contraction/shrink coefficients (1, 2, 1/2, 1/2)
-    are chosen per start with masks.  Candidates are clipped into the box,
+    rows[k] is the start that x[k] belongs to; rows never decrease.  Each
+    start keeps its own (n+1)-vertex simplex, evaluation count and stop
+    test; the standard reflection/expansion/contraction/shrink coefficients
+    (1, 2, 1/2, 1/2) are chosen per start with masks.  Candidates are clipped into the box,
     so a simplex can flatten against a face; the evaluation cap then ends
     that start, and its best vertex is still a valid attained value.  Only
     the points the method uses are evaluated, so every start follows the
@@ -201,10 +216,13 @@ def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS, point=None):
         ix = np.arange(rows.size)[:, None]
         order = vals.argsort(axis=1, kind="stable")
         sim, vals = sim[ix, order], vals[ix, order]
-        # a start stops at the cap, or once its values span 1e-10 and its vertices lie within 1e-8
-        done = (nfev >= maxfev) | (
-            (vals[:, n] - vals[:, 0] <= 1e-10) & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-8)
-        )
+        # a start stops at the cap, or once its values span 1e-10 and its vertices lie within 1e-8;
+        # the spread of the vertices is computed only for the starts that pass the value test
+        done = nfev >= maxfev
+        flat = np.flatnonzero(vals[:, n] - vals[:, 0] <= 1e-10)
+        if flat.size:
+            spread = np.abs(sim[flat, 1:] - sim[flat, :1]).reshape(flat.size, -1).max(axis=1)
+            done[flat[spread <= 1e-8]] = True
         live = np.flatnonzero(~done)
         if live.size < rows.size:
             out = rows[done]
@@ -328,15 +346,21 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     """Multistart search for several (target, mode) kinds in one lockstep batch.
 
     Start i of every kind begins at the same point, drawn from the substream
-    seeded by (seed, i).
+    seeded by (seed, i).  The starts minimize the discrepancy's pseudo-angle
+    (propagation._pseudo_az and _pseudo_el), signed for a maximum; each kind
+    then reports delta_closed_form at the best vertex of its best start,
+    ranked by that value, ties to the lowest start index.
     """
     for _, mode in kinds:
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     if num_starts < 1:
         raise ValueError("num_starts must be >= 1")
-    cols = np.repeat([_target_index(target) for target, _ in kinds], num_starts)
-    signs = np.repeat([-1.0 if mode == "max" else 1.0 for _, mode in kinds], num_starts)
+    # the batch runs azimuth kinds first, so that each objective call reads each channel on a
+    # contiguous slice of its (ascending) rows; the results keep the order of ``kinds``
+    run = sorted(range(len(kinds)), key=lambda k: _target_index(kinds[k][0]))
+    n_az = num_starts * sum(kinds[k][0] == "az" for k in run)
+    signs = np.repeat([-1.0 if kinds[k][1] == "max" else 1.0 for k in run], num_starts)
     base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
     rates = _triple(angles, "rotation rates")
     box = np.asarray(bounds, dtype=float)
@@ -344,35 +368,41 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
         raise ValueError(f"bounds must be four finite (lo, hi) pairs with lo <= hi, got {bounds!r}")
     lo = box[:, 0]
     hi = np.minimum(box[:, 1], BOX_HI)
+    _check_phase(rates, max(abs(float(lo[3])), abs(float(hi[3]))))
     u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
 
-    def objective(x, rows):
-        d = _delta_batch(x[:, :3], x[:, 3], rates, base)
-        return signs[rows] * d[np.arange(len(rows)), cols[rows]]
+    kernel = _pair_kernel(rates, base)
 
-    at = _delta_point(rates, base)
+    def objective(x, rows):
+        return signs[rows] * _pseudo_rows(kernel(x[:, :3], x[:, 3]), int(rows.searchsorted(n_az)))
+
+    readers = (_point_reader(rates, base, _pseudo_az), _point_reader(rates, base, _pseudo_el))
 
     def point(row):
-        sign, col = float(signs[row]), int(cols[row])
-        return lambda p: sign * at(p[:3], p[3])[col]
+        f = readers[row >= n_az]
+        return (lambda p: -f(p)) if signs[row] < 0.0 else f
 
-    x, fx, nfev = _nelder_mead_batch(objective, x0, lo, hi, maxfev=MAX_EVALS, point=point)
-    results = []
-    for k, (target, mode) in enumerate(kinds):
-        part = slice(k * num_starts, (k + 1) * num_starts)
-        i = int(np.argmin(fx[part]))
-        results.append(
-            ExtremumResult(
-                kind=f"{mode}_{target}",
-                value=float(signs[part][i] * fx[part][i]),
-                at=tuple(float(c) for c in x[part][i]),
-                base_vector=base,
-                num_starts=num_starts,
-                seed=seed,
-                nfev=int(nfev[part].sum()),
-                capped_starts=int((nfev[part] >= MAX_EVALS).sum()),
-            )
+    x, _, nfev = _nelder_mead_batch(objective, x0, lo, hi, maxfev=MAX_EVALS, point=point)
+    exact = (_point_reader(rates, base, _delta_az), _point_reader(rates, base, _delta_el))
+    results = [None] * len(kinds)
+    for j, k in enumerate(run):
+        target, mode = kinds[k]
+        part = slice(j * num_starts, (j + 1) * num_starts)
+        at = x[part].tolist()
+        values = list(map(exact[_target_index(target)], at))
+        best = max(values) if mode == "max" else min(values)
+        i = values.index(best)
+        results[k] = ExtremumResult(
+            kind=f"{mode}_{target}",
+            value=best,
+            at=tuple(at[i]),
+            base_vector=base,
+            num_starts=num_starts,
+            seed=seed,
+            nfev=int(nfev[part].sum()),
+            capped_starts=int((nfev[part] >= MAX_EVALS).sum()),
+            starts_at_best=sum(abs(v - best) <= STARTS_AT_BEST_TOL for v in values),
         )
     return results
 
@@ -409,6 +439,30 @@ def find_extrema(
     """
     kinds = [(target, mode) for mode in ("max", "min") for target in ("az", "el")]
     return tuple(_search(kinds, base_vector, angles, num_starts, seed, bounds))
+
+
+def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, float, float]:
+    """The suprema and infima find_extrema searches for, in its report order: max_az, max_el, min_az, min_el.
+
+    Over the full error box base @ S(err) reaches every direction, so at each t the azimuth gap
+    reaches pi, both gaps reach 0, and the elevation gap reaches max(el, pi - el) of the clean
+    vector, that is arccos(-|z|).  The clean vector circles the axis n = (0, theta, phi+psi)/omega
+    at the angle arccos(c), c = base . n, so its z ranges over c*n_z -+ sqrt(1-c^2)*sqrt(1-n_z^2),
+    all of it once t spans a period 2*pi/omega.  Hence max_el = arccos(-(|c*n_z| +
+    sqrt(1-c^2)*sqrt(1-n_z^2))).  This needs every coordinate of ``bounds`` to cover [0, 2*pi] and
+    omega >= 1, so that t in [0, 2*pi) spans a period; otherwise ValueError.
+    """
+    b = _require_unit(base, "base").tolist()
+    theta, a, omega = _rates(rates)
+    box = np.asarray(bounds, dtype=float)
+    if box.shape != (4, 2) or not ((box[:, 0] <= 0.0) & (box[:, 1] >= TWO_PI)).all():
+        raise ValueError(f"the closed forms need the full search box [0, 2*pi]^4, got {bounds!r}")
+    if not omega >= 1.0:
+        raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {omega!r}")
+    n_z = a / omega
+    c = min(1.0, abs(b[1] * (theta / omega) + b[2] * n_z))
+    z_max = min(1.0, c * abs(n_z) + sqrt(1.0 - c * c) * sqrt(max(0.0, 1.0 - n_z * n_z)))
+    return pi, acos(-z_max), 0.0, 0.0
 
 
 def time_averaged_error(

@@ -46,7 +46,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import EulerAngles, POLE_EPS, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
-from .rotations import _euler_entries, _euler_rows, _row_times, _triple, euler_matrix, su2_from_euler
+from .rotations import (
+    _euler_entries,
+    _euler_floats,
+    _euler_rows,
+    _row_times,
+    _triple,
+    euler_matrix,
+    su2_from_euler,
+)
 
 ANTISYMMETRY_TOL = 1e-12
 # min(d, 2*pi - d) can exceed pi by a rounding ulp when d is near pi
@@ -235,7 +243,7 @@ def sp_general(t, angles) -> np.ndarray:
     theta, a, omega = _rates(angles)
     if omega == 0.0:
         return np.tile(np.eye(3), t.shape + (1, 1))
-    return np.moveaxis(_sp_entries(t, theta, a, omega), (0, 1), (-2, -1))
+    return np.moveaxis(_sp_entries(t, _family_constants(theta, a, omega)), (0, 1), (-2, -1))
 
 
 _SQRT5 = sqrt(5.0)
@@ -406,15 +414,28 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # against 2.0 us for the pair's closure, with the same value, error
 # estimate and evaluation count.  A numpy call on one point costs
 # about ten times a float one.  delta_batch serves many points at once: the
-# multistart extremum search and the period grid.  The search checks its box
-# once and calls the unchecked body, _delta_batch.  It reads the angles with
-# numpy's hypot and arctan2 (_delta_rows), which may round otherwise than
-# math's, so delta_batch and delta_closed_form agree to about 1e-15 but not
-# bit for bit.  _delta_point is delta_batch on one point: _pair_at's pair,
-# read with numpy's hypot and arctan2 on the two vectors at once.  It equals
-# delta_batch bit for bit wherever math's cos and sin round as numpy's do, as
-# on every host tried, and the search's last few live starts use it.  simulate
-# builds its trajectories with numpy but reads their discrepancies with
+# period grid.  It reads the angles of _pair_kernel's vectors with numpy's
+# hypot and arctan2 (_delta_rows), which may round otherwise than math's, so
+# delta_batch and delta_closed_form agree to about 1e-15 but not bit for bit.
+# _delta_point is delta_batch on one point, kept as the reference its tests
+# check: _pair_at's pair read with numpy's hypot and arctan2.
+#
+# The multistart extremum search reads no angle at all.  Nelder-Mead uses its
+# objective only through comparisons and one difference test, so the search
+# minimizes the pseudo-angle p = 1 - c / (|s| + |c|) of each discrepancy, with
+# c and s the cosine and sine of the gap times two norms (_pseudo_az,
+# _pseudo_el): p rises strictly from 0 to 2 as the gap goes from 0 to pi, by
+# 1/2 to 1 per radian.  It takes only + - * / sqrt and abs, which numpy and
+# Python round alike on every host and with every numpy loop.  The lockstep
+# batch reads _pair_kernel's vectors with _pseudo_rows; the last live starts
+# finish one at a time on _point_reader, which forms the same vectors in plain
+# floats with no numpy call (about 3 us a point) and reads them with
+# _pseudo_az or _pseudo_el.  The two agree bit for bit wherever math's cos
+# and sin round as numpy's do, as on every host tried, with or without
+# numpy's AVX-512 loops.  The search then reports delta_closed_form at the
+# point it found.
+#
+# simulate builds its trajectories with numpy but reads their discrepancies with
 # _delta_az's and _delta_el's operations applied to whole columns
 # (_trajectory_deltas): math.hypot and math.atan2 mapped over the coordinate
 # lists, then the pole rule and the wrap in numpy, whose abs, - and % round
@@ -463,6 +484,35 @@ def _delta_scalar(vx, vy, vz, wx, wy, wz) -> tuple[float, float]:
     return _delta_az(vx, vy, vz, wx, wy, wz), _delta_el(vx, vy, vz, wx, wy, wz)
 
 
+def _pseudo_az(vx, vy, vz, wx, wy, wz) -> float:
+    """Pseudo-angle 1 - c / (|s| + |c|) of the azimuth gap of two nonzero float triples.
+
+    c and s are the cosine and sine of the gap times the two xy radii; a vector within POLE_EPS of
+    the z axis reads as direction (1, 0), as its azimuth reads 0 in _delta_az.  The value lies in
+    [0, 2] and increases strictly with the wrapped gap, from 0 at 0 through 1 at pi/2 to 2 at pi.
+    """
+    if sqrt(vx * vx + vy * vy) < POLE_EPS:
+        vx, vy = 1.0, 0.0
+    if sqrt(wx * wx + wy * wy) < POLE_EPS:
+        wx, wy = 1.0, 0.0
+    c = vx * wx + vy * wy
+    s = vx * wy - vy * wx
+    return 1.0 - c / (abs(s) + abs(c))
+
+
+def _pseudo_el(vx, vy, vz, wx, wy, wz) -> float:
+    """Pseudo-angle 1 - c / (|s| + |c|) of the elevation gap of two nonzero float triples.
+
+    Each elevation is the direction of (z, rho) with rho = sqrt(x*x + y*y), so c and s are the
+    cosine and sine of the gap times the two norms; the gap lies in [0, pi] and needs no wrap.
+    """
+    rho1 = sqrt(vx * vx + vy * vy)
+    rho2 = sqrt(wx * wx + wy * wy)
+    c = vz * wz + rho1 * rho2
+    s = vz * rho2 - rho1 * wz
+    return 1.0 - c / (abs(s) + abs(c))
+
+
 def delta_closed_form(
     err, t: float, angles, base=(1.0, 0.0, 0.0)
 ) -> tuple[float, float]:
@@ -481,7 +531,16 @@ def delta_closed_form(
         raise ValueError(f"err must be finite, got {err!r}")
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    _check_phase(angles, abs(float(t)))
     return _closed_form_at(err, angles, base)(float(t))
+
+
+def _check_phase(rates, t_max: float) -> None:
+    """Reject rates whose phase omega * t overflows for some |t| <= t_max: cos and sin take no infinity."""
+    rates = _triple(rates, "rotation rates")
+    _, _, omega = _rates(rates)
+    if omega * t_max == inf:
+        raise ValueError(f"rotation rates {rates!r}: omega * t overflows for |t| up to {t_max!r}")
 
 
 def _closed_form_at(err, angles, base, read=_delta_scalar):
@@ -517,6 +576,38 @@ def _pair_at(r, b, theta, a, omega, read):
 
     def at(t: float):
         p11, p12, p13, p21, p22, p23, p31, p32, p33 = _sp_flat(t, omega, na, nt)
+        return read(
+            bx * p11 + by * p21 + bz * p31,
+            bx * p12 + by * p22 + bz * p32,
+            bx * p13 + by * p23 + bz * p33,
+            vex * p11 + vey * p21 + vez * p31,
+            vex * p12 + vey * p22 + vez * p32,
+            vex * p13 + vey * p23 + vez * p33,
+        )
+
+    return at
+
+
+def _point_reader(rates, base, read):
+    """read(clean, perturbed) of _pair_kernel's vectors at one point p = [eps_x, eps_y, eps_z, t].
+
+    The search's plain-float objective: the error rotation from _euler_floats, the family from
+    _sp_flat and every row product in _row_times's order, with no numpy call, so the six floats
+    are _pair_kernel's bytes wherever math's cos and sin round as numpy's do.  _pair_at does the
+    same per t with the error rotation fixed.
+    """
+    bx, by, bz = (float(c) for c in base)
+    theta, a, omega = _rates(rates)
+    na, nt = (a / omega, theta / omega) if omega else (0.0, 0.0)
+
+    def at(p) -> float:
+        (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(p[0], p[1], p[2])
+        vex = bx * r11 + by * r21 + bz * r31
+        vey = bx * r12 + by * r22 + bz * r32
+        vez = bx * r13 + by * r23 + bz * r33
+        if omega == 0.0:
+            return read(bx, by, bz, vex, vey, vez)
+        p11, p12, p13, p21, p22, p23, p31, p32, p33 = _sp_flat(p[3], omega, na, nt)
         return read(
             bx * p11 + by * p21 + bz * p31,
             bx * p12 + by * p22 + bz * p32,
@@ -566,50 +657,73 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     does not depend on what else shares the call.  ``base`` is not checked,
     as in delta_closed_form; a non-finite ``err`` or ``t`` raises ValueError.
     """
-    return _delta_batch(_require_finite(err, "err"), _require_finite(t, "t"), rates, base)
+    err, t = _require_finite(err, "err"), _require_finite(t, "t")
+    _check_phase(rates, float(np.abs(t).max()) if t.size else 0.0)
+    return _delta_rows(_pair_kernel(rates, base)(err, t))
 
 
-def _delta_batch(err, t, rates, base) -> np.ndarray:
-    """delta_batch without the finiteness check of err and t, for callers that have checked them."""
-    err = np.asarray(err, dtype=float)
-    t = np.asarray(t, dtype=float)
-    # pad both to the broadcast rank so the leading component axes line up
-    nd = max(err.ndim - 1, t.ndim)
-    err = err.reshape((1,) * (nd + 1 - err.ndim) + err.shape)
-    t = t.reshape((1,) * (nd - t.ndim) + t.shape)
-    bx, by, bz = (float(c) for c in base)
+# 0-d arrays: a numpy call takes one as an operand in about half the time it takes a Python float
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+
+
+def _pair_kernel(rates, base):
+    """The clean and perturbed vectors as a function (err[..., 3], t[...]) -> w[k, j, ...].
+
+    w[k, j] is component k of the clean (j = 0) and perturbed (j = 1) vector at each point; err
+    and t are not checked.  The rates' and base's constants are computed once, as 0-d arrays.
+    """
     theta, a, omega = _rates(rates)
-    r = _euler_entries(err)
-    # v[k, j]: component k of the clean (j = 0) and perturbed (j = 1) vector
-    v = np.empty((3, 2) + np.broadcast(r[0, 0], t).shape)
-    v[0, 0], v[1, 0], v[2, 0] = bx, by, bz
-    v[:, 1] = _row_times((bx, by, bz), r)
-    if omega == 0.0:
-        return _delta_rows(v)
-    p = _sp_entries(t, theta, a, omega)
-    # w[:, j] = v[:, j] @ sp_general(t), for clean and perturbed at once
-    return _delta_rows(_row_times(v, p[:, :, None]))
+    b = tuple(np.array(float(c)) for c in base)
+    family = _family_constants(theta, a, omega) if omega else None
+
+    def kernel(err, t) -> np.ndarray:
+        err = np.asarray(err, dtype=float)
+        t = np.asarray(t, dtype=float)
+        # pad both to the broadcast rank so the leading component axes line up
+        nd = max(err.ndim - 1, t.ndim)
+        err = err.reshape((1,) * (nd + 1 - err.ndim) + err.shape)
+        t = t.reshape((1,) * (nd - t.ndim) + t.shape)
+        r = _euler_entries(err)
+        w = np.empty((3, 2) + np.broadcast(r[0, 0], t).shape)
+        # the perturbed start vector base @ S(err)
+        v = _row_times(b, r)
+        if family is None:
+            w[0, 0], w[1, 0], w[2, 0] = b
+            w[:, 1] = v
+            return w
+        # each vector @ sp_general(t); the clean one is the base
+        p = _sp_entries(t, family)
+        w[:, 0] = _row_times(b, p)
+        w[:, 1] = _row_times(v, p)
+        return w
+
+    return kernel
 
 
-def _sp_entries(t: np.ndarray, theta: float, a: float, omega: float) -> np.ndarray:
-    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _sp_flat; omega must be positive."""
+def _family_constants(theta: float, a: float, omega: float) -> tuple:
+    """(omega, na, nt, -na, -nt) of _sp_flat as 0-d arrays, na = (phi+psi)/omega and nt = theta/omega."""
     na, nt = a / omega, theta / omega
+    return tuple(map(np.array, (omega, na, nt, -na, -nt)))
+
+
+def _sp_entries(t: np.ndarray, family: tuple) -> np.ndarray:
+    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _sp_flat, from _family_constants."""
+    omega, na, nt, nna, nnt = family
     p = np.empty((3, 3) + t.shape)
     wt = omega * t
     s = np.sin(wt)
     # a product, as in _sp_flat: on a 0-d t numpy computes ** 2 with libm pow
-    h = np.sin(wt / 2.0)
-    mc = 2.0 * (h * h)
+    h = np.sin(wt / _TWO)
+    mc = _TWO * (h * h)
     mcna = mc * na
-    np.cos(wt, out=p[0, 0, ...])
-    np.multiply(na, s, out=p[0, 1, ...])
-    np.multiply(-nt, s, out=p[0, 2, ...])
-    np.multiply(-na, s, out=p[1, 0, ...])
-    np.subtract(1.0, mcna * na, out=p[1, 1, ...])
-    np.multiply(mcna, nt, out=p[1, 2, ...])
-    np.multiply(nt, s, out=p[2, 0, ...])
-    p[2, 1] = p[1, 2]
-    np.subtract(1.0, mc * nt * nt, out=p[2, 2, ...])
+    p[0, 0] = np.cos(wt)
+    p[0, 1] = na * s
+    p[0, 2] = nnt * s
+    p[1, 0] = nna * s
+    p[1, 1] = _ONE - mcna * na
+    p[1, 2] = p[2, 1] = mcna * nt
+    p[2, 0] = nt * s
+    p[2, 2] = _ONE - mc * nt * nt
     return p
 
 
@@ -621,6 +735,31 @@ def _delta_rows(w: np.ndarray) -> np.ndarray:
     ang[..., 0][rho < POLE_EPS] = 0.0
     np.arctan2(rho, w[2], out=ang[..., 1])
     return _wrapped_gap(ang[0], ang[1])
+
+
+def _pseudo_rows(w: np.ndarray, n_az: int) -> np.ndarray:
+    """_pseudo_az on the first n_az points and _pseudo_el on the rest, over w[:, :, m], bit for bit.
+
+    w[k, j, i] is component k of the clean (j = 0) and perturbed (j = 1) vector at point i.  Each
+    channel measures the angle between two plane vectors (a, b): (x, y) for the azimuth and
+    (z, rho) for the elevation, so one set of calls reads both.
+    """
+    x, y, z = w
+    rho = np.sqrt(x * x + y * y)
+    xyzr = np.concatenate((w, rho[None]))
+    # u[c, j, i]: coordinate c of the plane vector of the clean (j = 0) and perturbed (j = 1) vector
+    u = np.concatenate((xyzr[:2, :, :n_az], xyzr[2:, :, n_az:]), axis=2)
+    # the pole rule of _pseudo_az
+    pole = rho[:, :n_az] < POLE_EPS
+    if pole.any():
+        u[0, :, :n_az][pole], u[1, :, :n_az][pole] = 1.0, 0.0
+    # rows a0, a1, b0, b1; then products (a0*a1, b0*b1) and (a0*b1, b0*a1)
+    u = u.reshape(4, -1)
+    cc = u[0::2] * u[1::2]
+    ss = u[0::2] * u[3::-2]
+    c = cc[0] + cc[1]
+    s = ss[0] - ss[1]
+    return _ONE - c / (np.abs(s) + np.abs(c))
 
 
 def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

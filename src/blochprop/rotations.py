@@ -75,11 +75,20 @@ def _euler_rows(angles: np.ndarray) -> tuple:
     sin have equalled numpy's bit for bit on every host tried, with or without numpy's AVX-512 loops.
     """
     if angles.ndim == 1:
-        phi, theta, psi = angles.tolist()
-        cf, ct, cp, sf, st, sp = cos(phi), cos(theta), cos(psi), sin(phi), sin(theta), sin(psi)
-    else:
-        c, s = np.cos(angles), np.sin(angles)
-        cf, ct, cp, sf, st, sp = c[..., 0], c[..., 1], c[..., 2], s[..., 0], s[..., 1], s[..., 2]
+        return _euler_floats(*angles.tolist())
+    # one contiguous row per angle: numpy is faster on contiguous operands
+    a = np.ascontiguousarray(angles.transpose((angles.ndim - 1,) + tuple(range(angles.ndim - 1))))
+    c, s = np.cos(a), np.sin(a)
+    return _euler_products(c[0], c[1], c[2], s[0], s[1], s[2])
+
+
+def _euler_floats(phi: float, theta: float, psi: float) -> tuple:
+    """_euler_rows of one triple of floats, with no numpy call."""
+    return _euler_products(cos(phi), cos(theta), cos(psi), sin(phi), sin(theta), sin(psi))
+
+
+def _euler_products(cf, ct, cp, sf, st, sp) -> tuple:
+    """The z-y-z entries from the cosines and sines of (phi, theta, psi)."""
     cpct = cp * ct
     nspct = -sp * ct
     return (

@@ -13,6 +13,7 @@ import pytest
 from blochprop import (
     CASE_STUDIES,
     angle_distance,
+    closed_form_extrema,
     delta_closed_form,
     equivalent_continuous_angles,
     euler_matrix,
@@ -182,6 +183,15 @@ class TestCriterion5:
         reports, _ = case_reports
         for report, (label, _, stated_el) in zip(reports, CASE_TARGETS):
             assert abs(report.max_el - stated_el) <= 1e-2, label
+
+
+def test_case_extrema_meet_the_closed_forms(case_reports):
+    # every case study has the full box and omega >= 1, so all four values have closed forms
+    reports, _ = case_reports
+    for report in reports:
+        want = closed_form_extrema(report.spec.base_vector, report.spec.angles)
+        got = (report.max_az, report.max_el, report.min_az, report.min_el)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, (report.spec.label, got, want)
 
 
 def test_criterion_6_generator_theory():
