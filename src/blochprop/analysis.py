@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from math import acos, nextafter, pi, sqrt
+from numbers import Integral
 from operator import add, sub
 
 import numpy as np
@@ -342,6 +343,14 @@ def _nelder_mead(f, x0, lo, hi, maxfev=MAX_EVALS):
     return x[0].tolist(), float(fx[0]), int(nfev[0])
 
 
+def _check_starts(num_starts: int, seed: int) -> None:
+    """Reject what no start can be drawn from: fewer than one start, or a seed that is not a non-negative integer."""
+    if num_starts < 1:
+        raise ValueError("num_starts must be >= 1")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> list[ExtremumResult]:
     """Multistart search for several (target, mode) kinds in one lockstep batch.
 
@@ -354,8 +363,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     for _, mode in kinds:
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    if num_starts < 1:
-        raise ValueError("num_starts must be >= 1")
+    _check_starts(num_starts, seed)
     # the batch runs azimuth kinds first, so that each objective call reads each channel on a
     # contiguous slice of its (ascending) rows; the results keep the order of ``kinds``
     run = sorted(range(len(kinds)), key=lambda k: _target_index(kinds[k][0]))

@@ -27,6 +27,7 @@ from .analysis import (
     ExtremumResult,
     PROBE_ERR,
     PeriodEstimationError,
+    _check_starts,
     estimate_period_numeric,
     find_extrema,
     run_case_study,
@@ -296,8 +297,7 @@ def _case_row(report: CaseReport) -> tuple:
 
 
 def cmd_cases(args) -> None:
-    if args.starts < 1:
-        raise ValueError("num_starts must be >= 1")
+    _check_starts(args.starts, args.seed)
     outdir = Path(args.output)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

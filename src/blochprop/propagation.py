@@ -40,7 +40,9 @@ machine precision (~3e-15).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +51,6 @@ from .bloch import EulerAngles, POLE_EPS, _require_unit_norm, matrix_to_cartesia
 from .rotations import (
     _euler_entries,
     _euler_floats,
-    _euler_rows,
     _row_times,
     _triple,
     euler_matrix,
@@ -147,13 +148,16 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     is the input pair itself.  The discrepancies are then read a column at
     a time with the operations of ``delta_pair``, and equal it on every row.
     """
-    if steps < 0:
+    try:
+        n = index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
+    if n < 0:
         raise ValueError("steps must be >= 0")
     step = _require_finite(_triple(step, "step: Euler angles"), "step angles")
     v = _require_unit(v, "v")
     v_err = _require_unit(v_err, "v_err")
 
-    n = int(steps)
     t = np.arange(n + 1, dtype=float)
     pair = np.stack([v, v_err])
 
@@ -389,36 +393,38 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 
 # -- two evaluation paths ---------------------------------------------------
 #
-# The closed-form discrepancies have two implementations of one formula.  They
-# share the error rotation: both take S(err) from rotations._euler_rows, the
-# one copy of the z-y-z entries, and form base @ S(err) in the same order
-# (rotations._row_times on arrays, plain floats on one point), so the
-# perturbed start vector has the same bytes on both paths.  The rotation
-# family at t also has the same bytes: _sp_flat (plain floats) and
-# _sp_entries (numpy) do the same operations in the same order, and squaring
-# is a product in both, because float ** calls libm pow, which can round
-# otherwise.  _pair_at forms the clean and perturbed vectors at t in plain
-# floats, in _row_times's order, and hands them to a reader of the angles.
+# The closed-form discrepancies have two implementations of one formula: a
+# plain-float path for one point at a time and a numpy path for many.  Both
+# take the error rotation S(err) from rotations' one copy of the z-y-z entries
+# (_euler_floats on one triple, _euler_rows on a stack) and form the perturbed
+# start base @ S(err) in rotations._row_times's order.  Both evaluate the
+# rotation family at t with the same operations in the same order, squaring
+# by a product, because float ** calls libm pow, which can round otherwise,
+# and both form the clean and perturbed vectors at t in _row_times's order.
+# So the two paths give the same six floats wherever math's cos and sin round
+# as numpy's do, as on every host tried, with or without numpy's AVX-512 loops.
 #
-# The paths differ in the angles.  delta_closed_form, which the tests use as
-# the reference, reads them with math.hypot and math.atan2, as does
-# delta_pair: _delta_az and _delta_el each read one discrepancy, and
-# _delta_scalar returns both.  _closed_form_at splits delta_closed_form into a
-# per-trajectory part (the error rotation and the rates, done once per
-# closure) and a plain-float per-t closure; the samples of
-# analysis.case_series call that closure one point at a time, and it equals
-# delta_closed_form bit for bit because delta_closed_form is built from it.
-# Adaptive quadrature in analysis.time_averaged_error integrates one
-# discrepancy, so its closure reads only that one with _delta_az or
-# _delta_el, the same operations as in the pair: about 1.4 us a sample
-# against 2.0 us for the pair's closure, with the same value, error
-# estimate and evaluation count.  A numpy call on one point costs
-# about ten times a float one.  delta_batch serves many points at once: the
-# period grid.  It reads the angles of _pair_kernel's vectors with numpy's
-# hypot and arctan2 (_delta_rows), which may round otherwise than math's, so
-# delta_batch and delta_closed_form agree to about 1e-15 but not bit for bit.
-# _delta_point is delta_batch on one point, kept as the reference its tests
-# check: _pair_at's pair read with numpy's hypot and arctan2.
+# The float path is _pair_floats, which evaluates the family at t, forms both
+# vectors and hands the six floats to a reader.  It has two fronts.
+# _closed_form_at fixes the error rotation and the rates once per trajectory
+# and returns a function of t alone: delta_closed_form is built from it, the
+# samples of analysis.case_series call it one point at a time, and adaptive
+# quadrature in analysis.time_averaged_error integrates it with a reader of
+# one discrepancy (_delta_az or _delta_el, the pair's own operations), about
+# 1.5 us a sample with the pair's value, error estimate and evaluation count.
+# _point_reader takes a whole search point [eps_x, eps_y, eps_z, t] and forms
+# the error rotation per point: the plain-float finish of the search.  Each
+# front keeps its own omega = 0 branch, which reads the start pair as it is,
+# because the identity family would turn a -0.0 into +0.0.  The angle
+# readers _delta_az and _delta_el use math.hypot and math.atan2, as does
+# delta_pair, and _delta_scalar returns both.  A numpy call on one point
+# costs about ten times a float one.
+#
+# The numpy path is _pair_kernel, whose family is _sp_entries.  delta_batch
+# serves many points at once, the period grid, and reads the angles of the
+# kernel's vectors with numpy's hypot and arctan2 (_delta_rows), which may
+# round otherwise than math's, so delta_batch and delta_closed_form agree to
+# about 1e-15 but not bit for bit.
 #
 # The multistart extremum search reads no angle at all.  Nelder-Mead uses its
 # objective only through comparisons and one difference test, so the search
@@ -428,12 +434,9 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # 1/2 to 1 per radian.  It takes only + - * / sqrt and abs, which numpy and
 # Python round alike on every host and with every numpy loop.  The lockstep
 # batch reads _pair_kernel's vectors with _pseudo_rows; the last live starts
-# finish one at a time on _point_reader, which forms the same vectors in plain
-# floats with no numpy call (about 3 us a point) and reads them with
-# _pseudo_az or _pseudo_el.  The two agree bit for bit wherever math's cos
-# and sin round as numpy's do, as on every host tried, with or without
-# numpy's AVX-512 loops.  The search then reports delta_closed_form at the
-# point it found.
+# finish one at a time on _point_reader (about 2.5 us a point), read with
+# _pseudo_az or _pseudo_el, so the two agree bit for bit.  The search then
+# reports delta_closed_form at the point it found.
 #
 # simulate builds its trajectories with numpy but reads their discrepancies with
 # _delta_az's and _delta_el's operations applied to whole columns
@@ -442,27 +445,6 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # as Python's do.  So every sample is delta_pair of its row bit for bit, and
 # sample 0 that of the input pair (_delta_rows would read the reference run's
 # initial 0.19999999999999996 as 0.20000000000000018).
-
-
-def _sp_flat(t: float, omega: float, na: float, nt: float) -> tuple:
-    """The nine entries of sp_general at t, row by row, as plain floats.
-
-    ``na`` and ``nt`` are (phi+psi)/omega and theta/omega, and omega must be positive.  The one
-    plain-float copy of the family; _sp_entries does the same operations in the same order.
-    """
-    wt = omega * t
-    c = cos(wt)
-    s = sin(wt)
-    h = sin(wt / 2.0)
-    mc = 2.0 * (h * h)
-    off = mc * na * nt
-    return (c, na * s, -nt * s, -na * s, 1.0 - mc * na * na, off, nt * s, off, 1.0 - mc * nt * nt)
-
-
-def _sp_rows(t: float, theta: float, a: float, omega: float):
-    """Rows of sp_general as plain floats, from _sp_flat; omega must be positive."""
-    p = _sp_flat(t, omega, a / omega, theta / omega)
-    return p[:3], p[3:6], p[6:]
 
 
 def _delta_az(vx, vy, vz, wx, wy, wz) -> float:
@@ -546,55 +528,28 @@ def _check_phase(rates, t_max: float) -> None:
 def _closed_form_at(err, angles, base, read=_delta_scalar):
     """delta_closed_form(err, t, angles, base) as a function of a float t alone.
 
-    The perturbed start vector and the rates are computed once; each call
-    then evaluates only sp_general's entries at t and the two row products in
-    plain floats, so a caller that samples one trajectory at many times pays
-    for the error rotation once.  With ``read`` _delta_az or _delta_el the
-    function returns that one discrepancy, equal to the pair's, and skips
-    the other's angles.
+    The perturbed start vector and the rates are computed once; each call then runs _pair_floats
+    alone, so a caller that samples one trajectory at many times pays for the error rotation once.
+    With ``read`` _delta_az or _delta_el the function returns that one discrepancy, equal to the
+    pair's, and skips the other's angles.
     """
-    r = _euler_rows(np.array(_triple(err, "Euler angles")))
-    return _pair_at(r, tuple(float(c) for c in base), *_rates(angles), read)
-
-
-def _pair_at(r, b, theta, a, omega, read):
-    """read(clean, perturbed) at a float t as a function of t, for b @ sp_general(t) and b @ S(err) @ sp_general(t).
-
-    ``r`` holds the rows of S(err) as floats, from _euler_rows, and ``b`` the base; ``read`` takes
-    the six plain floats, clean then perturbed.  Every row product runs in _row_times's order, so
-    the pair has delta_batch's bytes.
-    """
-    bx, by, bz = b
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = r
-    vex = bx * r11 + by * r21 + bz * r31
-    vey = bx * r12 + by * r22 + bz * r32
-    vez = bx * r13 + by * r23 + bz * r33
+    bx, by, bz = (float(c) for c in base)
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(*_triple(err, "Euler angles"))
+    vx = bx * r11 + by * r21 + bz * r31
+    vy = bx * r12 + by * r22 + bz * r32
+    vz = bx * r13 + by * r23 + bz * r33
+    theta, a, omega = _rates(angles)
     if omega == 0.0:
-        constant = read(bx, by, bz, vex, vey, vez)
+        constant = read(bx, by, bz, vx, vy, vz)
         return lambda t: constant
-    na, nt = a / omega, theta / omega
-
-    def at(t: float):
-        p11, p12, p13, p21, p22, p23, p31, p32, p33 = _sp_flat(t, omega, na, nt)
-        return read(
-            bx * p11 + by * p21 + bz * p31,
-            bx * p12 + by * p22 + bz * p32,
-            bx * p13 + by * p23 + bz * p33,
-            vex * p11 + vey * p21 + vez * p31,
-            vex * p12 + vey * p22 + vez * p32,
-            vex * p13 + vey * p23 + vez * p33,
-        )
-
-    return at
+    return partial(_pair_floats, bx, by, bz, vx, vy, vz, omega, a / omega, theta / omega, read)
 
 
 def _point_reader(rates, base, read):
     """read(clean, perturbed) of _pair_kernel's vectors at one point p = [eps_x, eps_y, eps_z, t].
 
-    The search's plain-float objective: the error rotation from _euler_floats, the family from
-    _sp_flat and every row product in _row_times's order, with no numpy call, so the six floats
-    are _pair_kernel's bytes wherever math's cos and sin round as numpy's do.  _pair_at does the
-    same per t with the error rotation fixed.
+    The search's plain-float objective: _closed_form_at's operations with the error rotation
+    formed per point, and no numpy call.
     """
     bx, by, bz = (float(c) for c in base)
     theta, a, omega = _rates(rates)
@@ -602,50 +557,38 @@ def _point_reader(rates, base, read):
 
     def at(p) -> float:
         (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(p[0], p[1], p[2])
-        vex = bx * r11 + by * r21 + bz * r31
-        vey = bx * r12 + by * r22 + bz * r32
-        vez = bx * r13 + by * r23 + bz * r33
+        vx = bx * r11 + by * r21 + bz * r31
+        vy = bx * r12 + by * r22 + bz * r32
+        vz = bx * r13 + by * r23 + bz * r33
         if omega == 0.0:
-            return read(bx, by, bz, vex, vey, vez)
-        p11, p12, p13, p21, p22, p23, p31, p32, p33 = _sp_flat(p[3], omega, na, nt)
-        return read(
-            bx * p11 + by * p21 + bz * p31,
-            bx * p12 + by * p22 + bz * p32,
-            bx * p13 + by * p23 + bz * p33,
-            vex * p11 + vey * p21 + vez * p31,
-            vex * p12 + vey * p22 + vez * p32,
-            vex * p13 + vey * p23 + vez * p33,
-        )
+            return read(bx, by, bz, vx, vy, vz)
+        return _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, p[3])
 
     return at
 
 
-def _delta_point(rates, base):
-    """delta_batch(err, t, rates, base) at one point, as a function of (err, t): an (az, el) pair of floats.
+def _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, t):
+    """read(b @ sp_general(t), v @ sp_general(t)): the clean and perturbed vectors at t, in plain floats.
 
-    Equal to delta_batch bit for bit on a host where math's cos and sin round as numpy's do: the
-    pair is _pair_at's, and its angles come from numpy's hypot and arctan2, as in _delta_rows,
-    because math.hypot and math.atan2 can round otherwise.  Costs about a tenth of a delta_batch
-    call on one row.
+    ``b`` is the base and ``v`` the perturbed start base @ S(err); ``na`` and ``nt`` are
+    (phi+psi)/omega and theta/omega, and omega must be positive.  The one plain-float copy of the
+    family: _sp_entries does the same operations in the same order, and every row product runs in
+    _row_times's order, so the six floats ``read`` takes are _pair_kernel's bytes.
     """
-    b = tuple(float(c) for c in base)
-    rates = _rates(rates)
-    # arctan2's arguments (y, y_err, rho, rho_err) and (x, x_err, z, z_err), reused from call to
-    # call: on a few floats a numpy call costs mostly the conversion of its arguments
-    num, den = np.empty(4), np.empty(4)
-    y, x, rho = num[:2], den[:2], num[2:]
-
-    def read(wx, wy, wz, wex, wey, wez) -> tuple[float, float]:
-        num[:2] = wy, wey
-        den[:] = wx, wex, wz, wez
-        np.hypot(x, y, out=rho)
-        rho1, rho2 = rho.tolist()
-        az1, az2, el1, el2 = np.arctan2(num, den).tolist()
-        daz = abs((0.0 if rho1 < POLE_EPS else az1) - (0.0 if rho2 < POLE_EPS else az2)) % _TWO_PI
-        del_ = abs(el1 - el2) % _TWO_PI
-        return min(daz, _TWO_PI - daz), min(del_, _TWO_PI - del_)
-
-    return lambda err, t: _pair_at(_euler_rows(np.array(err, dtype=float)), b, *rates, read)(t)
+    wt = omega * t
+    c, s, h = cos(wt), sin(wt), sin(wt / 2.0)
+    mc = 2.0 * (h * h)
+    # the entries pij of sp_general(t) other than p11 = c; p23 = p32 = off
+    p12, p13, p21, p31 = na * s, -nt * s, -na * s, nt * s
+    p22, off, p33 = 1.0 - mc * na * na, mc * na * nt, 1.0 - mc * nt * nt
+    return read(
+        bx * c + by * p21 + bz * p31,
+        bx * p12 + by * p22 + bz * off,
+        bx * p13 + by * off + bz * p33,
+        vx * c + vy * p21 + vz * p31,
+        vx * p12 + vy * p22 + vz * off,
+        vx * p13 + vy * off + vz * p33,
+    )
 
 
 def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
@@ -701,18 +644,18 @@ def _pair_kernel(rates, base):
 
 
 def _family_constants(theta: float, a: float, omega: float) -> tuple:
-    """(omega, na, nt, -na, -nt) of _sp_flat as 0-d arrays, na = (phi+psi)/omega and nt = theta/omega."""
+    """(omega, na, nt, -na, -nt) of _pair_floats as 0-d arrays, na = (phi+psi)/omega and nt = theta/omega."""
     na, nt = a / omega, theta / omega
     return tuple(map(np.array, (omega, na, nt, -na, -nt)))
 
 
 def _sp_entries(t: np.ndarray, family: tuple) -> np.ndarray:
-    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _sp_flat, from _family_constants."""
+    """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _pair_floats, from _family_constants."""
     omega, na, nt, nna, nnt = family
     p = np.empty((3, 3) + t.shape)
     wt = omega * t
     s = np.sin(wt)
-    # a product, as in _sp_flat: on a 0-d t numpy computes ** 2 with libm pow
+    # a product, as in _pair_floats: on a 0-d t numpy computes ** 2 with libm pow
     h = np.sin(wt / _TWO)
     mc = _TWO * (h * h)
     mcna = mc * na

@@ -28,7 +28,17 @@ from blochprop.analysis import (
     time_averaged_error,
 )
 from blochprop.bloch import EulerAngles
-from blochprop.propagation import DegenerateRotationError, _delta_point, delta_batch, delta_closed_form, period
+from blochprop.propagation import (
+    DegenerateRotationError,
+    _pair_kernel,
+    _point_reader,
+    _pseudo_az,
+    _pseudo_el,
+    _pseudo_rows,
+    delta_batch,
+    delta_closed_form,
+    period,
+)
 
 SQRT5 = math.sqrt(5.0)
 X_BASE = (1.0, 0.0, 0.0)
@@ -153,6 +163,13 @@ class TestFindExtremum:
             find_extremum("el", "argmax", X_BASE, UNIT_RATES, num_starts=2)
         with pytest.raises(ValueError, match="num_starts"):
             find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+            find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts=2, seed=seed)
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+            find_extrema(X_BASE, UNIT_RATES, num_starts=2, seed=seed)
 
 
 class TestEvaluationCounts:
@@ -520,17 +537,24 @@ class TestCaseStudies:
 
 
 def search_objective(kinds, rates, base=X_BASE):
-    """The batch and one-point objectives of a search over rows of the given (sign, column) kinds."""
+    """The batch and one-point objectives of a search over rows of the given (sign, column) kinds.
+
+    Built from what _search hands off: the lockstep reads _pair_kernel's vectors with _pseudo_rows,
+    the one-point finish reads _point_reader's with _pseudo_az or _pseudo_el.
+    """
     signs = np.array([k[0] for k in kinds])
     cols = np.array([k[1] for k in kinds])
-    at = _delta_point(rates, base)
+    kernel = _pair_kernel(rates, base)
+    readers = [_point_reader(rates, base, read) for read in (_pseudo_az, _pseudo_el)]
 
     def f(x, rows):
-        d = delta_batch(x[:, :3], x[:, 3], rates, base)
-        return signs[rows] * d[np.arange(len(rows)), cols[rows]]
+        w = kernel(x[:, :3], x[:, 3])
+        # _pseudo_rows reads the azimuth on its first n_az points: on all of them, then on none
+        return signs[rows] * np.where(cols[rows] == 0, _pseudo_rows(w, len(rows)), _pseudo_rows(w, 0))
 
     def point(row):
-        return lambda p: float(signs[row]) * at(p[:3], p[3])[int(cols[row])]
+        read = readers[int(cols[row])]
+        return (lambda p: -read(p)) if signs[row] < 0.0 else read
 
     return f, point
 

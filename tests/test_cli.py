@@ -264,6 +264,13 @@ def test_cases_zero_starts_creates_nothing(tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command,seed,output", [("extrema", "-1", "out/report.json"), ("cases", "-3", "out")])
+def test_negative_seed_exits_1_and_creates_nothing(tmp_path, capsys, command, seed, output):
+    assert run_cli(command, "--seed", seed, "--starts", "2", "--output", str(tmp_path / output)) == 1
+    assert f"seed must be a non-negative integer, got {seed}" in one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_half_turn_step_pipelines_agree(tmp_path):
     # S(pi/2, 0, pi/2) is a half-turn about z; its matrix logarithm has no
     # preferred axis sign, and the closed pipeline must still run

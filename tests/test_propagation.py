@@ -18,8 +18,7 @@ from blochprop.propagation import (
     _closed_form_at,
     _delta_az,
     _delta_el,
-    _delta_point,
-    _sp_rows,
+    _pair_floats,
     _trajectory_deltas,
     ErrorSeries,
     delta_batch,
@@ -169,6 +168,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match="pipeline"):
             simulate(v, v_err, REF_STEP, 5, pipeline="rk4")
 
+    @pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+    def test_steps_must_be_an_integer(self, pipeline):
+        # int(2.5) would run 2 steps: any value that is not an integer is rejected instead
+        v, v_err = ref_pair()
+        for steps in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+                simulate(v, v_err, REF_STEP, steps, pipeline=pipeline)
+        assert len(simulate(v, v_err, REF_STEP, np.int64(3), pipeline=pipeline)) == 4
+
 
 def reference_simulate(v, v_err, step, steps, pipeline):
     """simulate one sample at a time: one rotation or exponential, then delta_pair."""
@@ -305,6 +313,28 @@ def test_simulate_reads_every_row_as_delta_pair(pipeline, v, err, step, steps):
     rows = np.array(traj, dtype=float).reshape(-1, 6)
     rows[0] = np.concatenate([v, v_err])
     assert_rows_equal_delta_pair(series.delta_az, series.delta_el, rows.tolist())
+
+
+def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle between the vectors a[..., 3] and b[..., 3]: arccos(a.b) for unit vectors, well conditioned near 0 and pi."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), (a * b).sum(axis=-1))
+
+
+@pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+def test_simulate_conserves_the_angle_between_the_vectors(pipeline):
+    # a rotation preserves the angle between the clean and the perturbed vector, so it stays at its
+    # start along every trajectory, and the elevation gap, which is at most that angle, never exceeds it
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        v, v_err = rng.normal(size=(2, 3))
+        v, v_err = v / np.linalg.norm(v), v_err / np.linalg.norm(v_err)
+        step = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        with mock.patch("blochprop.propagation._trajectory_deltas", wraps=_trajectory_deltas) as readout:
+            series = simulate(v, v_err, step, 300, pipeline=pipeline)
+        traj = np.asarray(readout.call_args.args[1], dtype=float)
+        start = float(angle_between(v, v_err))
+        assert np.abs(angle_between(traj[:, 0], traj[:, 1]) - start).max() <= 1e-11
+        assert series.delta_el.max() <= start + 1e-11
 
 
 class TestSpGeneral:
@@ -770,7 +800,7 @@ def test_rate_functions_reject_non_finite_rates(rates):
             call()
 
 
-# -- the one-point form of delta_batch -----------------------------------------
+# -- the plain-float rotation family ------------------------------------------
 
 # error components with many zeros and quarter turns, bases on the axes, at the poles and in between
 err_components = st.one_of(
@@ -781,51 +811,17 @@ axis_bases = st.sampled_from(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.one_of(zero_rate_triples, angle_triples),
-    st.one_of(axis_bases, pole_bases, unit_bases),
-    st.lists(st.tuples(st.tuples(*[err_components] * 3), st.floats(0.0, 12.0)), min_size=1, max_size=8),
-)
-@example(angles=(1.0, 1.0, 1.0), base=(0.0, 0.0, 1.0), points=[((0.0, 0.0, 0.0), 0.0), ((math.pi, 0.0, 0.0), 7.5)])
-def test_delta_point_equals_delta_batch(angles, base, points):
-    # the search finishes its last live starts on _delta_point, so it must give delta_batch's bytes,
-    # over twelve periods, on a batch of points as well as on each one alone
-    base = tuple(c / math.hypot(*base) for c in base)
-    omega = math.hypot(angles[1], angles[0] + angles[2])
-    cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
-    errs = np.array([p[0] for p in points])
-    ts = np.array([p[1] * cycle for p in points])
-    batch = delta_batch(errs, ts, angles, base).tolist()
-    at = _delta_point(angles, base)
-    for k in range(len(points)):
-        assert at(errs[k].tolist(), float(ts[k])) == tuple(batch[k])
-        assert at(errs[k].tolist(), float(ts[k])) == tuple(delta_batch(errs[k], ts[k], angles, base).tolist())
-
-
-def test_delta_point_equals_delta_batch_on_random_points():
-    # math.hypot and math.atan2 differ from numpy's on a small share of random points, which
-    # hypothesis's simple values rarely reach
-    rng = np.random.default_rng(20)
-    for _ in range(40):
-        rates = tuple(rng.uniform(-3.0, 3.0, 3))
-        base = rng.normal(size=3)
-        base = tuple(base / np.linalg.norm(base))
-        errs = rng.uniform(0.0, 2 * math.pi, (500, 3))
-        ts = rng.uniform(0.0, 40.0, 500)
-        at = _delta_point(rates, base)
-        batch = delta_batch(errs, ts, rates, base).tolist()
-        assert [list(at(e, t)) for e, t in zip(errs.tolist(), ts.tolist())] == batch
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(angle_triples.filter(lambda r: math.hypot(r[1], r[0] + r[2]) > 0.0), st.floats(-30.0, 30.0))
 @example(angles=(1.0, 0.0, 0.0), t=2.516)
-def test_sp_rows_equal_sp_general_bit_for_bit(angles, t):
-    # all three square sin(wt/2) by one multiplication; float ** and numpy ** on a 0-d t call
-    # libm pow, which differs from the product at wt/2 = 1.258, for example
+def test_pair_floats_family_equals_sp_general_bit_for_bit(angles, t):
+    # both square sin(wt/2) by one multiplication; float ** and numpy ** on a 0-d t call libm pow,
+    # which differs from the product at wt/2 = 1.258, for example.  A unit base with zero error,
+    # read as the clean vector, is one row of the family
     theta, a = angles[1], angles[0] + angles[2]
-    rows = [list(r) for r in _sp_rows(t, theta, a, math.hypot(theta, a))]
+    omega = math.hypot(theta, a)
+    clean = lambda *w: list(w[:3])
+    rows = [_pair_floats(*b, *b, omega, a / omega, theta / omega, clean, t) for b in np.eye(3).tolist()]
     assert rows == sp_general(t, angles).tolist()
     assert rows == sp_general(np.array([t]), angles)[0].tolist()
 

@@ -70,16 +70,19 @@ def test_readers_agree_bit_for_bit(pairs, n_az):
 
 def test_search_geometry_agrees_bit_for_bit():
     # the lockstep reads _pair_kernel's vectors in numpy, the finish _point_reader's in floats
+    # and both form the same six floats of the pair, at the poles and with zero rates too
     rng = np.random.default_rng(25)
-    for base in [(1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.48, 0.6, 0.64)]:
+    for base in [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.48, 0.6, 0.64)]:
         for rates in [(0.7, -1.3, 2.1), (1.0, 1.0, 1.0), (0.5, 0.0, -0.5)]:
             x = rng.uniform(0.0, 2 * math.pi, (400, 4))
             x[::5, :3] = 0.0
             x[1::5, 1] = math.pi / 2
-            got = _pseudo_rows(_pair_kernel(rates, base)(x[:, :3], x[:, 3]), 200)
+            w = _pair_kernel(rates, base)(x[:, :3], x[:, 3])
+            pair = _point_reader(rates, base, lambda *v: list(v))
+            assert [pair(p) for p in x.tolist()] == w.transpose(2, 1, 0).reshape(-1, 6).tolist()
             az, el = (_point_reader(rates, base, read) for read in (_pseudo_az, _pseudo_el))
             want = [(az if i < 200 else el)(p) for i, p in enumerate(x.tolist())]
-            assert got.tolist() == want
+            assert _pseudo_rows(w, 200).tolist() == want
 
 
 def test_pseudo_angle_orders_pairs_as_delta_closed_form():
