@@ -40,10 +40,12 @@ import numpy as np
 from .bloch import EulerAngles
 from .propagation import (
     ErrorSeries,
+    _az_rows,
     _check_phase,
     _closed_form_at,
     _delta_az,
     _delta_el,
+    _el_rows,
     _pair_kernel,
     _point_reader,
     _pseudo_az,
@@ -52,7 +54,6 @@ from .propagation import (
     _rates,
     _require_finite,
     _require_unit,
-    delta_batch,
     period,
 )
 from .rotations import _triple
@@ -73,6 +74,10 @@ PERIOD_MATCH_TOL = 1e-6
 # every PERIOD_SCREEN_STRIDE-th grid point screens all period candidates at once
 PERIOD_SCREEN_STRIDE = 64
 CONSTANT_SIGNAL_TOL = 1e-9
+
+# time_averaged_error's relative tolerance and subdivision limit
+QUAD_EPSREL = 1e-10
+QUAD_LIMIT = 200
 
 _TARGETS = {"az": 0, "el": 1}
 
@@ -118,9 +123,10 @@ class PeriodEstimate(float):
 class TimeAverage(float):
     """Time-averaged discrepancy with its quadrature's error estimate.
 
-    ``abserr`` is quad's absolute error estimate of the integral divided by
-    the period, so it bounds the error of the average itself; ``neval`` is
-    the number of integrand evaluations quad made.
+    ``abserr`` is the quadrature's absolute error estimate of the integral
+    divided by the period, so it bounds the error of the average itself;
+    ``neval`` is the number of integrand evaluations the quadrature made.
+    Both equal what scipy.integrate.quad reports for the same integral.
     """
 
     abserr: float
@@ -478,36 +484,42 @@ def time_averaged_error(
 ) -> TimeAverage:
     """Mean discrepancy over one full period, (1/T) * integral of delta.
 
-    Adaptive quadrature to absolute tolerance ``tol``; the integrand has
-    kinks where the wrapped difference folds, which the subdivision
-    resolves without assistance.  The integrand is delta_closed_form(err,
-    t, angles, base)[target] at fixed err, angles and base, evaluated
-    through a per-t closure that computes only the target's discrepancy
-    (see propagation's notes on the two evaluation paths); each sample
-    gives the pair's value bit for bit, so the result does not depend on
-    the shortcut.  The result is a float that also carries the error
-    estimate and evaluation count (see TimeAverage).
+    Adaptive quadrature (quadpack.dqagse, QUADPACK's QAGS, which gives
+    scipy.integrate.quad's result bit for bit) with epsabs ``tol``, epsrel
+    1e-10 and at most 200 subintervals; the integrand has kinks where the
+    wrapped difference folds, which the subdivision resolves without
+    assistance.  ``tol`` bounds the error of the integral over the period,
+    so the average's own absolute tolerance is tol / T, tighter for slow
+    rates: rates (0, 0, 1e-10) give T of about 6e10, and the azimuth's zero
+    average then exhausts the 200 subintervals on rounding noise.  The
+    integrand is delta_closed_form(err, t, angles, base)[target] at fixed
+    err, angles and base, evaluated through a per-t closure that computes
+    only the target's discrepancy (see propagation's notes on the two
+    evaluation paths); each sample gives the pair's value bit for bit, so
+    the result does not depend on the shortcut.  The result is a float that
+    also carries the error estimate and evaluation count (see TimeAverage).
+    A nonzero error code of the quadrature warns with quadpack's
+    IntegrationWarning and quad's message for that code.
     """
-    # scipy is imported here, on the first call, so that importing the package costs numpy alone
-    from scipy.integrate import IntegrationWarning, quad
+    # imported on the first call: without cached bytecode, compiling quadpack would add about 5%
+    # to the start-up of every command that never integrates
+    from .quadpack import IntegrationWarning, dqagse, message
 
     idx = _target_index(target)
     _require_finite(err, "err")
     _require_unit(base, "base")
     t_period = period(angles)
-    val, abserr, info, *message = quad(
+    val, abserr, neval, ier = dqagse(
         _closed_form_at(err, angles, base, (_delta_az, _delta_el)[idx]),
         0.0,
         t_period,
-        epsabs=tol,
-        epsrel=1e-10,
-        limit=200,
-        full_output=1,
+        float(tol),
+        QUAD_EPSREL,
+        QUAD_LIMIT,
     )
-    if message:
-        # quad warns this way itself when full_output is off
-        warnings.warn(message[0], IntegrationWarning, stacklevel=2)
-    return TimeAverage(val / t_period, abserr / t_period, info["neval"])
+    if ier:
+        warnings.warn(message(ier, QUAD_LIMIT), IntegrationWarning, stacklevel=2)
+    return TimeAverage(val / t_period, abserr / t_period, neval)
 
 
 def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> PeriodEstimate:
@@ -519,20 +531,24 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     A constant signal is flagged degenerate and assigned the analytic
     period (every positive number is a period of a constant).
 
-    All candidates are first screened together, in one delta_batch call, on
+    The signal is delta_batch's ``target`` column: the kernel is built
+    once and only the target's discrepancy is read (_az_rows or _el_rows).
+    All candidates are first screened together, in one kernel call, on
     every PERIOD_SCREEN_STRIDE-th grid point; only those that pass are
     checked on the full grid, in candidate order.  The screen never drops
     the candidate the full check would accept: its points are a subset of
-    the grid, and delta_batch gives each point the same value whatever else
+    the grid, and the kernel gives each point the same value whatever else
     shares the call, so a candidate's screen maximum never exceeds its grid
     maximum.
     """
     idx = _target_index(target)
-    _require_finite(err, "err")
+    err = _require_finite(err, "err")
     _require_unit(base, "base")
     t_period = period(angles)
+    kernel = _pair_kernel(angles, base)
+    read = (_az_rows, _el_rows)[idx]
     ts = np.linspace(0.0, t_period, PERIOD_GRID)
-    sig = delta_batch(err, ts, angles, base)[:, idx]
+    sig = read(kernel(err, ts))
     if float(sig.max() - sig.min()) < CONSTANT_SIGNAL_TOL:
         return PeriodEstimate(t_period, degenerate=True)
 
@@ -542,9 +558,9 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     tol = PERIOD_MATCH_TOL
     cands = np.array(candidates)
     stride = slice(None, None, PERIOD_SCREEN_STRIDE)
-    screen = delta_batch(err, ts[stride] + cands[:, None], angles, base)[..., idx]
+    screen = read(kernel(err, ts[stride] + cands[:, None]))
     for cand in cands[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
-        residual = float(np.abs(delta_batch(err, ts + cand, angles, base)[:, idx] - sig).max())
+        residual = float(np.abs(read(kernel(err, ts + cand)) - sig).max())
         if residual < tol:
             return PeriodEstimate(cand, residual=residual)
     raise PeriodEstimationError(

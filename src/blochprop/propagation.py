@@ -421,10 +421,12 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # costs about ten times a float one.
 #
 # The numpy path is _pair_kernel, whose family is _sp_entries.  delta_batch
-# serves many points at once, the period grid, and reads the angles of the
-# kernel's vectors with numpy's hypot and arctan2 (_delta_rows), which may
+# serves many points at once and reads the angles of the kernel's vectors
+# with numpy's hypot and arctan2 (_az_rows and _el_rows, stacked), which may
 # round otherwise than math's, so delta_batch and delta_closed_form agree to
-# about 1e-15 but not bit for bit.
+# about 1e-15 but not bit for bit.  The period grid of
+# analysis.estimate_period_numeric reads one channel of the same kernel with
+# _az_rows or _el_rows alone: delta_batch's column, bit for bit.
 #
 # The multistart extremum search reads no angle at all.  Nelder-Mead uses its
 # objective only through comparisons and one difference test, so the search
@@ -443,7 +445,7 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # (_trajectory_deltas): math.hypot and math.atan2 mapped over the coordinate
 # lists, then the pole rule and the wrap in numpy, whose abs, - and % round
 # as Python's do.  So every sample is delta_pair of its row bit for bit, and
-# sample 0 that of the input pair (_delta_rows would read the reference run's
+# sample 0 that of the input pair (_el_rows would read the reference run's
 # initial 0.19999999999999996 as 0.20000000000000018).
 
 
@@ -602,7 +604,8 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     """
     err, t = _require_finite(err, "err"), _require_finite(t, "t")
     _check_phase(rates, float(np.abs(t).max()) if t.size else 0.0)
-    return _delta_rows(_pair_kernel(rates, base)(err, t))
+    w = _pair_kernel(rates, base)(err, t)
+    return np.stack((_az_rows(w), _el_rows(w)), axis=-1)
 
 
 # 0-d arrays: a numpy call takes one as an operand in about half the time it takes a Python float
@@ -670,14 +673,17 @@ def _sp_entries(t: np.ndarray, family: tuple) -> np.ndarray:
     return p
 
 
-def _delta_rows(w: np.ndarray) -> np.ndarray:
-    """_delta_scalar over w[k, j, ...] (component k, clean j = 0, perturbed j = 1)."""
-    rho = np.hypot(w[0], w[1])
-    ang = np.empty(rho.shape + (2,))
-    np.arctan2(w[1], w[0], out=ang[..., 0])
-    ang[..., 0][rho < POLE_EPS] = 0.0
-    np.arctan2(rho, w[2], out=ang[..., 1])
-    return _wrapped_gap(ang[0], ang[1])
+def _az_rows(w: np.ndarray) -> np.ndarray:
+    """_delta_az over w[k, j, ...] (component k, clean j = 0, perturbed j = 1)."""
+    az = np.arctan2(w[1], w[0])
+    az[np.hypot(w[0], w[1]) < POLE_EPS] = 0.0
+    return _wrapped_gap(az[0], az[1])
+
+
+def _el_rows(w: np.ndarray) -> np.ndarray:
+    """_delta_el over w[k, j, ...] (component k, clean j = 0, perturbed j = 1)."""
+    el = np.arctan2(np.hypot(w[0], w[1]), w[2])
+    return _wrapped_gap(el[0], el[1])
 
 
 def _pseudo_rows(w: np.ndarray, n_az: int) -> np.ndarray:

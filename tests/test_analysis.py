@@ -30,6 +30,7 @@ from blochprop.analysis import (
 from blochprop.bloch import EulerAngles
 from blochprop.propagation import (
     DegenerateRotationError,
+    _az_rows,
     _pair_kernel,
     _point_reader,
     _pseudo_az,
@@ -434,7 +435,7 @@ class TestEstimatePeriodNumeric:
         tol = (on_screen + on_grid) / 2
         monkeypatch.setattr(analysis, "PERIOD_MATCH_TOL", tol)
         calls = []
-        monkeypatch.setattr(analysis, "delta_batch", lambda *a: calls.append(a) or delta_batch(*a))
+        monkeypatch.setattr(analysis, "_az_rows", lambda w: calls.append(w) or _az_rows(w))
         est = estimate_period_numeric("az", err, angles)
         assert float(est) == full_scan_period("az", err, angles, X_BASE, tol)[0] == t_period
         # signal, screen, T/16 on the grid, T on the grid

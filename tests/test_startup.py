@@ -1,4 +1,4 @@
-"""Start-up: importing the package loads no scipy, and only average needs it, on its first call."""
+"""Start-up: importing the package loads no scipy, and every command, average included, runs without it."""
 
 import json
 import os
@@ -10,14 +10,16 @@ import blochprop
 from blochprop.cli import main
 
 SRC = str(Path(blochprop.__file__).resolve().parent.parent)
-# the commands that never integrate; average is the one that imports scipy
+# every command that writes to stdout alone; average integrates with blochprop.quadpack
 NO_SCIPY_RUNS = [
     ["period", "--angles", "1,1,1"],
     ["simulate", "--step", "0.1,0.2,0.3", "--steps", "50"],
     ["extrema", "--starts", "4"],
+    ["average", "--angles", "1,1,1"],
+    ["average", "--err", "0.3,0.2,0.1", "--angles", "0.7,-1.3,2.1", "--vec", "0.48,0.6,0.64"],
 ]
 
-# runs each argv through cli.main with scipy blocked, then checks that the block holds for average
+# runs each argv through cli.main with scipy blocked, then checks that the block held
 _BLOCKED = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -29,9 +31,9 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     results.append([code, out.getvalue()])
 try:
-    main(["average", "--angles", "1,1,1"])
+    import scipy
 except ImportError:
-    results.append("average needs scipy")
+    results.append("scipy blocked")
 print(json.dumps(results))
 """
 
@@ -60,8 +62,18 @@ def test_commands_run_with_scipy_blocked(capsys):
     for argv in NO_SCIPY_RUNS:
         code = main(argv)
         unblocked.append([code, capsys.readouterr().out])
-    assert blocked == unblocked + ["average needs scipy"]
-    assert [code for code, _ in unblocked] == [0, 0, 0]
+    assert blocked == unblocked + ["scipy blocked"]
+    assert [code for code, _ in unblocked] == [0] * len(NO_SCIPY_RUNS)
+
+
+def test_time_averaged_error_loads_no_scipy():
+    code = (
+        "import sys; from blochprop import time_averaged_error; "
+        "time_averaged_error('az', (0.3, 0.2, 0.1), (0.7, -1.3, 2.1)); "
+        "time_averaged_error('el', (0.0, 0.2, 0.0), (1.0, 1.0, 1.0)); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert run_python("-c", code) == "[]\n"
 
 
 def test_import_loads_no_xml_or_network_modules():
