@@ -31,7 +31,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from math import acos, nextafter, pi, sqrt
+from math import acos, inf, nextafter, pi, sqrt
 from numbers import Integral
 from operator import add, sub
 
@@ -52,11 +52,10 @@ from .propagation import (
     _pseudo_el,
     _pseudo_rows,
     _rates,
-    _require_finite,
     _require_unit,
     period,
 )
-from .rotations import _triple
+from .rotations import _finite_triple, _triple
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
@@ -357,6 +356,15 @@ def _check_starts(num_starts: int, seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _box(bounds) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """The lower and upper edges, as floats, of a box of four finite (lo, hi) pairs with lo <= hi; else None."""
+    try:
+        lo, hi = zip(*[(float(a), float(b)) for a, b in bounds])
+    except (TypeError, ValueError):
+        return None
+    return (lo, hi) if len(lo) == 4 and all(-inf < a <= b < inf for a, b in zip(lo, hi)) else None
+
+
 def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> list[ExtremumResult]:
     """Multistart search for several (target, mode) kinds in one lockstep batch.
 
@@ -375,13 +383,12 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     run = sorted(range(len(kinds)), key=lambda k: _target_index(kinds[k][0]))
     n_az = num_starts * sum(kinds[k][0] == "az" for k in run)
     signs = np.repeat([-1.0 if kinds[k][1] == "max" else 1.0 for k in run], num_starts)
-    base = tuple(float(c) for c in _require_unit(base_vector, "base_vector"))
+    base = _require_unit(base_vector, "base_vector")
     rates = _triple(angles, "rotation rates")
-    box = np.asarray(bounds, dtype=float)
-    if box.shape != (4, 2) or not np.isfinite(box).all() or not (box[:, 0] <= box[:, 1]).all():
+    box = _box(bounds)
+    if box is None:
         raise ValueError(f"bounds must be four finite (lo, hi) pairs with lo <= hi, got {bounds!r}")
-    lo = box[:, 0]
-    hi = np.minimum(box[:, 1], BOX_HI)
+    lo, hi = np.array(box[0]), np.minimum(box[1], BOX_HI)
     _check_phase(rates, max(abs(float(lo[3])), abs(float(hi[3]))))
     u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
@@ -463,13 +470,13 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
     vector, that is arccos(-|z|).  The clean vector circles the axis n = (0, theta, phi+psi)/omega
     at the angle arccos(c), c = base . n, so its z ranges over c*n_z -+ sqrt(1-c^2)*sqrt(1-n_z^2),
     all of it once t spans a period 2*pi/omega.  Hence max_el = arccos(-(|c*n_z| +
-    sqrt(1-c^2)*sqrt(1-n_z^2))).  This needs every coordinate of ``bounds`` to cover [0, 2*pi] and
-    omega >= 1, so that t in [0, 2*pi) spans a period; otherwise ValueError.
+    sqrt(1-c^2)*sqrt(1-n_z^2))).  This needs ``bounds`` to be a search box whose every coordinate
+    covers [0, 2*pi], and omega >= 1, so that t in [0, 2*pi) spans a period; otherwise ValueError.
     """
-    b = _require_unit(base, "base").tolist()
+    b = _require_unit(base, "base")
     theta, a, omega = _rates(rates)
-    box = np.asarray(bounds, dtype=float)
-    if box.shape != (4, 2) or not ((box[:, 0] <= 0.0) & (box[:, 1] >= TWO_PI)).all():
+    box = _box(bounds)
+    if box is None or not (max(box[0]) <= 0.0 and min(box[1]) >= TWO_PI):
         raise ValueError(f"the closed forms need the full search box [0, 2*pi]^4, got {bounds!r}")
     if not omega >= 1.0:
         raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {omega!r}")
@@ -506,8 +513,8 @@ def time_averaged_error(
     from .quadpack import IntegrationWarning, dqagse, message
 
     idx = _target_index(target)
-    _require_finite(err, "err")
-    _require_unit(base, "base")
+    err = _finite_triple(err, "Euler angles", "err")
+    base = _require_unit(base, "base")
     t_period = period(angles)
     val, abserr, neval, ier = dqagse(
         _closed_form_at(err, angles, base, (_delta_az, _delta_el)[idx]),
@@ -542,8 +549,8 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     maximum.
     """
     idx = _target_index(target)
-    err = _require_finite(err, "err")
-    _require_unit(base, "base")
+    err = _finite_triple(err, "Euler angles", "err")
+    base = _require_unit(base, "base")
     t_period = period(angles)
     kernel = _pair_kernel(angles, base)
     read = (_az_rows, _el_rows)[idx]
@@ -575,12 +582,9 @@ CASE_SERIES_SAMPLES = 512
 def case_series(spec: CaseSpec) -> ErrorSeries:
     """One-period closed-form series of the probe error (0, 0.2, 0)."""
     ts = np.linspace(0.0, period(spec.angles), CASE_SERIES_SAMPLES)
-    pairs = list(map(_closed_form_at(PROBE_ERR, spec.angles, spec.base_vector), ts.tolist()))
-    return ErrorSeries(
-        t=ts,
-        delta_az=np.array([p[0] for p in pairs]),
-        delta_el=np.array([p[1] for p in pairs]),
-    )
+    at = _closed_form_at(PROBE_ERR, spec.angles, _require_unit(spec.base_vector, "base_vector"))
+    daz, del_ = map(np.array, zip(*map(at, ts.tolist())))
+    return ErrorSeries(t=ts, delta_az=daz, delta_el=del_)
 
 
 def run_case_study(spec: CaseSpec, num_starts: int = 1000, seed: int = 0) -> CaseReport:

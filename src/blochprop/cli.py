@@ -70,8 +70,7 @@ def parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated values, got {text!r}")
-    a, b, c = (parse_angle(p) for p in parts)
-    return (a, b, c)
+    return tuple(map(parse_angle, parts))
 
 
 def _fmt(x: float) -> str:
@@ -143,13 +142,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _angle_arg(text: str) -> float:
-    try:
-        return parse_angle(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _triple_arg(text: str) -> tuple[float, float, float]:

@@ -47,10 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, POLE_EPS, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
+from .bloch import EulerAngles, POLE_EPS, VALIDATION_TOL, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
 from .rotations import (
     _euler_entries,
     _euler_floats,
+    _finite_triple,
     _row_times,
     _triple,
     euler_matrix,
@@ -89,9 +90,7 @@ class ErrorSeries:
     delta_el: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        daz = np.asarray(self.delta_az, dtype=float)
-        del_ = np.asarray(self.delta_el, dtype=float)
+        t, daz, del_ = (np.asarray(c, dtype=float) for c in (self.t, self.delta_az, self.delta_el))
         if not (t.shape == daz.shape == del_.shape and t.ndim == 1):
             raise ValueError("series columns must be 1-d arrays of equal length")
         if t.size > 1 and not np.all(np.diff(t) > 0):
@@ -100,9 +99,8 @@ class ErrorSeries:
         # written so that NaN, which compares False, fails the range check
         if daz.size and not (daz.min() >= 0 and daz.max() <= hi and del_.min() >= 0 and del_.max() <= hi):
             raise ValueError("discrepancies must lie in [0, pi]")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "delta_az", daz)
-        object.__setattr__(self, "delta_el", del_)
+        for name, column in zip(("t", "delta_az", "delta_el"), (t, daz, del_)):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -124,9 +122,10 @@ def _require_finite(x, name: str) -> np.ndarray:
     return x
 
 
-def _require_unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-9:
+def _require_unit(v, name: str) -> tuple[float, float, float]:
+    """v as three floats; a ValueError that names v unless it has three, with norm within VALIDATION_TOL of 1."""
+    v = tuple(map(float, v))
+    if len(v) != 3 or not abs(hypot(*v) - 1.0) <= VALIDATION_TOL:
         raise ValueError(f"{name} must be a unit 3-vector")
     return v
 
@@ -154,17 +153,14 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
         raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if n < 0:
         raise ValueError("steps must be >= 0")
-    step = _require_finite(_triple(step, "step: Euler angles"), "step angles")
-    v = _require_unit(v, "v")
-    v_err = _require_unit(v_err, "v_err")
-
+    step = _finite_triple(step, "step: Euler angles", "step angles")
+    pair = np.array([_require_unit(v, "v"), _require_unit(v_err, "v_err")])
     t = np.arange(n + 1, dtype=float)
-    pair = np.stack([v, v_err])
 
     if pipeline == "euler":
         traj = _by_doubling(pair, euler_matrix(step), n, lambda s, w: w @ s)
     elif pipeline == "su2":
-        m0 = np.stack([qubit_to_matrix(v), qubit_to_matrix(v_err)])
+        m0 = np.stack([qubit_to_matrix(pair[0]), qubit_to_matrix(pair[1])])
         traj = matrix_to_cartesian(_by_doubling(m0, su2_from_euler(step), n, _conjugate))
         # a step outside SU(2) changes the norm, as rotate_su2 then reports
         _require_unit_norm(np.hypot(np.hypot(traj[..., 0], traj[..., 1]), traj[..., 2]))
@@ -507,16 +503,14 @@ def delta_closed_form(
     continuous family sp_general(t, angles).  The error rotation comes from
     the same formula as euler_matrix and delta_batch; the rest, the family
     at t and the discrepancies, is plain-float arithmetic, which costs about
-    a tenth of a numpy call on one point.  A non-finite ``err`` or ``t``
-    raises ValueError.
+    a tenth of a numpy call on one point.  A non-finite ``err`` or ``t``, or
+    a ``base`` that is not a unit 3-vector, raises ValueError.
     """
-    err = _triple(err, "Euler angles")
-    if not all(map(isfinite, err)):
-        raise ValueError(f"err must be finite, got {err!r}")
+    err = _finite_triple(err, "Euler angles", "err")
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     _check_phase(angles, abs(float(t)))
-    return _closed_form_at(err, angles, base)(float(t))
+    return _closed_form_at(err, angles, _require_unit(base, "base"))(float(t))
 
 
 def _check_phase(rates, t_max: float) -> None:
@@ -528,15 +522,15 @@ def _check_phase(rates, t_max: float) -> None:
 
 
 def _closed_form_at(err, angles, base, read=_delta_scalar):
-    """delta_closed_form(err, t, angles, base) as a function of a float t alone.
+    """delta_closed_form(err, t, angles, base) as a function of a float t alone, for float triples err and base.
 
     The perturbed start vector and the rates are computed once; each call then runs _pair_floats
     alone, so a caller that samples one trajectory at many times pays for the error rotation once.
     With ``read`` _delta_az or _delta_el the function returns that one discrepancy, equal to the
     pair's, and skips the other's angles.
     """
-    bx, by, bz = (float(c) for c in base)
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(*_triple(err, "Euler angles"))
+    bx, by, bz = base
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(*err)
     vx = bx * r11 + by * r21 + bz * r31
     vy = bx * r12 + by * r22 + bz * r32
     vz = bx * r13 + by * r23 + bz * r33
@@ -551,9 +545,9 @@ def _point_reader(rates, base, read):
     """read(clean, perturbed) of _pair_kernel's vectors at one point p = [eps_x, eps_y, eps_z, t].
 
     The search's plain-float objective: _closed_form_at's operations with the error rotation
-    formed per point, and no numpy call.
+    formed per point, and no numpy call.  ``base`` is a float triple.
     """
-    bx, by, bz = (float(c) for c in base)
+    bx, by, bz = base
     theta, a, omega = _rates(rates)
     na, nt = (a / omega, theta / omega) if omega else (0.0, 0.0)
 
@@ -599,12 +593,14 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     ``err`` has shape [..., 3] and ``t`` broadcasts against ``err[..., 0]``;
     a single error triple with a vector of times samples one trajectory.
     Every output element depends only on its own inputs, so a point's value
-    does not depend on what else shares the call.  ``base`` is not checked,
-    as in delta_closed_form; a non-finite ``err`` or ``t`` raises ValueError.
+    does not depend on what else shares the call.  A non-finite ``err`` or ``t``, an
+    ``err`` whose last axis is not 3, or a non-unit ``base`` raises ValueError.
     """
     err, t = _require_finite(err, "err"), _require_finite(t, "t")
+    if err.shape[-1:] != (3,):
+        raise ValueError(f"err must have shape [..., 3], got {err.shape}")
     _check_phase(rates, float(np.abs(t).max()) if t.size else 0.0)
-    w = _pair_kernel(rates, base)(err, t)
+    w = _pair_kernel(rates, _require_unit(base, "base"))(err, t)
     return np.stack((_az_rows(w), _el_rows(w)), axis=-1)
 
 

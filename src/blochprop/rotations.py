@@ -17,7 +17,7 @@ Rz(phi) @ Ry(theta) @ Rz(psi).
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -103,6 +103,14 @@ def _triple(x, name: str) -> tuple[float, float, float]:
     x = tuple(float(a) for a in x)
     if len(x) != 3:
         raise ValueError(f"{name} must be a triple (phi, theta, psi), got {len(x)} values {x!r}")
+    return x
+
+
+def _finite_triple(x, name: str, finite_name: str) -> tuple[float, float, float]:
+    """_triple(x, name), and a ValueError that names ``finite_name`` unless all three are finite."""
+    x = _triple(x, name)
+    if not all(map(isfinite, x)):
+        raise ValueError(f"{finite_name} must be finite, got {x!r}")
     return x
 
 

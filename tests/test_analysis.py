@@ -21,6 +21,7 @@ from blochprop.analysis import (
     _nelder_mead,
     _nelder_mead_batch,
     case_series,
+    closed_form_extrema,
     estimate_period_numeric,
     find_extrema,
     find_extremum,
@@ -670,3 +671,63 @@ def test_wrong_length_rates_are_named():
         find_extrema(X_BASE, (1.0, 2.0), num_starts=2, seed=0)
     with pytest.raises(ValueError, match="rotation rates must be a triple"):
         time_averaged_error("el", PROBE_ERR, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("err", [(0.0, 0.2), (0.0, 0.2, 0.0, 0.1)])
+def test_wrong_length_error_triples_are_named(err):
+    # both entries check the triple's length before any value of it is read
+    for call in (time_averaged_error, estimate_period_numeric):
+        with pytest.raises(ValueError, match=rf"^Euler angles must be a triple .* got {len(err)} values"):
+            call("el", err, UNIT_RATES)
+
+
+@pytest.mark.parametrize("base", [(1.0, 0.0), (0.0, 0.0, 2.0)])
+def test_case_series_names_a_base_that_is_not_a_unit_3_vector(base):
+    with pytest.raises(ValueError, match="^base_vector must be a unit 3-vector"):
+        case_series(CaseSpec(label="bad base", angles=UNIT_RATES, base_vector=base))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, 1.0, 2.0, 3.0), ((0.0, 1.0, 2.0),) * 4, (("a", 1.0),) + ((0.0, 1.0),) * 3, None, ()],
+)
+def test_malformed_boxes_are_named(bounds):
+    with pytest.raises(ValueError, match="^bounds must be four finite"):
+        find_extrema(X_BASE, UNIT_RATES, num_starts=2, seed=0, bounds=bounds)
+    with pytest.raises(ValueError, match="full search box"):
+        closed_form_extrema(X_BASE, UNIT_RATES, bounds)
+
+
+def test_closed_forms_reject_an_infinite_box():
+    # the search rejects it, so there is nothing for the closed forms to stand for
+    with pytest.raises(ValueError, match="full search box"):
+        closed_form_extrema(X_BASE, UNIT_RATES, ((-math.inf, math.inf),) * 4)
+
+
+# each takes its inputs as plain floats and needs no array on the way
+PLAIN_FLOAT_CALLS = {
+    "time_averaged_error": lambda: [
+        (a, a.abserr, a.neval)
+        for a in (
+            time_averaged_error("az", PROBE_ERR, UNIT_RATES),
+            time_averaged_error("el", (0.3, 0.2, 0.1), (0.7, -1.3, 2.1), base=(0.48, 0.6, 0.64)),
+        )
+    ],
+    "closed_form_extrema": lambda: closed_form_extrema((0.48, 0.6, 0.64), (0.7, -1.3, 2.1)),
+    "delta_closed_form": lambda: delta_closed_form((0.3, 0.2, 0.1), 1.7, (0.7, -1.3, 2.1), (0.48, 0.6, 0.64)),
+    "period": lambda: period((0.7, -1.3, 2.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_FLOAT_CALLS))
+def test_plain_float_entries_make_no_numpy_call(name, monkeypatch):
+    call = PLAIN_FLOAT_CALLS[name]
+    expected = call()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called numpy")
+
+    for attr in ("asarray", "array", "isfinite"):
+        monkeypatch.setattr(np, attr, refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    assert call() == expected

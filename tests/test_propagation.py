@@ -928,3 +928,21 @@ def test_one_channel_closures_equal_delta_closed_form_on_random_points():
         el = _closed_form_at(err, rates, base, _delta_el)
         for t in rng.uniform(0.0, 40.0, 200).tolist():
             assert (az(t), el(t)) == delta_closed_form(err, t, rates, base)
+
+
+# -- shapes and bases at the closed forms ------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 4), (2,), (5, 2), (3, 1), ()])
+def test_delta_batch_rejects_err_whose_last_axis_is_not_three(shape):
+    # the kernel reads columns 0, 1 and 2 of err's last axis, so any other length is rejected first
+    with pytest.raises(ValueError, match=r"^err must have shape \[\.\.\., 3\]"):
+        delta_batch(np.full(shape, 0.1), [0.5], (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("base", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (math.nan, 0.0, 0.0)])
+def test_closed_forms_name_a_base_that_is_not_a_unit_3_vector(base):
+    with pytest.raises(ValueError, match="^base must be a unit 3-vector"):
+        delta_closed_form(REF_ERR, 0.5, (1.0, 1.0, 1.0), base)
+    with pytest.raises(ValueError, match="^base must be a unit 3-vector"):
+        delta_batch(REF_ERR, [0.5], (1.0, 1.0, 1.0), base)

@@ -30,17 +30,3 @@ def test_plot_error_series(tmp_path, monkeypatch, capsys):
     spec = CASE_STUDIES[0]
     assert (tmp_path / f"case_{_slug(spec.label)}.csv").read_text() == series_to_csv(case_series(spec))
 
-
-def test_tabulate_extrema(monkeypatch, capsys):
-    run_script("tabulate_extrema.py", monkeypatch, "--starts", "2")
-    lines = capsys.readouterr().out.splitlines()
-    kinds = ["max_az", "max_el", "min_az", "min_el"]
-    assert lines[0] == "Table A: base (1,0,0), rates (1,1,1)"
-    assert [line.split(":")[0].strip() for line in lines[1:5]] == kinds
-    assert lines[5] == "Table B: base (0,0,1), rates (1,1,1)"
-    assert [line.split(":")[0].strip() for line in lines[6:10]] == kinds
-    assert lines[10] == "Case studies:"
-    for line, spec in zip(lines[11:18], CASE_STUDIES):
-        assert line.startswith(f"  {spec.label}: T=")
-    assert lines[18].startswith("Averages for err (0.0, 0.2, 0.0), rates (1,1,1): az ")
-    assert len(lines) == 19
