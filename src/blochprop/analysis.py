@@ -33,16 +33,17 @@ from dataclasses import dataclass
 from functools import reduce
 from math import acos, inf, nextafter, pi, sqrt
 from numbers import Integral
-from operator import add, sub
+from operator import add, index, sub
 
 import numpy as np
 
-from .bloch import EulerAngles
+from .bloch import EulerAngles, _require_unit
 from .propagation import (
     ErrorSeries,
     _az_rows,
     _check_phase,
     _closed_form_at,
+    _count,
     _delta_az,
     _delta_el,
     _el_rows,
@@ -52,7 +53,6 @@ from .propagation import (
     _pseudo_el,
     _pseudo_rows,
     _rates,
-    _require_unit,
     period,
 )
 from .rotations import _finite_triple, _triple
@@ -348,12 +348,12 @@ def _nelder_mead(f, x0, lo, hi, maxfev=MAX_EVALS):
     return x[0].tolist(), float(fx[0]), int(nfev[0])
 
 
-def _check_starts(num_starts: int, seed: int) -> None:
-    """Reject what no start can be drawn from: fewer than one start, or a seed that is not a non-negative integer."""
-    if num_starts < 1:
-        raise ValueError("num_starts must be >= 1")
+def _check_starts(num_starts: int, seed: int) -> tuple[int, int]:
+    """(num_starts, seed) as plain ints; rejects a start count below 1 and a seed below 0, or either not an integer."""
+    num_starts = _count(num_starts, "num_starts", 1)
     if not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return num_starts, index(seed)
 
 
 def _box(bounds) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
@@ -377,7 +377,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     for _, mode in kinds:
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    _check_starts(num_starts, seed)
+    num_starts, seed = _check_starts(num_starts, seed)
     # the batch runs azimuth kinds first, so that each objective call reads each channel on a
     # contiguous slice of its (ascending) rows; the results keep the order of ``kinds``
     run = sorted(range(len(kinds)), key=lambda k: _target_index(kinds[k][0]))

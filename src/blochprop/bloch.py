@@ -76,13 +76,23 @@ def qubit_to_matrix(v) -> np.ndarray:
     The input must be unit norm (a pure state); M is then Hermitian and
     traceless with eigenvalues +-1.
     """
-    x, y, z = (float(c) for c in v)
-    _require_unit_norm(hypot(hypot(x, y), z))
+    x, y, z = _require_unit(v, "v")
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]])
 
 
+def _require_unit(v, name: str, tol: float = VALIDATION_TOL) -> tuple[float, float, float]:
+    """v as three floats whose norm is within ``tol`` of 1: the one check of an input unit vector; else ValueError."""
+    try:
+        x, y, z = map(float, v)
+        if abs(hypot(x, y, z) - 1.0) <= tol:
+            return x, y, z
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a unit 3-vector: three numbers with unit norm within {tol!r}, got {v!r}")
+
+
 def _require_unit_norm(norm) -> None:
-    """Raise unless every qubit-vector norm is within VALIDATION_TOL of 1; NaN fails."""
+    """Raise unless every norm of a computed stack of qubit vectors is within VALIDATION_TOL of 1; NaN fails."""
     norm = np.asarray(norm, dtype=float)
     bad = ~(np.abs(norm - 1.0) <= VALIDATION_TOL)
     if bad.any():

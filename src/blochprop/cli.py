@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> None:
     v = np.asarray(args.vec, dtype=float)
     v_err = v @ euler_matrix(EulerAngles(*args.err))
-    series = simulate(v, v_err, EulerAngles(*args.step), args.steps, pipeline=args.pipeline)
+    series = simulate(args.vec, v_err, EulerAngles(*args.step), args.steps, pipeline=args.pipeline)
     if args.format == "csv":
         text = series_to_csv(series)
     elif args.format == "json":

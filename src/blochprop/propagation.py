@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, POLE_EPS, VALIDATION_TOL, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
+from .bloch import EulerAngles, POLE_EPS, _require_unit, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
 from .rotations import (
     _euler_entries,
     _euler_floats,
@@ -122,12 +122,15 @@ def _require_finite(x, name: str) -> np.ndarray:
     return x
 
 
-def _require_unit(v, name: str) -> tuple[float, float, float]:
-    """v as three floats; a ValueError that names v unless it has three, with norm within VALIDATION_TOL of 1."""
-    v = tuple(map(float, v))
-    if len(v) != 3 or not abs(hypot(*v) - 1.0) <= VALIDATION_TOL:
-        raise ValueError(f"{name} must be a unit 3-vector")
-    return v
+def _count(x, name: str, least: int) -> int:
+    """x as a plain int, numpy integers included; a ValueError that names x unless it is an integer >= ``least``."""
+    try:
+        n = index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return n
 
 
 def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries:
@@ -147,12 +150,7 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     is the input pair itself.  The discrepancies are then read a column at
     a time with the operations of ``delta_pair``, and equal it on every row.
     """
-    try:
-        n = index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if n < 0:
-        raise ValueError("steps must be >= 0")
+    n = _count(steps, "steps", 0)
     step = _finite_triple(step, "step: Euler angles", "step angles")
     pair = np.array([_require_unit(v, "v"), _require_unit(v_err, "v_err")])
     t = np.arange(n + 1, dtype=float)
@@ -268,10 +266,9 @@ def limit_convergence_check(t: float, angles, s: int) -> float:
     Decreases toward 0 as s grows; for equal first and last angles the
     one-step matrix is a palindromic product, giving second-order decay.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    scaled = EulerAngles(*(float(a) * float(t) / float(s) for a in angles))
-    powered = np.linalg.matrix_power(euler_matrix(scaled), int(s))
+    s = _count(s, "s", 1)
+    scaled = EulerAngles(*(a * float(t) / s for a in _triple(angles, "rotation rates")))
+    powered = np.linalg.matrix_power(euler_matrix(scaled), s)
     return float(np.linalg.norm(powered - sp_general(t, angles)))
 
 
@@ -392,7 +389,7 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # The closed-form discrepancies have two implementations of one formula: a
 # plain-float path for one point at a time and a numpy path for many.  Both
 # take the error rotation S(err) from rotations' one copy of the z-y-z entries
-# (_euler_floats on one triple, _euler_rows on a stack) and form the perturbed
+# (_euler_floats on one triple, _euler_entries on a stack) and form the perturbed
 # start base @ S(err) in rotations._row_times's order.  Both evaluate the
 # rotation family at t with the same operations in the same order, squaring
 # by a product, because float ** calls libm pow, which can round otherwise,

@@ -21,19 +21,21 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .bloch import matrix_to_cartesian, qubit_to_matrix
+from .bloch import _require_unit, matrix_to_cartesian, qubit_to_matrix
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# stricter than VALIDATION_TOL: rotate_su2 re-checks every rotated vector, so a U whose axis is off
+# by this tolerance must keep the vector's norm well inside VALIDATION_TOL over many applications
 AXIS_NORM_TOL = 1e-12
 
 
 def su2_from_euler(angles) -> np.ndarray:
     """SU(2) matrix U(phi, theta, psi) for a z-y-z rotation."""
-    phi, theta, psi = (float(a) for a in angles)
+    phi, theta, psi = _triple(angles, "Euler angles")
     c, s = cos(theta / 2.0), sin(theta / 2.0)
     return np.array(
         [
@@ -45,10 +47,7 @@ def su2_from_euler(angles) -> np.ndarray:
 
 def su2_from_axis(axis, angle: float) -> np.ndarray:
     """SU(2) rotation about a unit axis: cos(a/2) I - i sin(a/2) (n . sigma)."""
-    n = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(n))
-    if not abs(norm - 1.0) <= AXIS_NORM_TOL:
-        raise ValueError(f"rotation axis must be unit norm, got |n| = {norm!r}")
+    n = _require_unit(axis, "axis", AXIS_NORM_TOL)
     half = float(angle) / 2.0
     n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return cos(half) * SIGMA_0 - 1j * sin(half) * n_dot_sigma
@@ -62,28 +61,20 @@ def rotate_su2(v, u: np.ndarray) -> np.ndarray:
 
 
 def _euler_entries(angles: np.ndarray) -> np.ndarray:
-    """r[i, j, ...]: entry (i, j) of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3], as one array."""
-    return np.array(_euler_rows(angles))
+    """r[i, j, ...]: entry (i, j) of S3(psi) @ S2(theta) @ S1(phi) for a stack angles[..., 3], as one array.
 
-
-def _euler_rows(angles: np.ndarray) -> tuple:
-    """Entries r[i][j] of S3(psi) @ S2(theta) @ S1(phi) for angles[..., 3], as nested tuples.
-
-    The one copy of the z-y-z entries: elementwise, so no BLAS kernel changes its bytes.  One triple
-    runs on Python floats, far cheaper than numpy scalars, and its entries are floats; a stack's
-    entries are arrays [...].  Float arithmetic rounds as numpy's float64 does, and math's cos and
-    sin have equalled numpy's bit for bit on every host tried, with or without numpy's AVX-512 loops.
+    Elementwise, so no BLAS kernel changes its bytes, and equal to _euler_floats of each triple: float
+    arithmetic rounds as numpy's float64 does, and math's cos and sin have equalled numpy's bit for bit
+    on every host tried, with or without numpy's AVX-512 loops.
     """
-    if angles.ndim == 1:
-        return _euler_floats(*angles.tolist())
     # one contiguous row per angle: numpy is faster on contiguous operands
     a = np.ascontiguousarray(angles.transpose((angles.ndim - 1,) + tuple(range(angles.ndim - 1))))
     c, s = np.cos(a), np.sin(a)
-    return _euler_products(c[0], c[1], c[2], s[0], s[1], s[2])
+    return np.array(_euler_products(c[0], c[1], c[2], s[0], s[1], s[2]))
 
 
 def _euler_floats(phi: float, theta: float, psi: float) -> tuple:
-    """_euler_rows of one triple of floats, with no numpy call."""
+    """The z-y-z entries r[i][j] of one triple of floats, as nested tuples of floats, with no numpy call."""
     return _euler_products(cos(phi), cos(theta), cos(psi), sin(phi), sin(theta), sin(psi))
 
 
@@ -99,8 +90,11 @@ def _euler_products(cf, ct, cp, sf, st, sp) -> tuple:
 
 
 def _triple(x, name: str) -> tuple[float, float, float]:
-    """x as three floats; a ValueError that names x when it has another length."""
-    x = tuple(float(a) for a in x)
+    """x as three floats; a ValueError that names x when it is a scalar or has another length."""
+    try:
+        x = tuple(map(float, x))
+    except TypeError:
+        raise ValueError(f"{name} must be a triple (phi, theta, psi), got {x!r}") from None
     if len(x) != 3:
         raise ValueError(f"{name} must be a triple (phi, theta, psi), got {len(x)} values {x!r}")
     return x
@@ -124,7 +118,7 @@ def euler_matrix(angles) -> np.ndarray:
 
     Acts on row vectors: w = v @ S.
     """
-    return _euler_entries(np.array(_triple(angles, "Euler angles")))
+    return np.array(_euler_floats(*_triple(angles, "Euler angles")))
 
 
 def rotate_euler(v, s: np.ndarray) -> np.ndarray:

@@ -731,3 +731,21 @@ def test_plain_float_entries_make_no_numpy_call(name, monkeypatch):
         monkeypatch.setattr(np, attr, refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
     assert call() == expected
+
+
+def test_start_counts_accept_numpy_integers():
+    assert find_extrema(X_BASE, UNIT_RATES, np.int64(2), 0) == find_extrema(X_BASE, UNIT_RATES, 2, 0)
+    assert find_extremum("el", "max", X_BASE, UNIT_RATES, np.int64(2), np.int64(0)) == find_extremum(
+        "el", "max", X_BASE, UNIT_RATES, 2, 0
+    )
+    spec = CASE_STUDIES[0]
+    got, want = run_case_study(spec, num_starts=np.int64(2)), run_case_study(spec, num_starts=2)
+    assert (got.max_az, got.max_el, got.min_az, got.min_el) == (want.max_az, want.max_el, want.min_az, want.min_el)
+
+
+@pytest.mark.parametrize("num_starts", [2.5, 2.0, "2", None])
+def test_start_counts_that_are_not_integers_are_named(num_starts):
+    with pytest.raises(ValueError, match=r"^num_starts must be an integer, got "):
+        find_extrema(X_BASE, UNIT_RATES, num_starts, 0)
+    with pytest.raises(ValueError, match=r"^num_starts must be an integer, got "):
+        find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts, 0)

@@ -35,7 +35,9 @@ from blochprop.propagation import (
     sp_general,
     sp_special,
 )
-from blochprop.rotations import euler_matrix, rotate_euler, rotate_su2, su2_from_euler
+from blochprop.analysis import estimate_period_numeric, find_extrema
+from blochprop.bloch import qubit_to_matrix
+from blochprop.rotations import euler_matrix, rotate_euler, rotate_su2, su2_from_axis, su2_from_euler
 
 SQRT5 = math.sqrt(5.0)
 REF_ERR = (0.0, 0.2, 0.0)
@@ -946,3 +948,58 @@ def test_closed_forms_name_a_base_that_is_not_a_unit_3_vector(base):
         delta_closed_form(REF_ERR, 0.5, (1.0, 1.0, 1.0), base)
     with pytest.raises(ValueError, match="^base must be a unit 3-vector"):
         delta_batch(REF_ERR, [0.5], (1.0, 1.0, 1.0), base)
+
+
+# -- one rule per kind of input ------------------------------------------------------
+
+VECTOR_ENTRIES = {
+    "find_extrema": ("base_vector", lambda v: find_extrema(v, (1.0, 1.0, 1.0), num_starts=2, seed=0)),
+    "delta_closed_form": ("base", lambda v: delta_closed_form(REF_ERR, 0.5, (1.0, 1.0, 1.0), v)),
+    "delta_batch": ("base", lambda v: delta_batch(REF_ERR, [0.5], (1.0, 1.0, 1.0), v)),
+    "simulate v": ("v", lambda v: simulate(v, (1.0, 0.0, 0.0), REF_STEP, 3)),
+    "simulate v_err": ("v_err", lambda v: simulate((1.0, 0.0, 0.0), v, REF_STEP, 3, pipeline="su2")),
+    "qubit_to_matrix": ("v", qubit_to_matrix),
+    "su2_from_axis": ("axis", lambda v: su2_from_axis(v, 0.3)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+@pytest.mark.parametrize("v", [1.0, (1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, 2.0)])
+def test_every_vector_entry_names_a_vector_that_is_not_a_unit_3_vector(entry, v):
+    name, call = VECTOR_ENTRIES[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be a unit 3-vector\b.*unit norm"):
+        call(v)
+
+
+def test_rotation_axes_are_held_to_a_tighter_norm_than_vectors():
+    # rotate_su2 re-checks every rotated vector, so an axis may be off by 1e-12 where a vector may be off by 1e-9
+    off = (1.0 + 1e-10, 0.0, 0.0)
+    assert qubit_to_matrix(off)[0, 1] == 1.0 + 1e-10
+    with pytest.raises(ValueError, match=r"^axis must be a unit 3-vector"):
+        su2_from_axis(off, 0.3)
+    assert su2_from_axis((0.0, 0.0, 1.0 + 1e-13), 0.3).shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: period(1.0),
+        lambda: euler_matrix(1.0),
+        lambda: generator(1.0),
+        lambda: su2_from_euler((1, 2)),
+        lambda: estimate_period_numeric("el", 1.0, (1.0, 1.0, 1.0)),
+    ],
+)
+def test_scalar_and_short_triples_are_named(call):
+    with pytest.raises(ValueError, match=r"^(Euler angles|rotation rates) must be a triple \(phi, theta, psi\)"):
+        call()
+
+
+def test_limit_convergence_check_takes_an_integer_power():
+    # the step is scaled by 1/s and the matrix raised to the power s, so s must be a whole number
+    for s in (2.5, "3", None):
+        with pytest.raises(ValueError, match=r"^s must be an integer, got "):
+            limit_convergence_check(1.0, (1.0, 1.0, 1.0), s)
+    with pytest.raises(ValueError, match=r"^s must be >= 1"):
+        limit_convergence_check(1.0, (1.0, 1.0, 1.0), 0)
+    assert limit_convergence_check(1.0, (1.0, 1.0, 1.0), np.int64(3)) == limit_convergence_check(1.0, (1.0, 1.0, 1.0), 3)
