@@ -47,15 +47,16 @@ from .propagation import (
     _delta_az,
     _delta_el,
     _el_rows,
+    _family,
     _pair_kernel,
+    _period,
     _point_reader,
     _pseudo_az,
     _pseudo_el,
     _pseudo_rows,
-    _rates,
     period,
 )
-from .rotations import _finite_triple, _triple
+from .rotations import _finite_triple
 
 TWO_PI = 2.0 * pi
 # half-open search box per coordinate; the upper edge stays below 2*pi
@@ -180,7 +181,7 @@ class CaseReport:
     series: ErrorSeries
 
 
-def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS, point=None):
+def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
     """Bounded Nelder-Mead from N starts advanced in lockstep.
 
     ``f(x, rows)`` returns the values [m] of the points x [m, n], where
@@ -198,11 +199,9 @@ def _nelder_mead_batch(f, x0, lo, hi, maxfev=MAX_EVALS, point=None):
     _nelder_mead_tail, the same method in plain floats.  ``point(row)``
     returns the objective of start ``row`` on one point (a list of n
     floats); it must equal f's value of that point bit for bit, or the
-    handoff changes the start's path.  By default it calls f on a one-row
-    batch.  Returns (x_best [N, n], f_best [N], nfev [N]).
+    handoff changes the start's path.  Returns (x_best [N, n], f_best [N],
+    nfev [N]).
     """
-    if point is None:
-        point = lambda row: lambda p: float(f(np.array([p]), np.array([row]))[0])
     x0 = np.asarray(x0, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -337,17 +336,6 @@ def _nelder_mead_tail(f, sim, vals, nfev, lo, hi, maxfev):
         vals.insert(k, fr)
 
 
-def _nelder_mead(f, x0, lo, hi, maxfev=MAX_EVALS):
-    """One start for a scalar ``f(p)``, on _nelder_mead_tail from the batch's first simplex.
-
-    Returns (x_best, f_best, nfev).
-    """
-    x, fx, nfev = _nelder_mead_batch(
-        lambda pts, _rows: np.array([f(p) for p in pts.tolist()]), [x0], lo, hi, maxfev, lambda _row: f
-    )
-    return x[0].tolist(), float(fx[0]), int(nfev[0])
-
-
 def _check_starts(num_starts: int, seed: int) -> tuple[int, int]:
     """(num_starts, seed) as plain ints; rejects a start count below 1 and a seed below 0, or either not an integer."""
     num_starts = _count(num_starts, "num_starts", 1)
@@ -384,28 +372,28 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     n_az = num_starts * sum(kinds[k][0] == "az" for k in run)
     signs = np.repeat([-1.0 if kinds[k][1] == "max" else 1.0 for k in run], num_starts)
     base = _require_unit(base_vector, "base_vector")
-    rates = _triple(angles, "rotation rates")
+    family = _family(angles)
     box = _box(bounds)
     if box is None:
         raise ValueError(f"bounds must be four finite (lo, hi) pairs with lo <= hi, got {bounds!r}")
     lo, hi = np.array(box[0]), np.minimum(box[1], BOX_HI)
-    _check_phase(rates, max(abs(float(lo[3])), abs(float(hi[3]))))
+    _check_phase(family, max(abs(float(lo[3])), abs(float(hi[3]))))
     u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
 
-    kernel = _pair_kernel(rates, base)
+    kernel = _pair_kernel(family, base)
 
     def objective(x, rows):
         return signs[rows] * _pseudo_rows(kernel(x[:, :3], x[:, 3]), int(rows.searchsorted(n_az)))
 
-    readers = (_point_reader(rates, base, _pseudo_az), _point_reader(rates, base, _pseudo_el))
+    readers = (_point_reader(family, base, _pseudo_az), _point_reader(family, base, _pseudo_el))
 
     def point(row):
         f = readers[row >= n_az]
         return (lambda p: -f(p)) if signs[row] < 0.0 else f
 
-    x, _, nfev = _nelder_mead_batch(objective, x0, lo, hi, maxfev=MAX_EVALS, point=point)
-    exact = (_point_reader(rates, base, _delta_az), _point_reader(rates, base, _delta_el))
+    x, _, nfev = _nelder_mead_batch(objective, point, x0, lo, hi, maxfev=MAX_EVALS)
+    exact = (_point_reader(family, base, _delta_az), _point_reader(family, base, _delta_el))
     results = [None] * len(kinds)
     for j, k in enumerate(run):
         target, mode = kinds[k]
@@ -474,14 +462,14 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
     covers [0, 2*pi], and omega >= 1, so that t in [0, 2*pi) spans a period; otherwise ValueError.
     """
     b = _require_unit(base, "base")
-    theta, a, omega = _rates(rates)
+    family = _family(rates)
     box = _box(bounds)
     if box is None or not (max(box[0]) <= 0.0 and min(box[1]) >= TWO_PI):
         raise ValueError(f"the closed forms need the full search box [0, 2*pi]^4, got {bounds!r}")
-    if not omega >= 1.0:
-        raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {omega!r}")
-    n_z = a / omega
-    c = min(1.0, abs(b[1] * (theta / omega) + b[2] * n_z))
+    if not family.omega >= 1.0:
+        raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {family.omega!r}")
+    n_z = family.na
+    c = min(1.0, abs(b[1] * family.nt + b[2] * n_z))
     z_max = min(1.0, c * abs(n_z) + sqrt(1.0 - c * c) * sqrt(max(0.0, 1.0 - n_z * n_z)))
     return pi, acos(-z_max), 0.0, 0.0
 
@@ -515,9 +503,10 @@ def time_averaged_error(
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
     base = _require_unit(base, "base")
-    t_period = period(angles)
+    family = _family(angles)
+    t_period = _period(family)
     val, abserr, neval, ier = dqagse(
-        _closed_form_at(err, angles, base, (_delta_az, _delta_el)[idx]),
+        _closed_form_at(err, family, base, (_delta_az, _delta_el)[idx]),
         0.0,
         t_period,
         float(tol),
@@ -551,8 +540,9 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
     base = _require_unit(base, "base")
-    t_period = period(angles)
-    kernel = _pair_kernel(angles, base)
+    family = _family(angles)
+    t_period = _period(family)
+    kernel = _pair_kernel(family, base)
     read = (_az_rows, _el_rows)[idx]
     ts = np.linspace(0.0, t_period, PERIOD_GRID)
     sig = read(kernel(err, ts))
@@ -581,8 +571,9 @@ CASE_SERIES_SAMPLES = 512
 
 def case_series(spec: CaseSpec) -> ErrorSeries:
     """One-period closed-form series of the probe error (0, 0.2, 0)."""
-    ts = np.linspace(0.0, period(spec.angles), CASE_SERIES_SAMPLES)
-    at = _closed_form_at(PROBE_ERR, spec.angles, _require_unit(spec.base_vector, "base_vector"))
+    family = _family(spec.angles)
+    ts = np.linspace(0.0, _period(family), CASE_SERIES_SAMPLES)
+    at = _closed_form_at(PROBE_ERR, family, _require_unit(spec.base_vector, "base_vector"))
     daz, del_ = map(np.array, zip(*map(at, ts.tolist())))
     return ErrorSeries(t=ts, delta_az=daz, delta_el=del_)
 

@@ -39,6 +39,7 @@ machine precision (~3e-15).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
@@ -215,15 +216,22 @@ def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, 
     return _wrapped_gap(az[0], az[1]), _wrapped_gap(el[0], el[1])
 
 
-def _rates(angles) -> tuple[float, float, float]:
-    """(theta, phi+psi, omega) for a rotation-rate triple; rejects NaN, infinite or overflowing rates."""
-    phi, theta, psi = _triple(angles, "rotation rates")
+# a rotation-rate triple parsed once, the family exp(t G) it fixes: the float triple (for messages),
+# theta, a = phi + psi, the speed omega = hypot(theta, a) and the unit axis (na, nt) = (a, theta) / omega,
+# (0, 0) when omega = 0
+_Family = namedtuple("_Family", "rates theta a omega na nt")
+
+
+def _family(angles) -> _Family:
+    """The family of a rotation-rate triple; rejects a malformed, NaN, infinite or overflowing triple."""
+    phi, theta, psi = rates = _triple(angles, "rotation rates")
     a = phi + psi
     omega = hypot(theta, a)
     # hypot is NaN or infinite whenever an input is, or when phi + psi overflows
     if not isfinite(omega):
-        raise ValueError(f"rotation rates and phi + psi must be finite, got {(phi, theta, psi)!r}")
-    return theta, a, omega
+        raise ValueError(f"rotation rates and phi + psi must be finite, got {rates!r}")
+    na, nt = (a / omega, theta / omega) if omega else (0.0, 0.0)
+    return _Family(rates, theta, a, omega, na, nt)
 
 
 def sp_general(t, angles) -> np.ndarray:
@@ -235,13 +243,20 @@ def sp_general(t, angles) -> np.ndarray:
     theta/omega and (phi+psi)/omega so no bare omega^2 can underflow for
     subnormal rates.  When omega = 0 the generator vanishes and the family
     is the identity for all t.  Each matrix depends only on its own t, so
-    sp_general(ts, angles)[k] equals sp_general(ts[k], angles).
+    sp_general(ts, angles)[k] equals sp_general(ts[k], angles).  A non-finite
+    t, or a phase omega * t that overflows, raises ValueError.
     """
-    t = np.asarray(t, dtype=float)
-    theta, a, omega = _rates(angles)
-    if omega == 0.0:
+    t = _require_finite(t, "t")
+    family = _family(angles)
+    _check_phase(family, float(np.abs(t).max()) if t.size else 0.0)
+    return _family_matrices(t, family)
+
+
+def _family_matrices(t: np.ndarray, family: _Family) -> np.ndarray:
+    """sp_general(t, angles) of a parsed family, for a float array t."""
+    if family.omega == 0.0:
         return np.tile(np.eye(3), t.shape + (1, 1))
-    return np.moveaxis(_sp_entries(t, _family_constants(theta, a, omega)), (0, 1), (-2, -1))
+    return np.moveaxis(_sp_entries(t, _family_constants(family)), (0, 1), (-2, -1))
 
 
 _SQRT5 = sqrt(5.0)
@@ -267,39 +282,45 @@ def limit_convergence_check(t: float, angles, s: int) -> float:
     one-step matrix is a palindromic product, giving second-order decay.
     """
     s = _count(s, "s", 1)
-    scaled = EulerAngles(*(a * float(t) / s for a in _triple(angles, "rotation rates")))
+    t = _require_finite(t, "t")
+    family = _family(angles)
+    _check_phase(family, abs(float(t)))
+    scaled = EulerAngles(*(a * float(t) / s for a in family.rates))
     powered = np.linalg.matrix_power(euler_matrix(scaled), s)
-    return float(np.linalg.norm(powered - sp_general(t, angles)))
+    return float(np.linalg.norm(powered - _family_matrices(t, family)))
 
 
 def generator(angles) -> np.ndarray:
     """Antisymmetric generator G with exp(t G) = sp_general(t, angles)."""
-    theta, a, _ = _rates(angles)
+    f = _family(angles)
     return np.array(
-        [[0.0, a, -theta], [-a, 0.0, 0.0], [theta, 0.0, 0.0]]
+        [[0.0, f.a, -f.theta], [-f.a, 0.0, 0.0], [f.theta, 0.0, 0.0]]
     )
 
 
 def generator_eigenvalues(angles) -> tuple[complex, complex, complex]:
     """Eigenvalues of the generator: (0, i omega, -i omega)."""
-    _, _, omega = _rates(angles)
+    omega = _family(angles).omega
     return (0j, 1j * omega, -1j * omega)
 
 
 def period(angles) -> float:
     """Recurrence time of the discrepancy curves: 2 pi / omega."""
-    rates = _triple(angles, "rotation rates")
-    _, _, omega = _rates(rates)
-    if omega == 0.0:
+    return _period(_family(angles))
+
+
+def _period(family: _Family) -> float:
+    """period of a parsed family; DegenerateRotationError when it has no finite period."""
+    if family.omega == 0.0:
         raise DegenerateRotationError(
-            f"rotation rates {rates!r}: theta = 0 and phi + psi = 0, the rotation family is constant, "
+            f"rotation rates {family.rates!r}: theta = 0 and phi + psi = 0, the rotation family is constant, "
             "no finite period"
         )
-    cycle = _TWO_PI / omega
+    cycle = _TWO_PI / family.omega
     # a subnormal omega, or one just above the normal floor, overflows 2 pi / omega
     if cycle == inf:
         raise DegenerateRotationError(
-            f"rotation rates {rates!r}: omega = {omega!r} is too small, 2*pi/omega overflows, "
+            f"rotation rates {family.rates!r}: omega = {family.omega!r} is too small, 2*pi/omega overflows, "
             "no finite period"
         )
     return cycle
@@ -313,12 +334,14 @@ def matrix_exp_generator(j, t) -> np.ndarray:
     + (1 - cos(w t)) n^2.  For the generator of rates (phi, theta, psi)
     the axis direction is -(0, theta, phi+psi) and w = omega.  Each matrix
     depends only on its own t, so matrix_exp_generator(j, ts)[k] equals
-    matrix_exp_generator(j, ts[k]).
+    matrix_exp_generator(j, ts[k]).  A ``j`` that is not a finite antisymmetric
+    3x3 matrix, or a non-finite t, raises ValueError.
     """
     j = np.asarray(j, dtype=float)
-    if j.shape != (3, 3) or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
-        raise ValueError("generator must be an antisymmetric 3x3 matrix")
-    t = np.asarray(t, dtype=float)
+    # finiteness first: a NaN entry compares False, so it would pass the > test, and inf - inf warns
+    if j.shape != (3, 3) or not np.isfinite(j).all() or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
+        raise ValueError("generator must be a finite antisymmetric 3x3 matrix")
+    t = _require_finite(t, "t")
     w = float(np.hypot(np.hypot(j[2, 1], j[0, 2]), j[1, 0]))
     if w == 0.0:
         return np.tile(np.eye(3), t.shape + (1, 1))
@@ -340,9 +363,12 @@ def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     sign and the angle.  A half-turn to within HALF_TURN_TOL has two
     logarithms, +pi [u] and -pi [u]; it is rejected as ambiguous unless
     ``allow_half_turn``, which returns one of them.  Both reproduce every
-    integer power of r.
+    integer power of r.  An ``r`` that is not a finite 3x3 array raises
+    ValueError.
     """
     r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3) or not np.isfinite(r).all():
+        raise ValueError(f"r must be a finite 3x3 matrix, got shape {r.shape}")
     cos_angle = (float(np.trace(r)) - 1.0) / 2.0
     cos_angle = min(1.0, max(-1.0, cos_angle))
     anti = (r - r.T) / 2.0
@@ -397,9 +423,13 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # So the two paths give the same six floats wherever math's cos and sin round
 # as numpy's do, as on every host tried, with or without numpy's AVX-512 loops.
 #
+# Every public entry parses its rate triple once, with _family, the one place
+# that divides by omega for the unit axis, and both paths and their fronts
+# take that parsed family.
+#
 # The float path is _pair_floats, which evaluates the family at t, forms both
 # vectors and hands the six floats to a reader.  It has two fronts.
-# _closed_form_at fixes the error rotation and the rates once per trajectory
+# _closed_form_at fixes the error rotation and the family once per trajectory
 # and returns a function of t alone: delta_closed_form is built from it, the
 # samples of analysis.case_series call it one point at a time, and adaptive
 # quadrature in analysis.time_averaged_error integrates it with a reader of
@@ -506,47 +536,44 @@ def delta_closed_form(
     err = _finite_triple(err, "Euler angles", "err")
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    _check_phase(angles, abs(float(t)))
-    return _closed_form_at(err, angles, _require_unit(base, "base"))(float(t))
+    family = _family(angles)
+    _check_phase(family, abs(float(t)))
+    return _closed_form_at(err, family, _require_unit(base, "base"))(float(t))
 
 
-def _check_phase(rates, t_max: float) -> None:
-    """Reject rates whose phase omega * t overflows for some |t| <= t_max: cos and sin take no infinity."""
-    rates = _triple(rates, "rotation rates")
-    _, _, omega = _rates(rates)
-    if omega * t_max == inf:
-        raise ValueError(f"rotation rates {rates!r}: omega * t overflows for |t| up to {t_max!r}")
+def _check_phase(family: _Family, t_max: float) -> None:
+    """Reject a family whose phase omega * t overflows for some |t| <= t_max: cos and sin take no infinity."""
+    if family.omega * t_max == inf:
+        raise ValueError(f"rotation rates {family.rates!r}: omega * t overflows for |t| up to {t_max!r}")
 
 
-def _closed_form_at(err, angles, base, read=_delta_scalar):
+def _closed_form_at(err, family: _Family, base, read=_delta_scalar):
     """delta_closed_form(err, t, angles, base) as a function of a float t alone, for float triples err and base.
 
-    The perturbed start vector and the rates are computed once; each call then runs _pair_floats
-    alone, so a caller that samples one trajectory at many times pays for the error rotation once.
-    With ``read`` _delta_az or _delta_el the function returns that one discrepancy, equal to the
-    pair's, and skips the other's angles.
+    The perturbed start vector is computed once; each call then runs _pair_floats alone, so a
+    caller that samples one trajectory at many times pays for the error rotation once.  With
+    ``read`` _delta_az or _delta_el the function returns that one discrepancy, equal to the pair's,
+    and skips the other's angles.
     """
     bx, by, bz = base
     (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(*err)
     vx = bx * r11 + by * r21 + bz * r31
     vy = bx * r12 + by * r22 + bz * r32
     vz = bx * r13 + by * r23 + bz * r33
-    theta, a, omega = _rates(angles)
-    if omega == 0.0:
+    if family.omega == 0.0:
         constant = read(bx, by, bz, vx, vy, vz)
         return lambda t: constant
-    return partial(_pair_floats, bx, by, bz, vx, vy, vz, omega, a / omega, theta / omega, read)
+    return partial(_pair_floats, bx, by, bz, vx, vy, vz, family.omega, family.na, family.nt, read)
 
 
-def _point_reader(rates, base, read):
+def _point_reader(family: _Family, base, read):
     """read(clean, perturbed) of _pair_kernel's vectors at one point p = [eps_x, eps_y, eps_z, t].
 
     The search's plain-float objective: _closed_form_at's operations with the error rotation
     formed per point, and no numpy call.  ``base`` is a float triple.
     """
     bx, by, bz = base
-    theta, a, omega = _rates(rates)
-    na, nt = (a / omega, theta / omega) if omega else (0.0, 0.0)
+    omega, na, nt = family.omega, family.na, family.nt
 
     def at(p) -> float:
         (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(p[0], p[1], p[2])
@@ -596,8 +623,9 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
     err, t = _require_finite(err, "err"), _require_finite(t, "t")
     if err.shape[-1:] != (3,):
         raise ValueError(f"err must have shape [..., 3], got {err.shape}")
-    _check_phase(rates, float(np.abs(t).max()) if t.size else 0.0)
-    w = _pair_kernel(rates, _require_unit(base, "base"))(err, t)
+    family = _family(rates)
+    _check_phase(family, float(np.abs(t).max()) if t.size else 0.0)
+    w = _pair_kernel(family, _require_unit(base, "base"))(err, t)
     return np.stack((_az_rows(w), _el_rows(w)), axis=-1)
 
 
@@ -605,15 +633,14 @@ def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:
 _ONE, _TWO = np.array(1.0), np.array(2.0)
 
 
-def _pair_kernel(rates, base):
+def _pair_kernel(family: _Family, base):
     """The clean and perturbed vectors as a function (err[..., 3], t[...]) -> w[k, j, ...].
 
     w[k, j] is component k of the clean (j = 0) and perturbed (j = 1) vector at each point; err
-    and t are not checked.  The rates' and base's constants are computed once, as 0-d arrays.
+    and t are not checked.  The family's and base's constants are computed once, as 0-d arrays.
     """
-    theta, a, omega = _rates(rates)
     b = tuple(np.array(float(c)) for c in base)
-    family = _family_constants(theta, a, omega) if omega else None
+    consts = _family_constants(family) if family.omega else None
 
     def kernel(err, t) -> np.ndarray:
         err = np.asarray(err, dtype=float)
@@ -626,12 +653,12 @@ def _pair_kernel(rates, base):
         w = np.empty((3, 2) + np.broadcast(r[0, 0], t).shape)
         # the perturbed start vector base @ S(err)
         v = _row_times(b, r)
-        if family is None:
+        if consts is None:
             w[0, 0], w[1, 0], w[2, 0] = b
             w[:, 1] = v
             return w
         # each vector @ sp_general(t); the clean one is the base
-        p = _sp_entries(t, family)
+        p = _sp_entries(t, consts)
         w[:, 0] = _row_times(b, p)
         w[:, 1] = _row_times(v, p)
         return w
@@ -639,15 +666,14 @@ def _pair_kernel(rates, base):
     return kernel
 
 
-def _family_constants(theta: float, a: float, omega: float) -> tuple:
-    """(omega, na, nt, -na, -nt) of _pair_floats as 0-d arrays, na = (phi+psi)/omega and nt = theta/omega."""
-    na, nt = a / omega, theta / omega
-    return tuple(map(np.array, (omega, na, nt, -na, -nt)))
+def _family_constants(family: _Family) -> tuple:
+    """(omega, na, nt, -na, -nt) of _pair_floats as 0-d arrays, for a family with omega > 0."""
+    return tuple(map(np.array, (family.omega, family.na, family.nt, -family.na, -family.nt)))
 
 
-def _sp_entries(t: np.ndarray, family: tuple) -> np.ndarray:
+def _sp_entries(t: np.ndarray, consts: tuple) -> np.ndarray:
     """p[i, j, ...]: entry (i, j) of sp_general at every t, as in _pair_floats, from _family_constants."""
-    omega, na, nt, nna, nnt = family
+    omega, na, nt, nna, nnt = consts
     p = np.empty((3, 3) + t.shape)
     wt = omega * t
     s = np.sin(wt)

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 
 import blochprop.analysis as analysis
+import blochprop.propagation as propagation
+import blochprop.rotations as rotations
 from blochprop.analysis import (
     CASE_STUDIES,
     MAX_EVALS,
@@ -18,7 +20,6 @@ from blochprop.analysis import (
     PeriodEstimate,
     PeriodEstimationError,
     TimeAverage,
-    _nelder_mead,
     _nelder_mead_batch,
     case_series,
     closed_form_extrema,
@@ -32,6 +33,7 @@ from blochprop.bloch import EulerAngles
 from blochprop.propagation import (
     DegenerateRotationError,
     _az_rows,
+    _family,
     _pair_kernel,
     _point_reader,
     _pseudo_az,
@@ -47,11 +49,18 @@ X_BASE = (1.0, 0.0, 0.0)
 UNIT_RATES = (1.0, 1.0, 1.0)
 
 
+def one_start(f, x0, lo, hi, maxfev=MAX_EVALS):
+    """_nelder_mead_batch on the one start x0 of a scalar f(p): (x_best, f_best, nfev)."""
+    batch = lambda pts, _rows: np.array([f(p) for p in pts.tolist()])
+    x, fx, nfev = _nelder_mead_batch(batch, lambda _row: f, [x0], lo, hi, maxfev)
+    return x[0].tolist(), float(fx[0]), int(nfev[0])
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
         target = [2.0, 1.0, 4.0, 3.0]
         f = lambda x: sum((x[j] - target[j]) ** 2 for j in range(4))
-        x, fx, nfev = _nelder_mead(f, [0.5, 0.5, 0.5, 0.5], [0.0] * 4, [6.0] * 4)
+        x, fx, nfev = one_start(f, [0.5, 0.5, 0.5, 0.5], [0.0] * 4, [6.0] * 4)
         assert fx < 1e-8
         assert max(abs(x[j] - target[j]) for j in range(4)) < 1e-3
         assert nfev <= 2000
@@ -59,30 +68,20 @@ class TestNelderMead:
     def test_respects_bounds(self):
         # unconstrained minimum sits outside the box; solution must stay inside
         f = lambda x: (x[0] + 1.0) ** 2 + x[1] ** 2
-        x, fx, _ = _nelder_mead(f, [0.5, 0.5], [0.0] * 2, [1.0] * 2)
+        x, fx, _ = one_start(f, [0.5, 0.5], [0.0] * 2, [1.0] * 2)
         assert 0.0 <= x[0] <= 1.0 and 0.0 <= x[1] <= 1.0
         assert fx == pytest.approx(1.0, abs=1e-6)
 
     def test_evaluation_cap(self):
         calls = []
         f = lambda x: calls.append(1) or (x[0] - 0.3) ** 2
-        _nelder_mead(f, [5.0], [0.0], [10.0], maxfev=50)
+        one_start(f, [5.0], [0.0], [10.0], maxfev=50)
         assert len(calls) <= 51
 
 
 class TestLockstepNelderMead:
     # rows mix the four extrema kinds; a low cap makes some rows stop early
     KINDS = [(-1.0, 0), (-1.0, 1), (1.0, 0), (1.0, 1)]
-
-    def objective(self, kinds, rates):
-        signs = np.array([k[0] for k in kinds])
-        cols = np.array([k[1] for k in kinds])
-
-        def f(x, rows):
-            d = delta_batch(x[:, :3], x[:, 3], rates, X_BASE)
-            return signs[rows] * d[np.arange(len(rows)), cols[rows]]
-
-        return f
 
     @pytest.mark.parametrize("maxfev", [120, MAX_EVALS])
     def test_row_results_do_not_depend_on_the_batch(self, maxfev):
@@ -91,18 +90,12 @@ class TestLockstepNelderMead:
         kinds = [self.KINDS[i % 4] for i in range(8)]
         lo, hi = [0.0] * 4, [analysis.BOX_HI] * 4
         rates = (0.7, -1.3, 2.1)
-        xb, fb, nb = _nelder_mead_batch(self.objective(kinds, rates), x0, lo, hi, maxfev=maxfev)
+        xb, fb, nb = _nelder_mead_batch(*search_objective(kinds, rates), x0, lo, hi, maxfev=maxfev)
         assert len(set(nb.tolist())) > 1
         for i in range(8):
-            xa, fa, na = _nelder_mead_batch(self.objective(kinds[i : i + 1], rates), x0[i : i + 1], lo, hi, maxfev=maxfev)
+            xa, fa, na = _nelder_mead_batch(*search_objective(kinds[i : i + 1], rates), x0[i : i + 1], lo, hi, maxfev=maxfev)
             assert xa[0].tolist() == xb[i].tolist()
             assert fa[0] == fb[i] and na[0] == nb[i]
-
-    def test_one_row_wrapper_matches_batch(self):
-        f = lambda x: (x[0] - 0.3) ** 2 + (x[1] - 1.7) ** 2
-        x, fx, nfev = _nelder_mead(f, [2.0, 0.5], [0.0] * 2, [3.0] * 2)
-        xb, fb, nb = _nelder_mead_batch(lambda pts, rows: np.array([f(p) for p in pts]), [[2.0, 0.5]], [0.0] * 2, [3.0] * 2)
-        assert x == xb[0].tolist() and fx == fb[0] and nfev == nb[0]
 
 
 class TestFindExtremum:
@@ -546,8 +539,9 @@ def search_objective(kinds, rates, base=X_BASE):
     """
     signs = np.array([k[0] for k in kinds])
     cols = np.array([k[1] for k in kinds])
-    kernel = _pair_kernel(rates, base)
-    readers = [_point_reader(rates, base, read) for read in (_pseudo_az, _pseudo_el)]
+    family = _family(rates)
+    kernel = _pair_kernel(family, base)
+    readers = [_point_reader(family, base, read) for read in (_pseudo_az, _pseudo_el)]
 
     def f(x, rows):
         w = kernel(x[:, :3], x[:, 3])
@@ -571,25 +565,11 @@ def test_alone_equals_batched_with_the_handoff(size):
     kinds = [TestLockstepNelderMead.KINDS[i % 4] for i in range(size)]
     lo, hi = [0.0] * 4, [analysis.BOX_HI] * 4
     rates = (0.7, -1.3, 2.1)
-    f, point = search_objective(kinds, rates)
-    xb, fb, nb = _nelder_mead_batch(f, x0, lo, hi, point=point)
+    xb, fb, nb = _nelder_mead_batch(*search_objective(kinds, rates), x0, lo, hi)
     for i in range(size):
-        f, point = search_objective(kinds[i : i + 1], rates)
-        xa, fa, na = _nelder_mead_batch(f, x0[i : i + 1], lo, hi, point=point)
+        xa, fa, na = _nelder_mead_batch(*search_objective(kinds[i : i + 1], rates), x0[i : i + 1], lo, hi)
         assert xa[0].tolist() == xb[i].tolist()
         assert fa[0] == fb[i] and na[0] == nb[i]
-
-
-def test_handoff_matches_the_default_one_point_objective():
-    # without a one-point objective the handoff evaluates f on one-row batches: same result
-    kinds = TestLockstepNelderMead.KINDS * 3
-    x0 = np.random.default_rng(5).uniform(0.0, 2 * math.pi, (12, 4))
-    lo, hi = [0.0] * 4, [analysis.BOX_HI] * 4
-    f, point = search_objective(kinds, (1.0, 1.0, 1.0))
-    fast = _nelder_mead_batch(f, x0, lo, hi, point=point)
-    default = _nelder_mead_batch(f, x0, lo, hi)
-    for a, b in zip(fast, default):
-        assert a.tolist() == b.tolist()
 
 
 SEARCH_CASES = [
@@ -731,6 +711,33 @@ def test_plain_float_entries_make_no_numpy_call(name, monkeypatch):
         monkeypatch.setattr(np, attr, refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
     assert call() == expected
+
+
+# each parses its rate triple once, where it enters, and hands the parsed family on
+ONE_PARSE_CALLS = {
+    "find_extrema": lambda: find_extrema((0.48, 0.6, 0.64), (0.7, -1.3, 2.1), num_starts=2, seed=0),
+    "delta_closed_form": PLAIN_FLOAT_CALLS["delta_closed_form"],
+    "delta_batch": lambda: delta_batch((0.3, 0.2, 0.1), [0.0, 1.7], (0.7, -1.3, 2.1), (0.48, 0.6, 0.64)),
+    "time_averaged_error": lambda: time_averaged_error("el", (0.3, 0.2, 0.1), (0.7, -1.3, 2.1)),
+    "estimate_period_numeric": lambda: estimate_period_numeric("el", (0.3, 0.2, 0.1), (0.7, -1.3, 2.1)),
+    "period": PLAIN_FLOAT_CALLS["period"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PARSE_CALLS))
+def test_rate_triple_is_parsed_once(name, monkeypatch):
+    parsed = []
+
+    def spy(x, what):
+        if what == "rotation rates":
+            parsed.append(x)
+        return triple(x, what)
+
+    triple = rotations._triple
+    for module in (rotations, propagation, analysis):
+        monkeypatch.setattr(module, "_triple", spy, raising=False)
+    ONE_PARSE_CALLS[name]()
+    assert parsed == [(0.7, -1.3, 2.1)]
 
 
 def test_start_counts_accept_numpy_integers():

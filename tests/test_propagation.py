@@ -18,6 +18,7 @@ from blochprop.propagation import (
     _closed_form_at,
     _delta_az,
     _delta_el,
+    _family,
     _pair_floats,
     _trajectory_deltas,
     ErrorSeries,
@@ -714,7 +715,7 @@ def test_closed_form_closure_equals_delta_closed_form(err, angles, base, fractio
     base = tuple(c / math.hypot(*base) for c in base)
     omega = math.hypot(angles[1], angles[0] + angles[2])
     cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
-    at = _closed_form_at(err, angles, base)
+    at = _closed_form_at(err, _family(angles), base)
     for f in fractions:
         assert at(f * cycle) == delta_closed_form(err, f * cycle, angles, base)
 
@@ -800,6 +801,52 @@ def test_rate_functions_reject_non_finite_rates(rates):
     ):
         with pytest.raises(ValueError, match="rotation rates and phi \\+ psi must be finite"):
             call()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_family_functions_reject_a_non_finite_t(t):
+    # each gave NaN matrices, or a math domain error from the scaled Euler step
+    for call in (
+        lambda: sp_general(t, (1, 1, 1)),
+        lambda: sp_general(np.array([0.0, t]), (1, 1, 1)),
+        lambda: matrix_exp_generator(generator((1, 1, 1)), t),
+        lambda: matrix_exp_generator(generator((1, 1, 1)), np.array([0.0, t])),
+        lambda: limit_convergence_check(t, (1, 1, 1), 4),
+    ):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            call()
+
+
+def test_sp_general_rejects_an_overflowing_phase():
+    # omega * t = inf would reach cos and sin, which give NaN with an invalid-value warning
+    for t in (1e300, np.array([0.0, -1e300])):
+        with pytest.raises(ValueError, match=r"omega \* t overflows"):
+            sp_general(t, (1e10, 1e10, 1.0))
+    with pytest.raises(ValueError, match=r"omega \* t overflows"):
+        limit_convergence_check(1e300, (1e10, 1e10, 1.0), 2)
+
+
+NON_FINITE_GENERATORS = [
+    np.full((3, 3), math.nan),
+    np.array([[0.0, math.nan, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    np.array([[0.0, math.inf, 0.0], [-math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("j", NON_FINITE_GENERATORS)
+def test_matrix_exp_generator_rejects_a_non_finite_generator(j):
+    # NaN compares False, so it passed the antisymmetry test; inf - inf warned
+    with pytest.raises(ValueError, match="antisymmetric 3x3 matrix"):
+        matrix_exp_generator(j, 1.0)
+
+
+@pytest.mark.parametrize(
+    "r", [np.eye(2), np.eye(3)[0], np.eye(4), np.full((3, 3), math.nan), np.diag([1.0, math.inf, 1.0])]
+)
+def test_rotation_log_rejects_what_is_not_a_finite_3x3_matrix(r):
+    # a 2x2 raised IndexError, a NaN matrix returned NaN and an infinite one warned
+    with pytest.raises(ValueError, match="^r must be a finite 3x3 matrix"):
+        rotation_log(r)
 
 
 # -- the plain-float rotation family ------------------------------------------
@@ -911,8 +958,8 @@ def test_one_channel_closures_equal_delta_closed_form(angles, base, err, fractio
     base = tuple(c / math.hypot(*base) for c in base)
     omega = math.hypot(angles[1], angles[0] + angles[2])
     cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
-    az = _closed_form_at(err, angles, base, _delta_az)
-    el = _closed_form_at(err, angles, base, _delta_el)
+    az = _closed_form_at(err, _family(angles), base, _delta_az)
+    el = _closed_form_at(err, _family(angles), base, _delta_el)
     for f in fractions:
         pair = delta_closed_form(err, f * cycle, angles, base)
         assert az(f * cycle) == pair[0]
@@ -926,8 +973,8 @@ def test_one_channel_closures_equal_delta_closed_form_on_random_points():
         base = rng.normal(size=3)
         base = tuple((base / np.linalg.norm(base)).tolist())
         err = tuple(rng.uniform(0.0, 2 * math.pi, 3).tolist())
-        az = _closed_form_at(err, rates, base, _delta_az)
-        el = _closed_form_at(err, rates, base, _delta_el)
+        az = _closed_form_at(err, _family(rates), base, _delta_az)
+        el = _closed_form_at(err, _family(rates), base, _delta_el)
         for t in rng.uniform(0.0, 40.0, 200).tolist():
             assert (az(t), el(t)) == delta_closed_form(err, t, rates, base)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blochprop.bloch import POLE_EPS
 from blochprop.propagation import (
+    _family,
     _pair_kernel,
     _point_reader,
     _pseudo_az,
@@ -77,10 +78,11 @@ def test_search_geometry_agrees_bit_for_bit():
             x = rng.uniform(0.0, 2 * math.pi, (400, 4))
             x[::5, :3] = 0.0
             x[1::5, 1] = math.pi / 2
-            w = _pair_kernel(rates, base)(x[:, :3], x[:, 3])
-            pair = _point_reader(rates, base, lambda *v: list(v))
+            family = _family(rates)
+            w = _pair_kernel(family, base)(x[:, :3], x[:, 3])
+            pair = _point_reader(family, base, lambda *v: list(v))
             assert [pair(p) for p in x.tolist()] == w.transpose(2, 1, 0).reshape(-1, 6).tolist()
-            az, el = (_point_reader(rates, base, read) for read in (_pseudo_az, _pseudo_el))
+            az, el = (_point_reader(family, base, read) for read in (_pseudo_az, _pseudo_el))
             want = [(az if i < 200 else el)(p) for i, p in enumerate(x.tolist())]
             assert _pseudo_rows(w, 200).tolist() == want
 
@@ -92,7 +94,7 @@ def test_pseudo_angle_orders_pairs_as_delta_closed_form():
     rates, base = (0.7, -1.3, 2.1), (0.48, 0.6, 0.64)
     x = rng.uniform(0.0, 2 * math.pi, (3_000, 4)).tolist()
     for col, read in ((0, _pseudo_az), (1, _pseudo_el)):
-        at = _point_reader(rates, base, read)
+        at = _point_reader(_family(rates), base, read)
         p = [at(q) for q in x]
         d = [delta_closed_form(q[:3], q[3], rates, base)[col] for q in x]
         order = sorted(range(len(x)), key=d.__getitem__)

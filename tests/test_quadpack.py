@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from blochprop import quadpack
 from blochprop.analysis import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, period, time_averaged_error
-from blochprop.propagation import _closed_form_at, _delta_az, _delta_el
+from blochprop.propagation import _closed_form_at, _delta_az, _delta_el, _family
 from blochprop.quadpack import IntegrationWarning, dqagse, message
 
 
@@ -49,8 +49,8 @@ HARD = {
     "step": (_step, 0.0, 1.0),
     "zero": (lambda x: 0.0, 0.0, 1.0),
     "reversed": (lambda x: math.exp(x) * math.cos(3.0 * x), 2.0, -1.0),
-    "rate 1e-10": (_closed_form_at((0.0, 0.2, 0.0), (0.0, 0.0, 1e-10), (1.0, 0.0, 0.0), _delta_az), 0.0, period((0.0, 0.0, 1e-10))),
-    "rate 1e-100": (_closed_form_at((0.0, 0.2, 0.0), (0.0, 0.0, 1e-100), (1.0, 0.0, 0.0), _delta_az), 0.0, period((0.0, 0.0, 1e-100))),
+    "rate 1e-10": (_closed_form_at((0.0, 0.2, 0.0), _family((0.0, 0.0, 1e-10)), (1.0, 0.0, 0.0), _delta_az), 0.0, period((0.0, 0.0, 1e-10))),
+    "rate 1e-100": (_closed_form_at((0.0, 0.2, 0.0), _family((0.0, 0.0, 1e-100)), (1.0, 0.0, 0.0), _delta_az), 0.0, period((0.0, 0.0, 1e-100))),
 }  # fmt: skip
 
 # (epsabs, epsrel, limit): quad's defaults, average's, purely relative, one interval, and
@@ -116,7 +116,7 @@ def test_discrepancy_sweep_equals_quad():
     for err, rates, base in _discrepancy_configs(200, seed=15):
         t_period = period(rates)
         for read in (_delta_az, _delta_el):
-            f = _closed_form_at(err, rates, base, read)
+            f = _closed_form_at(err, _family(rates), base, read)
             _, _, neval, ier = assert_equals_quad(f, 0.0, t_period, 1e-8, QUAD_EPSREL, QUAD_LIMIT)
             assert ier == 0
             nevals.append(neval)
@@ -154,7 +154,7 @@ def test_slow_rates_exhaust_the_subdivisions():
         warnings.simplefilter("always")
         avg = time_averaged_error("az", (0.0, 0.2, 0.0), rates)
     value, abserr, neval, msg = quad_oracle(
-        _closed_form_at((0.0, 0.2, 0.0), rates, (1.0, 0.0, 0.0), _delta_az), 0.0, t_period, 1e-8, 1e-10, 200
+        _closed_form_at((0.0, 0.2, 0.0), _family(rates), (1.0, 0.0, 0.0), _delta_az), 0.0, t_period, 1e-8, 1e-10, 200
     )
     assert isinstance(avg, TimeAverage)
     assert (float(avg), avg.abserr, avg.neval) == (value / t_period, abserr / t_period, neval)
