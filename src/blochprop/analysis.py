@@ -218,9 +218,10 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
     rows = np.arange(num)
 
     while True:
-        ix = np.arange(rows.size)[:, None]
-        order = vals.argsort(axis=1, kind="stable")
-        sim, vals = sim[ix, order], vals[ix, order]
+        # the stable sort of each start's vertices, gathered by one flat take per array
+        order = (vals.argsort(axis=1, kind="stable") + np.arange(0, vals.size, n + 1)[:, None]).ravel()
+        sim = sim.reshape(-1, n).take(order, axis=0).reshape(-1, n + 1, n)
+        vals = vals.ravel().take(order).reshape(-1, n + 1)
         # a start stops at the cap, or once its values span 1e-10 and its vertices lie within 1e-8;
         # the spread of the vertices is computed only for the starts that pass the value test
         done = nfev >= maxfev
@@ -234,7 +235,7 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
             x_best[out], f_best[out], nfev_out[out] = sim[done, 0], vals[done, 0], nfev[done]
             if not live.size:
                 break
-            rows, sim, vals, nfev = rows[live], sim[live], vals[live], nfev[live]
+            rows, sim, vals, nfev = rows.take(live), sim.take(live, axis=0), vals.take(live, axis=0), nfev.take(live)
         if rows.size <= HANDOFF_ROWS:
             for k, row in enumerate(rows.tolist()):
                 x_best[row], f_best[row], nfev_out[row] = _nelder_mead_tail(

@@ -94,9 +94,9 @@ def _json(doc: dict) -> str:
     The bytes are those of json.dumps(..., sort_keys=True, indent=2).  Any
     indent makes json.dumps use its pure-Python encoder, so each top-level
     value is written on its own: a list of numbers through the C encoder,
-    its ", " separators then broken onto indented lines (no number's text
-    holds one), anything else through json.dumps with its lines shifted one
-    level in (the encoder escapes newlines inside strings).
+    with an item separator that breaks it onto indented lines, anything else
+    through json.dumps with its lines shifted one level in (the encoder
+    escapes newlines inside strings).
     """
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     items = ",\n".join(f"  {json.dumps(key)}: {_json_value(doc[key])}" for key in sorted(doc))
@@ -109,7 +109,7 @@ _NUMBER_TYPES = frozenset((float, int))
 def _json_value(value) -> str:
     """One top-level value of _json, at one level of indent."""
     if isinstance(value, list) and value and _NUMBER_TYPES.issuperset(map(type, value)):
-        return "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        return "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 

@@ -37,10 +37,14 @@ def su2_from_euler(angles) -> np.ndarray:
     """SU(2) matrix U(phi, theta, psi) for a z-y-z rotation."""
     phi, theta, psi = _triple(angles, "Euler angles")
     c, s = cos(theta / 2.0), sin(theta / 2.0)
+    # the half-phases (phi +- psi) / 2; where phi +- psi overflows, each angle is halved first
+    a, d = phi + psi, phi - psi
+    a = 0.5 * a if isfinite(a) else 0.5 * phi + 0.5 * psi
+    d = 0.5 * d if isfinite(d) else 0.5 * phi - 0.5 * psi
     return np.array(
         [
-            [np.exp(-0.5j * (phi + psi)) * c, -np.exp(-0.5j * (phi - psi)) * s],
-            [np.exp(0.5j * (phi - psi)) * s, np.exp(0.5j * (phi + psi)) * c],
+            [np.exp(-1j * a) * c, -np.exp(-1j * d) * s],
+            [np.exp(1j * d) * s, np.exp(1j * a) * c],
         ]
     )
 

@@ -7,8 +7,6 @@ the rest of the install.  Azimuth is drawn blue, elevation orange.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .propagation import ErrorSeries
 
 AZ_COLOR = "#1f77b4"
@@ -58,10 +56,10 @@ def render_series_svg(series: ErrorSeries, title: str = "") -> str:
     def sy(v):
         return MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
-    xs = list(map(format, sx(t).tolist(), repeat(".2f")))
+    xs = list(map("{:.2f}".format, sx(t).tolist()))
 
     def polyline(ys, color: str) -> str:
-        pts = " ".join(map("{},{}".format, xs, map(format, sy(ys).tolist(), repeat(".2f"))))
+        pts = " ".join(map("{},{:.2f}".format, xs, sy(ys).tolist()))
         return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
     parts = [

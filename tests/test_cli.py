@@ -285,6 +285,22 @@ def test_half_turn_step_pipelines_agree(tmp_path):
     assert np.abs(paths["su2"] - paths["euler"]).max() < 1e-9
 
 
+def test_step_whose_phase_sum_overflows_runs_in_every_pipeline(tmp_path, capsys):
+    # su2 formed phi + psi = inf before halving it: two numpy warnings, then exit 1
+    paths = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pipe in ("euler", "su2", "closed"):
+            p = tmp_path / f"{pipe}.csv"
+            argv = ("simulate", "--step", "1e308,1e308,1e308", "--steps", "2", "--pipeline", pipe, "--output", str(p))
+            assert run_cli(*argv) == 0
+            assert capsys.readouterr().err == ""
+            paths[pipe] = np.loadtxt(p, delimiter=",", skiprows=1)
+    assert paths["euler"].shape == (3, 3)
+    assert np.abs(paths["su2"] - paths["euler"]).max() < 1e-9
+    assert np.abs(paths["closed"] - paths["euler"]).max() < 1e-9
+
+
 def test_period_estimation_failure_exits_1(monkeypatch, capsys):
     def no_match(*args, **kwargs):
         raise PeriodEstimationError("no period below 10 analytic periods fits")

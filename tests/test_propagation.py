@@ -16,6 +16,7 @@ from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
     _closed_form_at,
+    _conjugate,
     _delta_az,
     _delta_el,
     _family,
@@ -318,6 +319,47 @@ def test_simulate_reads_every_row_as_delta_pair(pipeline, v, err, step, steps):
     assert_rows_equal_delta_pair(series.delta_az, series.delta_el, rows.tolist())
 
 
+def kron_conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u @ m @ u^H for a stack m[..., 2, 2], with the Kronecker factor from np.kron."""
+    return (m.reshape(-1, 4) @ np.kron(u, u.conj()).T).reshape(m.shape)
+
+
+def test_conjugate_equals_the_kron_reference_bit_for_bit():
+    # the broadcast factor is np.kron's own multiply, u times conj(u) in that order, so every byte agrees
+    rng = np.random.default_rng(41)
+    for size in range(1, 8):
+        for _ in range(20):
+            u = su2_from_euler(tuple(rng.uniform(-4.0, 4.0, 3).tolist()))
+            vecs = rng.normal(size=(size, 3))
+            m = np.stack([qubit_to_matrix(w) for w in vecs / np.linalg.norm(vecs, axis=1, keepdims=True)])
+            assert _conjugate(u, m).tobytes() == kron_conjugate(u, m).tobytes()
+
+
+def test_su2_series_bytes_equal_the_kron_conjugate_reference():
+    v = np.array([0.48, 0.6, 0.64])
+    args = (v, v @ euler_matrix((0.3, 2.9, -1.1)), (0.05, -0.06, 0.04), 1000)
+    got = simulate(*args, pipeline="su2")
+    with mock.patch("blochprop.propagation._conjugate", kron_conjugate):
+        want = simulate(*args, pipeline="su2")
+    for column in ("t", "delta_az", "delta_el"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+
+def test_su2_accepts_a_step_whose_phase_sum_overflows():
+    # phi + psi and phi - psi overflow for (1e308, 1e308, 1e308), their halves do not; the euler and
+    # closed pipelines read cos and sin of the angles themselves and always accepted the step
+    v, v_err = ref_pair()
+    step = (1e308, 1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        euler = simulate(v, v_err, step, 20, pipeline="euler")
+        su2 = simulate(v, v_err, step, 20, pipeline="su2")
+        closed = simulate(v, v_err, step, 20, pipeline="closed")
+    for other in (su2, closed):
+        assert np.abs(other.delta_az - euler.delta_az).max() < 1e-9
+        assert np.abs(other.delta_el - euler.delta_el).max() < 1e-9
+
+
 def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle between the vectors a[..., 3] and b[..., 3]: arccos(a.b) for unit vectors, well conditioned near 0 and pi."""
     return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), (a * b).sum(axis=-1))
@@ -609,6 +651,16 @@ class TestEquivalentContinuousAngles:
         with pytest.raises(ValueError, match="x-generator"):
             equivalent_continuous_angles(EulerAngles(0.1, 0.2, 0.3))
 
+    @pytest.mark.parametrize("step", [(math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
+    def test_names_a_non_finite_step(self, step):
+        # a NaN step was reported as "r must be a finite 3x3 matrix", an internal value
+        with pytest.raises(ValueError, match="^step angles must be finite"):
+            equivalent_continuous_angles(step)
+
+    def test_names_a_wrong_length_step(self):
+        with pytest.raises(ValueError, match=r"^step: Euler angles must be a triple .* got 2 values"):
+            equivalent_continuous_angles((1.0, 0.0))
+
 
 pole_bases = st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)])
 err_triples = st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3)
@@ -824,6 +876,15 @@ def test_sp_general_rejects_an_overflowing_phase():
             sp_general(t, (1e10, 1e10, 1.0))
     with pytest.raises(ValueError, match=r"omega \* t overflows"):
         limit_convergence_check(1e300, (1e10, 1e10, 1.0), 2)
+
+
+def test_matrix_exp_generator_rejects_an_overflowing_phase():
+    # w * t = inf reached sin, which gave NaN matrices with overflow and invalid-value warnings
+    j = generator((1e10, 1e10, 1.0))
+    for t in (1e300, np.array([0.0, -1e300])):
+        with pytest.raises(ValueError, match=r"w \* t overflows"):
+            matrix_exp_generator(j, t)
+    assert np.isfinite(matrix_exp_generator(j, 1e290)).all()
 
 
 NON_FINITE_GENERATORS = [
