@@ -58,10 +58,9 @@ from .propagation import (
 )
 from .rotations import _finite_triple
 
-TWO_PI = 2.0 * pi
-# half-open search box per coordinate; the upper edge stays below 2*pi
-BOX_HI = nextafter(TWO_PI, 0.0)
-SEARCH_BOX = ((0.0, TWO_PI),) * 4
+# the default search box is half-open, [0, 2*pi) per coordinate: its upper edge stays below 2*pi
+BOX_HI = nextafter(2.0 * pi, 0.0)
+SEARCH_BOX = ((0.0, BOX_HI),) * 4
 
 # evaluation cap of one Nelder-Mead start
 MAX_EVALS = 2000
@@ -377,7 +376,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
     box = _box(bounds)
     if box is None:
         raise ValueError(f"bounds must be four finite (lo, hi) pairs with lo <= hi, got {bounds!r}")
-    lo, hi = np.array(box[0]), np.minimum(box[1], BOX_HI)
+    lo, hi = np.array(box[0]), np.array(box[1])
     _check_phase(family, max(abs(float(lo[3])), abs(float(hi[3]))))
     u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
@@ -460,13 +459,14 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
     at the angle arccos(c), c = base . n, so its z ranges over c*n_z -+ sqrt(1-c^2)*sqrt(1-n_z^2),
     all of it once t spans a period 2*pi/omega.  Hence max_el = arccos(-(|c*n_z| +
     sqrt(1-c^2)*sqrt(1-n_z^2))).  This needs ``bounds`` to be a search box whose every coordinate
-    covers [0, 2*pi], and omega >= 1, so that t in [0, 2*pi) spans a period; otherwise ValueError.
+    covers [0, 2*pi), from 0 or below to BOX_HI or above, and omega >= 1, so that t in [0, 2*pi)
+    spans a period; otherwise ValueError.
     """
     b = _require_unit(base, "base")
     family = _family(rates)
     box = _box(bounds)
-    if box is None or not (max(box[0]) <= 0.0 and min(box[1]) >= TWO_PI):
-        raise ValueError(f"the closed forms need the full search box [0, 2*pi]^4, got {bounds!r}")
+    if box is None or not (max(box[0]) <= 0.0 and min(box[1]) >= BOX_HI):
+        raise ValueError(f"the closed forms need the full search box [0, 2*pi)^4, got {bounds!r}")
     if not family.omega >= 1.0:
         raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {family.omega!r}")
     n_z = family.na

@@ -299,7 +299,9 @@ def cmd_cases(args) -> None:
     for spec in CASE_STUDIES:
         report = run_case_study(spec, num_starts=args.starts, seed=args.seed)
         reports.append(report)
-        _write_text(outdir / f"{_slug(spec.label)}.csv", series_to_csv(report.series))
+        slug = _slug(spec.label)
+        _write_text(outdir / f"{slug}.csv", series_to_csv(report.series))
+        _write_text(outdir / f"{slug}.svg", render_series_svg(report.series, title=f"{spec.label}, one period"))
         print(
             f"{spec.label}: period {_fmt(report.analytic_period)} "
             f"(numeric {_fmt(float(report.numeric_period))}), "

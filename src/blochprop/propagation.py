@@ -52,6 +52,7 @@ from .bloch import EulerAngles, POLE_EPS, _require_unit, _require_unit_norm, mat
 from .rotations import (
     _euler_entries,
     _euler_floats,
+    _finite_float,
     _finite_triple,
     _row_times,
     _triple,
@@ -272,8 +273,10 @@ _SQRT5 = sqrt(5.0)
 
 
 def sp_special(t: float) -> np.ndarray:
-    """Closed form of sp_general for unit rates (1, 1, 1); omega = sqrt 5."""
-    wt = _SQRT5 * float(t)
+    """Closed form of sp_general for unit rates (1, 1, 1); omega = sqrt 5.  The phase sqrt(5) * t must be finite."""
+    wt = _SQRT5 * _finite_float(t, "t")
+    if not isfinite(wt):
+        raise ValueError(f"the phase sqrt(5) * t overflows for t = {t!r}")
     c, s = cos(wt), sin(wt)
     return np.array(
         [
@@ -289,14 +292,17 @@ def limit_convergence_check(t: float, angles, s: int) -> float:
 
     Decreases toward 0 as s grows; for equal first and last angles the
     one-step matrix is a palindromic product, giving second-order decay.
+    ``t`` is one finite float, and the step angles angles * t / s must be finite.
     """
     s = _count(s, "s", 1)
-    t = _require_finite(t, "t")
+    t = _finite_float(t, "t")
     family = _family(angles)
-    _check_phase(family, abs(float(t)))
-    scaled = EulerAngles(*(a * float(t) / s for a in family.rates))
+    _check_phase(family, abs(t))
+    scaled = tuple(a * t / s for a in family.rates)
+    if not all(map(isfinite, scaled)):
+        raise ValueError(f"rotation rates {family.rates!r}: the step angles rates * t / s overflow for t = {t!r}")
     powered = np.linalg.matrix_power(euler_matrix(scaled), s)
-    return float(np.linalg.norm(powered - _family_matrices(t, family)))
+    return float(np.linalg.norm(powered - _family_matrices(np.array(t), family)))
 
 
 def generator(angles) -> np.ndarray:
@@ -549,11 +555,10 @@ def delta_closed_form(
     a ``base`` that is not a unit 3-vector, raises ValueError.
     """
     err = _finite_triple(err, "Euler angles", "err")
-    if not isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = _finite_float(t, "t")
     family = _family(angles)
-    _check_phase(family, abs(float(t)))
-    return _closed_form_at(err, family, _require_unit(base, "base"))(float(t))
+    _check_phase(family, abs(t))
+    return _closed_form_at(err, family, _require_unit(base, "base"))(t)
 
 
 def _check_phase(family: _Family, t_max: float) -> None:

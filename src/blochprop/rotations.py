@@ -35,7 +35,7 @@ AXIS_NORM_TOL = 1e-12
 
 def su2_from_euler(angles) -> np.ndarray:
     """SU(2) matrix U(phi, theta, psi) for a z-y-z rotation."""
-    phi, theta, psi = _triple(angles, "Euler angles")
+    phi, theta, psi = _finite_triple(angles, "Euler angles", "Euler angles")
     c, s = cos(theta / 2.0), sin(theta / 2.0)
     # the half-phases (phi +- psi) / 2; where phi +- psi overflows, each angle is halved first
     a, d = phi + psi, phi - psi
@@ -52,7 +52,7 @@ def su2_from_euler(angles) -> np.ndarray:
 def su2_from_axis(axis, angle: float) -> np.ndarray:
     """SU(2) rotation about a unit axis: cos(a/2) I - i sin(a/2) (n . sigma)."""
     n = _require_unit(axis, "axis", AXIS_NORM_TOL)
-    half = float(angle) / 2.0
+    half = _finite_float(angle, "angle") / 2.0
     n_dot_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return cos(half) * SIGMA_0 - 1j * sin(half) * n_dot_sigma
 
@@ -104,6 +104,17 @@ def _triple(x, name: str) -> tuple[float, float, float]:
     return x
 
 
+def _finite_float(x, name: str) -> float:
+    """x as one finite float; a ValueError that names x when it is not one number or not finite."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be one finite number, got {x!r}") from None
+    if not isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def _finite_triple(x, name: str, finite_name: str) -> tuple[float, float, float]:
     """_triple(x, name), and a ValueError that names ``finite_name`` unless all three are finite."""
     x = _triple(x, name)
@@ -122,7 +133,7 @@ def euler_matrix(angles) -> np.ndarray:
 
     Acts on row vectors: w = v @ S.
     """
-    return np.array(_euler_floats(*_triple(angles, "Euler angles")))
+    return np.array(_euler_floats(*_finite_triple(angles, "Euler angles", "Euler angles")))
 
 
 def rotate_euler(v, s: np.ndarray) -> np.ndarray:

@@ -7,9 +7,21 @@ import warnings
 import numpy as np
 import pytest
 
-from blochprop.analysis import PeriodEstimationError
-from blochprop.cli import SCHEMA_VERSION, _json, build_parser, main, parse_angle, parse_triple, series_to_json
+from blochprop.analysis import CASE_STUDIES, PeriodEstimationError, case_series, run_case_study
+from blochprop.cli import (
+    SCHEMA_VERSION,
+    _case_doc,
+    _json,
+    _slug,
+    build_parser,
+    main,
+    parse_angle,
+    parse_triple,
+    series_to_csv,
+    series_to_json,
+)
 from blochprop.propagation import simulate
+from blochprop.svgplot import render_series_svg
 
 
 def run_cli(*argv):
@@ -214,6 +226,27 @@ class TestCasesCommand:
         rc = run_cli("cases", "--starts", "2", "--output", str(blocker))
         assert rc == 2
         assert "cannot create" in capsys.readouterr().err
+
+    def test_plots_every_case(self, tmp_path):
+        outdir = tmp_path / "cases"
+        assert run_cli("cases", "--starts", "2", "--seed", "0", "--output", str(outdir)) == 0
+        slugs = [_slug(spec.label) for spec in CASE_STUDIES]
+        expected = {f"{slug}.{ext}" for slug in slugs for ext in ("csv", "svg")} | {"summary.json"}
+        assert {p.name for p in outdir.iterdir()} == expected
+        for spec, slug in zip(CASE_STUDIES, slugs):
+            series = case_series(spec)
+            assert (outdir / f"{slug}.csv").read_text() == series_to_csv(series)
+            assert (outdir / f"{slug}.svg").read_text() == render_series_svg(series, title=f"{spec.label}, one period")
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert doc["cases"] == [_case_doc(run_case_study(spec, num_starts=2, seed=0)) for spec in CASE_STUDIES]
+
+    def test_unwritable_plot_exits_2(self, tmp_path, capsys):
+        outdir = tmp_path / "cases"
+        blocker = outdir / f"{_slug(CASE_STUDIES[0].label)}.svg"
+        blocker.mkdir(parents=True)
+        assert run_cli("cases", "--starts", "2", "--output", str(outdir)) == 2
+        err = one_line_error(capsys)
+        assert err.startswith(f"error: cannot write {blocker}"), err
 
 
 class TestAverageCommand:

@@ -59,6 +59,12 @@ class TestClosedFormExtrema:
         assert closed_form_extrema(X_BASE, UNIT_RATES, SEARCH_BOX) == closed_form_extrema(X_BASE, UNIT_RATES)
 
 
+@pytest.mark.parametrize("bounds", [((0.0, 1.0),) * 3 + ((7.0, 8.0),), ((7.0, 8.0),) * 4])
+def test_a_box_past_two_pi_is_searched_as_given(bounds):
+    for r in find_extrema(X_BASE, UNIT_RATES, num_starts=4, seed=0, bounds=bounds):
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(r.at, bounds)), (r.kind, r.at)
+
+
 @st.composite
 def bases_and_rates(draw):
     base = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))

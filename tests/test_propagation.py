@@ -1111,3 +1111,31 @@ def test_limit_convergence_check_takes_an_integer_power():
     with pytest.raises(ValueError, match=r"^s must be >= 1"):
         limit_convergence_check(1.0, (1.0, 1.0, 1.0), 0)
     assert limit_convergence_check(1.0, (1.0, 1.0, 1.0), np.int64(3)) == limit_convergence_check(1.0, (1.0, 1.0, 1.0), 3)
+
+
+def test_limit_convergence_check_rejects_overflowing_step_angles():
+    # phi + psi = 0 keeps omega * t = 10 finite while phi * t overflows
+    with pytest.raises(ValueError, match=r"^rotation rates \(1e\+308, 1\.0, -1e\+308\): .* overflow for t = 10\.0$"):
+        limit_convergence_check(10.0, (1e308, 1.0, -1e308), 4)
+
+
+def test_limit_convergence_check_takes_one_time():
+    with pytest.raises(ValueError, match=r"^t must be one finite number, got \[1\.0, 2\.0\]$"):
+        limit_convergence_check([1.0, 2.0], (1, 1, 1), 3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_sp_special_rejects_a_non_finite_t(t):
+    with pytest.raises(ValueError, match=r"^t must be finite, got "):
+        sp_special(t)
+
+
+def test_sp_special_rejects_an_overflowing_phase():
+    with pytest.raises(ValueError, match=r"^the phase sqrt\(5\) \* t overflows for t = 1e\+308$"):
+        sp_special(1e308)
+
+
+def test_delta_closed_form_parses_t_in_plain_floats():
+    assert delta_closed_form(REF_ERR, "1", (1, 1, 1)) == delta_closed_form(REF_ERR, 1.0, (1, 1, 1))
+    with pytest.raises(ValueError, match=r"^t must be one finite number, got \[1\.0, 2\.0\]$"):
+        delta_closed_form(REF_ERR, [1.0, 2.0], (1, 1, 1))

@@ -211,3 +211,16 @@ class TestRotateConventions:
 def test_su2_from_axis_rejects_non_finite_axis(axis):
     with pytest.raises(ValueError, match="unit norm"):
         su2_from_axis(axis, 0.3)
+
+
+@pytest.mark.parametrize("angles", [(math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)])
+def test_euler_factories_reject_non_finite_angles(angles):
+    for factory in (euler_matrix, su2_from_euler):
+        with pytest.raises(ValueError, match=r"^Euler angles must be finite, got \("):
+            factory(angles)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_su2_from_axis_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match=r"^angle must be finite, got "):
+        su2_from_axis((0.0, 0.0, 1.0), angle)
