@@ -1,4 +1,4 @@
-"""Extrema, time averages, numeric periods, and the built-in case studies.
+"""Extrema, numeric periods, and the built-in case studies; time averages are in scalar.
 
 The objective throughout is delta_closed_form(err, t, angles, base) viewed
 as a function of the four search variables (eps_x, eps_y, eps_z, t) on the
@@ -6,8 +6,8 @@ box [0, 2*pi)^4 with the rotation rates held fixed.  It is cheap, bounded,
 multimodal, and non-smooth where the wrapped angle differences kink, so
 extrema are located by multi-start Nelder-Mead restricted to the box.  The
 starts minimize a pseudo-angle of the discrepancy, a strictly increasing
-function of it built from + - * / sqrt and abs only (see propagation's notes
-on the evaluation paths), so the search takes the same steps on every host.
+function of it built from + - * / sqrt and abs only (see scalar's notes on
+the evaluation paths), so the search takes the same steps on every host.
 All starts, and in find_extrema all four extrema, advance together as one
 batch of simplices evaluated in numpy, and the last HANDOFF_ROWS live starts
 finish one at a time in plain floats; each start still follows its own path,
@@ -27,7 +27,6 @@ same value.  Only the values are meaningful.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
@@ -37,26 +36,14 @@ from operator import add, index, sub
 
 import numpy as np
 
-from .bloch import EulerAngles, _require_unit
-from .propagation import (
-    ErrorSeries,
-    _az_rows,
-    _check_phase,
-    _closed_form_at,
-    _count,
-    _delta_az,
-    _delta_el,
-    _el_rows,
-    _family,
-    _pair_kernel,
-    _period,
-    _point_reader,
-    _pseudo_az,
-    _pseudo_el,
-    _pseudo_rows,
-    period,
+from .bloch import EulerAngles
+from .propagation import ErrorSeries, _az_rows, _el_rows, _pair_kernel, _pseudo_rows
+from .scalar import (
+    PROBE_ERR, PeriodEstimationError, _check_phase, _closed_form_at, _count, _delta_az, _delta_el, _family,
+    _finite_triple, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _target_index, period
 )
-from .rotations import _finite_triple
+# re-exported, so that these stay importable from this module
+from .scalar import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, time_averaged_error
 
 # the default search box is half-open, [0, 2*pi) per coordinate: its upper edge stays below 2*pi
 BOX_HI = nextafter(2.0 * pi, 0.0)
@@ -73,30 +60,6 @@ PERIOD_MATCH_TOL = 1e-6
 # every PERIOD_SCREEN_STRIDE-th grid point screens all period candidates at once
 PERIOD_SCREEN_STRIDE = 64
 CONSTANT_SIGNAL_TOL = 1e-9
-
-# time_averaged_error's relative tolerance and subdivision limit
-QUAD_EPSREL = 1e-10
-QUAD_LIMIT = 200
-
-_TARGETS = {"az": 0, "el": 1}
-
-
-class UnknownTargetError(ValueError, KeyError):
-    """A target other than "az" or "el"; also a KeyError, as the lookup raised before."""
-
-    __str__ = ValueError.__str__
-
-
-def _target_index(target: str) -> int:
-    """Column of ``target`` in a (delta_az, delta_el) pair."""
-    try:
-        return _TARGETS[target]
-    except (KeyError, TypeError):
-        raise UnknownTargetError(f"target must be 'az' or 'el', got {target!r}") from None
-
-
-class PeriodEstimationError(RuntimeError):
-    """No candidate period below ten analytic periods matched the signal."""
 
 
 class PeriodEstimate(float):
@@ -116,25 +79,6 @@ class PeriodEstimate(float):
         self = super().__new__(cls, value)
         self.degenerate = bool(degenerate)
         self.residual = float(residual)
-        return self
-
-
-class TimeAverage(float):
-    """Time-averaged discrepancy with its quadrature's error estimate.
-
-    ``abserr`` is the quadrature's absolute error estimate of the integral
-    divided by the period, so it bounds the error of the average itself;
-    ``neval`` is the number of integrand evaluations the quadrature made.
-    Both equal what scipy.integrate.quad reports for the same integral.
-    """
-
-    abserr: float
-    neval: int
-
-    def __new__(cls, value: float, abserr: float, neval: int) -> "TimeAverage":
-        self = super().__new__(cls, value)
-        self.abserr = float(abserr)
-        self.neval = int(neval)
         return self
 
 
@@ -358,7 +302,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
 
     Start i of every kind begins at the same point, drawn from the substream
     seeded by (seed, i).  The starts minimize the discrepancy's pseudo-angle
-    (propagation._pseudo_az and _pseudo_el), signed for a maximum; each kind
+    (scalar._pseudo_az and _pseudo_el), signed for a maximum; each kind
     then reports delta_closed_form at the best vertex of its best start,
     ranked by that value, ties to the lowest start index.
     """
@@ -475,50 +419,6 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
     return pi, acos(-z_max), 0.0, 0.0
 
 
-def time_averaged_error(
-    target: str, err, angles, base=(1.0, 0.0, 0.0), tol: float = 1e-8
-) -> TimeAverage:
-    """Mean discrepancy over one full period, (1/T) * integral of delta.
-
-    Adaptive quadrature (quadpack.dqagse, QUADPACK's QAGS, which gives
-    scipy.integrate.quad's result bit for bit) with epsabs ``tol``, epsrel
-    1e-10 and at most 200 subintervals; the integrand has kinks where the
-    wrapped difference folds, which the subdivision resolves without
-    assistance.  ``tol`` bounds the error of the integral over the period,
-    so the average's own absolute tolerance is tol / T, tighter for slow
-    rates: rates (0, 0, 1e-10) give T of about 6e10, and the azimuth's zero
-    average then exhausts the 200 subintervals on rounding noise.  The
-    integrand is delta_closed_form(err, t, angles, base)[target] at fixed
-    err, angles and base, evaluated through a per-t closure that computes
-    only the target's discrepancy (see propagation's notes on the two
-    evaluation paths); each sample gives the pair's value bit for bit, so
-    the result does not depend on the shortcut.  The result is a float that
-    also carries the error estimate and evaluation count (see TimeAverage).
-    A nonzero error code of the quadrature warns with quadpack's
-    IntegrationWarning and quad's message for that code.
-    """
-    # imported on the first call: without cached bytecode, compiling quadpack would add about 5%
-    # to the start-up of every command that never integrates
-    from .quadpack import IntegrationWarning, dqagse, message
-
-    idx = _target_index(target)
-    err = _finite_triple(err, "Euler angles", "err")
-    base = _require_unit(base, "base")
-    family = _family(angles)
-    t_period = _period(family)
-    val, abserr, neval, ier = dqagse(
-        _closed_form_at(err, family, base, (_delta_az, _delta_el)[idx]),
-        0.0,
-        t_period,
-        float(tol),
-        QUAD_EPSREL,
-        QUAD_LIMIT,
-    )
-    if ier:
-        warnings.warn(message(ier, QUAD_LIMIT), IntegrationWarning, stacklevel=2)
-    return TimeAverage(val / t_period, abserr / t_period, neval)
-
-
 def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> PeriodEstimate:
     """Smallest candidate period matching the sampled discrepancy signal.
 
@@ -566,7 +466,6 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     )
 
 
-PROBE_ERR = (0.0, 0.2, 0.0)
 CASE_SERIES_SAMPLES = 512
 
 

@@ -19,11 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Radius below which a vector's xy-projection counts as "on the pole".
-POLE_EPS = 1e-12
-
-# Validation tolerance for preconditions (unit norm, Hermiticity).
-VALIDATION_TOL = 1e-9
+from .scalar import POLE_EPS, VALIDATION_TOL, _finite_float, _finite_vector, _require_unit
 
 
 class Spherical(NamedTuple):
@@ -48,12 +44,12 @@ class EulerAngles(NamedTuple):
 
 
 def cartesian_to_spherical(v) -> Spherical:
-    """Convert a 3-vector to ISO spherical coordinates.
+    """Convert a finite 3-vector of any norm to ISO spherical coordinates.
 
     The zero vector maps to Spherical(0, 0, 0); this degenerate result is
     documented rather than an error.
     """
-    x, y, z = (float(c) for c in v)
+    x, y, z = _finite_vector(v, "v")
     rho = hypot(x, y)
     r = hypot(rho, z)
     if r == 0.0:
@@ -64,8 +60,8 @@ def cartesian_to_spherical(v) -> Spherical:
 
 
 def spherical_to_cartesian(s) -> np.ndarray:
-    """Inverse of cartesian_to_spherical; accepts any (r, theta_el, phi_az)."""
-    r, theta_el, phi_az = (float(c) for c in s)
+    """Inverse of cartesian_to_spherical; accepts any finite (r, theta_el, phi_az)."""
+    r, theta_el, phi_az = _finite_vector(s, "s")
     st = sin(theta_el)
     return np.array([r * st * cos(phi_az), r * st * sin(phi_az), r * cos(theta_el)])
 
@@ -78,17 +74,6 @@ def qubit_to_matrix(v) -> np.ndarray:
     """
     x, y, z = _require_unit(v, "v")
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]])
-
-
-def _require_unit(v, name: str, tol: float = VALIDATION_TOL) -> tuple[float, float, float]:
-    """v as three floats whose norm is within ``tol`` of 1: the one check of an input unit vector; else ValueError."""
-    try:
-        x, y, z = map(float, v)
-        if abs(hypot(x, y, z) - 1.0) <= tol:
-            return x, y, z
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be a unit 3-vector: three numbers with unit norm within {tol!r}, got {v!r}")
 
 
 def _require_unit_norm(norm) -> None:
@@ -128,7 +113,7 @@ def angle_distance(a: float, b: float) -> float:
     """Shorter arc between two directions: min(|a-b| mod 2pi, 2pi - that).
 
     Symmetric, bounded by pi, invariant under adding 2*pi*k to either
-    argument, and a metric on the circle.
+    argument, and a metric on the circle.  Each of ``a`` and ``b`` must be one finite number.
     """
-    d = abs(a - b) % (2.0 * pi)
+    d = abs(_finite_float(a, "a") - _finite_float(b, "b")) % (2.0 * pi)
     return min(d, 2.0 * pi - d)

@@ -7,6 +7,10 @@ Angle-valued flags accept plain decimals plus the exact forms pi, e,
 2pi/5, pi/100 and the like, so periodic parameters survive the command
 line without decimal truncation ("2e5" stays scientific notation because
 plain-float parsing is tried first).
+
+Only the standard library and the numpy-free scalar module load with this
+module, so --help and average run without numpy; the other commands import
+their numpy modules when they run.
 """
 
 from __future__ import annotations
@@ -18,25 +22,13 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .scalar import PROBE_ERR, PeriodEstimationError, period, time_averaged_error
 
-from .analysis import (
-    CASE_STUDIES,
-    CaseReport,
-    ExtremumResult,
-    PROBE_ERR,
-    PeriodEstimationError,
-    _check_starts,
-    estimate_period_numeric,
-    find_extrema,
-    run_case_study,
-    time_averaged_error,
-)
-from .bloch import EulerAngles
-from .propagation import ErrorSeries, period, simulate
-from .rotations import euler_matrix
-from .svgplot import render_series_svg
+if TYPE_CHECKING:
+    from .analysis import CaseReport, ExtremumResult
+    from .propagation import ErrorSeries
 
 SCHEMA_VERSION = 1
 # human-readable reports print values below this as "~0"; files keep full precision
@@ -192,9 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> None:
-    v = np.asarray(args.vec, dtype=float)
-    v_err = v @ euler_matrix(EulerAngles(*args.err))
-    series = simulate(args.vec, v_err, EulerAngles(*args.step), args.steps, pipeline=args.pipeline)
+    import numpy as np
+
+    from .propagation import simulate
+    from .rotations import euler_matrix
+    from .svgplot import render_series_svg
+
+    v_err = np.asarray(args.vec, dtype=float) @ euler_matrix(args.err)
+    series = simulate(args.vec, v_err, args.step, args.steps, pipeline=args.pipeline)
     if args.format == "csv":
         text = series_to_csv(series)
     elif args.format == "json":
@@ -232,6 +229,8 @@ def extrema_report_csv(results) -> str:
 
 
 def cmd_extrema(args) -> None:
+    from .analysis import find_extrema
+
     results = find_extrema(args.vec, args.angles, num_starts=args.starts, seed=args.seed)
     for r in results:
         print(f"{r.kind}: {_human(r.value)}")
@@ -247,7 +246,9 @@ def cmd_extrema(args) -> None:
 
 
 def cmd_period(args) -> None:
-    analytic = period(EulerAngles(*args.angles))
+    from .analysis import estimate_period_numeric
+
+    analytic = period(args.angles)
     est = estimate_period_numeric("el", args.err, args.angles, base=args.vec)
     suffix = " (degenerate: constant signal, analytic value returned)" if est.degenerate else ""
     print(f"analytic period:  {_fmt(analytic)}")
@@ -289,6 +290,9 @@ def _case_row(report: CaseReport) -> tuple:
 
 
 def cmd_cases(args) -> None:
+    from .analysis import CASE_STUDIES, _check_starts, run_case_study
+    from .svgplot import render_series_svg
+
     _check_starts(args.starts, args.seed)
     outdir = Path(args.output)
     try:

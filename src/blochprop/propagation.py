@@ -39,25 +39,22 @@ machine precision (~3e-15).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
-from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, POLE_EPS, _require_unit, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
-from .rotations import (
-    _euler_entries,
-    _euler_floats,
-    _finite_float,
-    _finite_triple,
-    _row_times,
-    _triple,
-    euler_matrix,
-    su2_from_euler,
+from .bloch import EulerAngles, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
+from .rotations import _euler_entries, _finite_matrix, _float_array, _row_times, euler_matrix, su2_from_euler
+from .scalar import (
+    POLE_EPS, _TWO_PI, _Family, _check_phase, _count, _delta_scalar, _family, _finite_float, _finite_triple,
+    _finite_vector, _require_unit
+)
+# re-exported, so that these stay importable from this module
+from .scalar import (
+    DegenerateRotationError, _closed_form_at, _delta_az, _delta_el, _pair_floats, _point_reader, _pseudo_az,
+    _pseudo_el, delta_closed_form, period
 )
 
 ANTISYMMETRY_TOL = 1e-12
@@ -68,11 +65,6 @@ DELTA_RANGE_SLACK = 1e-12
 # is lost in rounding
 NEAR_HALF_TURN = 1e-2
 HALF_TURN_TOL = 1e-12
-_TWO_PI = 2.0 * pi
-
-
-class DegenerateRotationError(ValueError):
-    """Raised when the rotation rates leave no finite period: omega = 0, or 2 pi / omega overflows."""
 
 
 class ErrorAngles(NamedTuple):
@@ -109,30 +101,20 @@ class ErrorSeries:
 
 
 def delta_pair(w, w_err) -> tuple[float, float]:
-    """Wrapped (azimuth, elevation) discrepancies between two vectors."""
-    vx, vy, vz = (float(c) for c in w)
-    wx, wy, wz = (float(c) for c in w_err)
+    """Wrapped (azimuth, elevation) discrepancies between two finite nonzero 3-vectors of any norm."""
+    vx, vy, vz = _finite_vector(w, "w")
+    wx, wy, wz = _finite_vector(w_err, "w_err")
     if hypot(hypot(vx, vy), vz) < POLE_EPS or hypot(hypot(wx, wy), wz) < POLE_EPS:
         raise ValueError("discrepancies are undefined for zero vectors")
     return _delta_scalar(vx, vy, vz, wx, wy, wz)
 
 
 def _require_finite(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """x as a float array of finite numbers; else a ValueError that names x."""
+    x = _float_array(x, name, "finite numbers")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x
-
-
-def _count(x, name: str, least: int) -> int:
-    """x as a plain int, numpy integers included; a ValueError that names x unless it is an integer >= ``least``."""
-    try:
-        n = index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return n
 
 
 def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries:
@@ -226,24 +208,6 @@ def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, 
     return _wrapped_gap(block[2], block[3]), _wrapped_gap(block[4], block[5])
 
 
-# a rotation-rate triple parsed once, the family exp(t G) it fixes: the float triple (for messages),
-# theta, a = phi + psi, the speed omega = hypot(theta, a) and the unit axis (na, nt) = (a, theta) / omega,
-# (0, 0) when omega = 0
-_Family = namedtuple("_Family", "rates theta a omega na nt")
-
-
-def _family(angles) -> _Family:
-    """The family of a rotation-rate triple; rejects a malformed, NaN, infinite or overflowing triple."""
-    phi, theta, psi = rates = _triple(angles, "rotation rates")
-    a = phi + psi
-    omega = hypot(theta, a)
-    # hypot is NaN or infinite whenever an input is, or when phi + psi overflows
-    if not isfinite(omega):
-        raise ValueError(f"rotation rates and phi + psi must be finite, got {rates!r}")
-    na, nt = (a / omega, theta / omega) if omega else (0.0, 0.0)
-    return _Family(rates, theta, a, omega, na, nt)
-
-
 def sp_general(t, angles) -> np.ndarray:
     """Continuous rotation family S_P(t) = exp(t * G(angles)), [..., 3, 3] for t of any shape.
 
@@ -319,28 +283,6 @@ def generator_eigenvalues(angles) -> tuple[complex, complex, complex]:
     return (0j, 1j * omega, -1j * omega)
 
 
-def period(angles) -> float:
-    """Recurrence time of the discrepancy curves: 2 pi / omega."""
-    return _period(_family(angles))
-
-
-def _period(family: _Family) -> float:
-    """period of a parsed family; DegenerateRotationError when it has no finite period."""
-    if family.omega == 0.0:
-        raise DegenerateRotationError(
-            f"rotation rates {family.rates!r}: theta = 0 and phi + psi = 0, the rotation family is constant, "
-            "no finite period"
-        )
-    cycle = _TWO_PI / family.omega
-    # a subnormal omega, or one just above the normal floor, overflows 2 pi / omega
-    if cycle == inf:
-        raise DegenerateRotationError(
-            f"rotation rates {family.rates!r}: omega = {family.omega!r} is too small, 2*pi/omega overflows, "
-            "no finite period"
-        )
-    return cycle
-
-
 def matrix_exp_generator(j, t) -> np.ndarray:
     """Rotation exponential exp(t j) of an antisymmetric 3x3 matrix, [..., 3, 3] for t of any shape.
 
@@ -352,7 +294,7 @@ def matrix_exp_generator(j, t) -> np.ndarray:
     matrix_exp_generator(j, ts[k]).  A ``j`` that is not a finite antisymmetric
     3x3 matrix, a non-finite t, or a phase w * t that overflows raises ValueError.
     """
-    j = np.asarray(j, dtype=float)
+    j = _float_array(j, "generator", "a finite antisymmetric 3x3 matrix")
     # finiteness first: a NaN entry compares False, so it would pass the > test, and inf - inf warns
     if j.shape != (3, 3) or not np.isfinite(j).all() or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
         raise ValueError("generator must be a finite antisymmetric 3x3 matrix")
@@ -385,9 +327,7 @@ def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     integer power of r.  An ``r`` that is not a finite 3x3 array raises
     ValueError.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.isfinite(r).all():
-        raise ValueError(f"r must be a finite 3x3 matrix, got shape {r.shape}")
+    r = _finite_matrix(r, "r")
     cos_angle = (float(np.trace(r)) - 1.0) / 2.0
     cos_angle = min(1.0, max(-1.0, cos_angle))
     anti = (r - r.T) / 2.0
@@ -431,58 +371,18 @@ def equivalent_continuous_angles(step) -> EulerAngles:
     return EulerAngles(a_eff / 2.0, theta_eff, a_eff / 2.0)
 
 
-# -- two evaluation paths ---------------------------------------------------
+# -- the numpy evaluation path ----------------------------------------------
 #
-# The closed-form discrepancies have two implementations of one formula: a
-# plain-float path for one point at a time and a numpy path for many.  Both
-# take the error rotation S(err) from rotations' one copy of the z-y-z entries
-# (_euler_floats on one triple, _euler_entries on a stack) and form the perturbed
-# start base @ S(err) in rotations._row_times's order.  Both evaluate the
-# rotation family at t with the same operations in the same order, squaring
-# by a product, because float ** calls libm pow, which can round otherwise,
-# and both form the clean and perturbed vectors at t in _row_times's order.
-# So the two paths give the same six floats wherever math's cos and sin round
-# as numpy's do, as on every host tried, with or without numpy's AVX-512 loops.
-#
-# Every public entry parses its rate triple once, with _family, the one place
-# that divides by omega for the unit axis, and both paths and their fronts
-# take that parsed family.
-#
-# The float path is _pair_floats, which evaluates the family at t, forms both
-# vectors and hands the six floats to a reader.  It has two fronts.
-# _closed_form_at fixes the error rotation and the family once per trajectory
-# and returns a function of t alone: delta_closed_form is built from it, the
-# samples of analysis.case_series call it one point at a time, and adaptive
-# quadrature in analysis.time_averaged_error integrates it with a reader of
-# one discrepancy (_delta_az or _delta_el, the pair's own operations), about
-# 1.5 us a sample with the pair's value, error estimate and evaluation count.
-# _point_reader takes a whole search point [eps_x, eps_y, eps_z, t] and forms
-# the error rotation per point: the plain-float finish of the search.  Each
-# front keeps its own omega = 0 branch, which reads the start pair as it is,
-# because the identity family would turn a -0.0 into +0.0.  The angle
-# readers _delta_az and _delta_el use math.hypot and math.atan2, as does
-# delta_pair, and _delta_scalar returns both.  A numpy call on one point
-# costs about ten times a float one.
-#
-# The numpy path is _pair_kernel, whose family is _sp_entries.  delta_batch
-# serves many points at once and reads the angles of the kernel's vectors
-# with numpy's hypot and arctan2 (_az_rows and _el_rows, stacked), which may
-# round otherwise than math's, so delta_batch and delta_closed_form agree to
-# about 1e-15 but not bit for bit.  The period grid of
-# analysis.estimate_period_numeric reads one channel of the same kernel with
-# _az_rows or _el_rows alone: delta_batch's column, bit for bit.
-#
-# The multistart extremum search reads no angle at all.  Nelder-Mead uses its
-# objective only through comparisons and one difference test, so the search
-# minimizes the pseudo-angle p = 1 - c / (|s| + |c|) of each discrepancy, with
-# c and s the cosine and sine of the gap times two norms (_pseudo_az,
-# _pseudo_el): p rises strictly from 0 to 2 as the gap goes from 0 to pi, by
-# 1/2 to 1 per radian.  It takes only + - * / sqrt and abs, which numpy and
-# Python round alike on every host and with every numpy loop.  The lockstep
-# batch reads _pair_kernel's vectors with _pseudo_rows; the last live starts
-# finish one at a time on _point_reader (about 2.5 us a point), read with
-# _pseudo_az or _pseudo_el, so the two agree bit for bit.  The search then
-# reports delta_closed_form at the point it found.
+# The plain-float path, and what the two paths share, is described in
+# scalar's docstring.  The numpy path is _pair_kernel, whose family is
+# _sp_entries.  delta_batch serves many points at once and reads the angles of
+# the kernel's vectors with numpy's hypot and arctan2 (_az_rows and _el_rows,
+# stacked), which may round otherwise than math's, so delta_batch and
+# delta_closed_form agree to about 1e-15 but not bit for bit.  The period grid
+# of analysis.estimate_period_numeric reads one channel of the same kernel with
+# _az_rows or _el_rows alone: delta_batch's column, bit for bit.  The search's
+# lockstep batch reads the kernel's vectors with _pseudo_rows, bit for bit
+# scalar._pseudo_az and scalar._pseudo_el.
 #
 # simulate builds its trajectories with numpy but reads their discrepancies with
 # _delta_az's and _delta_el's operations applied to whole columns
@@ -491,144 +391,6 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # as Python's do.  So every sample is delta_pair of its row bit for bit, and
 # sample 0 that of the input pair (_el_rows would read the reference run's
 # initial 0.19999999999999996 as 0.20000000000000018).
-
-
-def _delta_az(vx, vy, vz, wx, wy, wz) -> float:
-    """Wrapped azimuth discrepancy of two nonzero float triples; pole azimuth is 0."""
-    az1 = 0.0 if hypot(vx, vy) < POLE_EPS else atan2(vy, vx)
-    az2 = 0.0 if hypot(wx, wy) < POLE_EPS else atan2(wy, wx)
-    d = abs(az1 - az2) % _TWO_PI
-    return min(d, _TWO_PI - d)
-
-
-def _delta_el(vx, vy, vz, wx, wy, wz) -> float:
-    """Wrapped elevation discrepancy of two nonzero float triples."""
-    d = abs(atan2(hypot(vx, vy), vz) - atan2(hypot(wx, wy), wz)) % _TWO_PI
-    return min(d, _TWO_PI - d)
-
-
-def _delta_scalar(vx, vy, vz, wx, wy, wz) -> tuple[float, float]:
-    """Wrapped (az, el) discrepancies of two nonzero float triples; pole azimuth is 0."""
-    return _delta_az(vx, vy, vz, wx, wy, wz), _delta_el(vx, vy, vz, wx, wy, wz)
-
-
-def _pseudo_az(vx, vy, vz, wx, wy, wz) -> float:
-    """Pseudo-angle 1 - c / (|s| + |c|) of the azimuth gap of two nonzero float triples.
-
-    c and s are the cosine and sine of the gap times the two xy radii; a vector within POLE_EPS of
-    the z axis reads as direction (1, 0), as its azimuth reads 0 in _delta_az.  The value lies in
-    [0, 2] and increases strictly with the wrapped gap, from 0 at 0 through 1 at pi/2 to 2 at pi.
-    """
-    if sqrt(vx * vx + vy * vy) < POLE_EPS:
-        vx, vy = 1.0, 0.0
-    if sqrt(wx * wx + wy * wy) < POLE_EPS:
-        wx, wy = 1.0, 0.0
-    c = vx * wx + vy * wy
-    s = vx * wy - vy * wx
-    return 1.0 - c / (abs(s) + abs(c))
-
-
-def _pseudo_el(vx, vy, vz, wx, wy, wz) -> float:
-    """Pseudo-angle 1 - c / (|s| + |c|) of the elevation gap of two nonzero float triples.
-
-    Each elevation is the direction of (z, rho) with rho = sqrt(x*x + y*y), so c and s are the
-    cosine and sine of the gap times the two norms; the gap lies in [0, pi] and needs no wrap.
-    """
-    rho1 = sqrt(vx * vx + vy * vy)
-    rho2 = sqrt(wx * wx + wy * wy)
-    c = vz * wz + rho1 * rho2
-    s = vz * rho2 - rho1 * wz
-    return 1.0 - c / (abs(s) + abs(c))
-
-
-def delta_closed_form(
-    err, t: float, angles, base=(1.0, 0.0, 0.0)
-) -> tuple[float, float]:
-    """Discrepancies (delta_az, delta_el) of the perturbed trajectory at time t.
-
-    The clean vector is ``base`` (default (1,0,0)); the perturbed one is
-    base @ S(err) with err = (eps_x, eps_y, eps_z).  Both ride the
-    continuous family sp_general(t, angles).  The error rotation comes from
-    the same formula as euler_matrix and delta_batch; the rest, the family
-    at t and the discrepancies, is plain-float arithmetic, which costs about
-    a tenth of a numpy call on one point.  A non-finite ``err`` or ``t``, or
-    a ``base`` that is not a unit 3-vector, raises ValueError.
-    """
-    err = _finite_triple(err, "Euler angles", "err")
-    t = _finite_float(t, "t")
-    family = _family(angles)
-    _check_phase(family, abs(t))
-    return _closed_form_at(err, family, _require_unit(base, "base"))(t)
-
-
-def _check_phase(family: _Family, t_max: float) -> None:
-    """Reject a family whose phase omega * t overflows for some |t| <= t_max: cos and sin take no infinity."""
-    if family.omega * t_max == inf:
-        raise ValueError(f"rotation rates {family.rates!r}: omega * t overflows for |t| up to {t_max!r}")
-
-
-def _closed_form_at(err, family: _Family, base, read=_delta_scalar):
-    """delta_closed_form(err, t, angles, base) as a function of a float t alone, for float triples err and base.
-
-    The perturbed start vector is computed once; each call then runs _pair_floats alone, so a
-    caller that samples one trajectory at many times pays for the error rotation once.  With
-    ``read`` _delta_az or _delta_el the function returns that one discrepancy, equal to the pair's,
-    and skips the other's angles.
-    """
-    bx, by, bz = base
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(*err)
-    vx = bx * r11 + by * r21 + bz * r31
-    vy = bx * r12 + by * r22 + bz * r32
-    vz = bx * r13 + by * r23 + bz * r33
-    if family.omega == 0.0:
-        constant = read(bx, by, bz, vx, vy, vz)
-        return lambda t: constant
-    return partial(_pair_floats, bx, by, bz, vx, vy, vz, family.omega, family.na, family.nt, read)
-
-
-def _point_reader(family: _Family, base, read):
-    """read(clean, perturbed) of _pair_kernel's vectors at one point p = [eps_x, eps_y, eps_z, t].
-
-    The search's plain-float objective: _closed_form_at's operations with the error rotation
-    formed per point, and no numpy call.  ``base`` is a float triple.
-    """
-    bx, by, bz = base
-    omega, na, nt = family.omega, family.na, family.nt
-
-    def at(p) -> float:
-        (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = _euler_floats(p[0], p[1], p[2])
-        vx = bx * r11 + by * r21 + bz * r31
-        vy = bx * r12 + by * r22 + bz * r32
-        vz = bx * r13 + by * r23 + bz * r33
-        if omega == 0.0:
-            return read(bx, by, bz, vx, vy, vz)
-        return _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, p[3])
-
-    return at
-
-
-def _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, t):
-    """read(b @ sp_general(t), v @ sp_general(t)): the clean and perturbed vectors at t, in plain floats.
-
-    ``b`` is the base and ``v`` the perturbed start base @ S(err); ``na`` and ``nt`` are
-    (phi+psi)/omega and theta/omega, and omega must be positive.  The one plain-float copy of the
-    family: _sp_entries does the same operations in the same order, and every row product runs in
-    _row_times's order, so the six floats ``read`` takes are _pair_kernel's bytes.
-    """
-    wt = omega * t
-    c, s, h = cos(wt), sin(wt), sin(wt / 2.0)
-    mc = 2.0 * (h * h)
-    # the entries pij of sp_general(t) other than p11 = c; p23 = p32 = off
-    p12, p13, p21, p31 = na * s, -nt * s, -na * s, nt * s
-    p22, off, p33 = 1.0 - mc * na * na, mc * na * nt, 1.0 - mc * nt * nt
-    return read(
-        bx * c + by * p21 + bz * p31,
-        bx * p12 + by * p22 + bz * off,
-        bx * p13 + by * off + bz * p33,
-        vx * c + vy * p21 + vz * p31,
-        vx * p12 + vy * p22 + vz * off,
-        vx * p13 + vy * off + vz * p33,
-    )
 
 
 def delta_batch(err, t, rates, base=(1.0, 0.0, 0.0)) -> np.ndarray:

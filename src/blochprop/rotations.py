@@ -21,7 +21,10 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .bloch import _require_unit, matrix_to_cartesian, qubit_to_matrix
+from .bloch import matrix_to_cartesian, qubit_to_matrix
+from .scalar import _euler_floats, _euler_products, _finite_float, _finite_triple, _require_unit
+# re-exported, so that it stays importable from this module
+from .scalar import _triple
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,52 +80,6 @@ def _euler_entries(angles: np.ndarray) -> np.ndarray:
     return np.array(_euler_products(c[0], c[1], c[2], s[0], s[1], s[2]))
 
 
-def _euler_floats(phi: float, theta: float, psi: float) -> tuple:
-    """The z-y-z entries r[i][j] of one triple of floats, as nested tuples of floats, with no numpy call."""
-    return _euler_products(cos(phi), cos(theta), cos(psi), sin(phi), sin(theta), sin(psi))
-
-
-def _euler_products(cf, ct, cp, sf, st, sp) -> tuple:
-    """The z-y-z entries from the cosines and sines of (phi, theta, psi)."""
-    cpct = cp * ct
-    nspct = -sp * ct
-    return (
-        (cpct * cf - sp * sf, cpct * sf + sp * cf, -cp * st),
-        (nspct * cf - cp * sf, nspct * sf + cp * cf, sp * st),
-        (st * cf, st * sf, ct),
-    )
-
-
-def _triple(x, name: str) -> tuple[float, float, float]:
-    """x as three floats; a ValueError that names x when it is a scalar or has another length."""
-    try:
-        x = tuple(map(float, x))
-    except TypeError:
-        raise ValueError(f"{name} must be a triple (phi, theta, psi), got {x!r}") from None
-    if len(x) != 3:
-        raise ValueError(f"{name} must be a triple (phi, theta, psi), got {len(x)} values {x!r}")
-    return x
-
-
-def _finite_float(x, name: str) -> float:
-    """x as one finite float; a ValueError that names x when it is not one number or not finite."""
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be one finite number, got {x!r}") from None
-    if not isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _finite_triple(x, name: str, finite_name: str) -> tuple[float, float, float]:
-    """_triple(x, name), and a ValueError that names ``finite_name`` unless all three are finite."""
-    x = _triple(x, name)
-    if not all(map(isfinite, x)):
-        raise ValueError(f"{finite_name} must be finite, got {x!r}")
-    return x
-
-
 def _row_times(b, r: np.ndarray) -> np.ndarray:
     """Row vector b times the matrices r[3, 3, ...]: b[0] r[0] + b[1] r[1] + b[2] r[2], in that order."""
     return b[0] * r[0] + b[1] * r[1] + b[2] * r[2]
@@ -137,5 +94,21 @@ def euler_matrix(angles) -> np.ndarray:
 
 
 def rotate_euler(v, s: np.ndarray) -> np.ndarray:
-    """Row-vector rotation w = v @ S."""
-    return np.asarray(v, dtype=float) @ np.asarray(s, dtype=float)
+    """Row-vector rotation w = v @ S of a unit vector by a finite 3x3 matrix."""
+    return np.array(_require_unit(v, "v")) @ _finite_matrix(s, "s")
+
+
+def _float_array(x, name: str, what: str) -> np.ndarray:
+    """x as a float array; a ValueError "<name> must be <what>, got <x>" where numpy cannot convert it."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {what}, got {x!r}") from None
+
+
+def _finite_matrix(x, name: str) -> np.ndarray:
+    """x as a finite 3x3 float array; else a ValueError that names x."""
+    m = _float_array(x, name, "a finite 3x3 matrix")
+    if m.shape != (3, 3) or not np.isfinite(m).all():
+        raise ValueError(f"{name} must be a finite 3x3 matrix, got shape {m.shape}")
+    return m

@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 import blochprop.analysis as analysis
 import blochprop.propagation as propagation
 import blochprop.rotations as rotations
+import blochprop.scalar as scalar
 from blochprop.analysis import (
     CASE_STUDIES,
     MAX_EVALS,
@@ -734,7 +735,7 @@ def test_rate_triple_is_parsed_once(name, monkeypatch):
         return triple(x, what)
 
     triple = rotations._triple
-    for module in (rotations, propagation, analysis):
+    for module in (rotations, propagation, analysis, scalar):
         monkeypatch.setattr(module, "_triple", spy, raising=False)
     ONE_PARSE_CALLS[name]()
     assert parsed == [(0.7, -1.3, 2.1)]

@@ -201,3 +201,27 @@ class TestStackedQubitMatrices:
 def test_qubit_to_matrix_rejects_non_finite(v):
     with pytest.raises(ValueError, match="unit norm"):
         qubit_to_matrix(v)
+
+
+# the last holds an int beyond the float range
+NOT_THREE_FINITE = [((1,), 2, 3), np.ones((2, 3)), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), "ab", None, 5.0, (10**400, 0, 0)]
+
+
+@pytest.mark.parametrize("v", NOT_THREE_FINITE + [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+def test_cartesian_to_spherical_names_what_is_not_three_finite_numbers(v):
+    with pytest.raises(ValueError, match=r"^v must be three finite numbers, got "):
+        cartesian_to_spherical(v)
+
+
+@pytest.mark.parametrize("s", NOT_THREE_FINITE + [(1.0, math.nan, 0.0), (math.inf, 0.0, 0.0)])
+def test_spherical_to_cartesian_names_what_is_not_three_finite_numbers(s):
+    with pytest.raises(ValueError, match=r"^s must be three finite numbers, got "):
+        spherical_to_cartesian(s)
+
+
+@pytest.mark.parametrize("bad", ["a", (1, 2), None, math.nan, math.inf, pytest.param(10**400, id="int_beyond_float")])
+def test_angle_distance_names_what_is_not_one_finite_number(bad):
+    with pytest.raises(ValueError, match=r"^a must be (one )?finite"):
+        angle_distance(bad, 0.0)
+    with pytest.raises(ValueError, match=r"^b must be (one )?finite"):
+        angle_distance(0.0, bad)

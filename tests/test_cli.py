@@ -338,7 +338,7 @@ def test_period_estimation_failure_exits_1(monkeypatch, capsys):
     def no_match(*args, **kwargs):
         raise PeriodEstimationError("no period below 10 analytic periods fits")
 
-    monkeypatch.setattr("blochprop.cli.estimate_period_numeric", no_match)
+    monkeypatch.setattr("blochprop.analysis.estimate_period_numeric", no_match)
     assert run_cli("period", "--angles", "1,1,1") == 1
     assert "no period" in one_line_error(capsys)
 

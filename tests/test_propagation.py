@@ -1139,3 +1139,38 @@ def test_delta_closed_form_parses_t_in_plain_floats():
     assert delta_closed_form(REF_ERR, "1", (1, 1, 1)) == delta_closed_form(REF_ERR, 1.0, (1, 1, 1))
     with pytest.raises(ValueError, match=r"^t must be one finite number, got \[1\.0, 2\.0\]$"):
         delta_closed_form(REF_ERR, [1.0, 2.0], (1, 1, 1))
+
+
+# an input numpy cannot convert to floats is named, not passed through as numpy's own message
+UNCONVERTIBLE_ARRAYS = {
+    "sp_general t": (lambda: sp_general("x", (1, 1, 1)), r"^t must be finite numbers, got 'x'$"),
+    "matrix_exp_generator t": (
+        lambda: matrix_exp_generator(generator((1, 1, 1)), "x"),
+        r"^t must be finite numbers, got 'x'$",
+    ),
+    "matrix_exp_generator j": (
+        lambda: matrix_exp_generator("x", 1.0),
+        r"^generator must be a finite antisymmetric 3x3 matrix, got 'x'$",
+    ),
+    "rotation_log r": (lambda: rotation_log("x"), r"^r must be a finite 3x3 matrix, got 'x'$"),
+    "delta_batch err": (lambda: delta_batch("x", 1.0, (1, 1, 1)), r"^err must be finite numbers, got 'x'$"),
+    "delta_batch ragged t": (
+        lambda: delta_batch((0.0, 0.2, 0.0), [0.0, [1.0, 2.0]], (1, 1, 1)),
+        r"^t must be finite numbers, got \[0\.0, \[1\.0, 2\.0\]\]$",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNCONVERTIBLE_ARRAYS))
+def test_arrays_numpy_cannot_convert_are_named(entry):
+    call, message = UNCONVERTIBLE_ARRAYS[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("w", [((1,), 2, 3), np.ones((2, 3)), (1.0, 2.0), "ab", None, (math.nan, 1.0, 0.0)])
+def test_delta_pair_names_a_vector_that_is_not_three_finite_numbers(w):
+    with pytest.raises(ValueError, match=r"^w must be three finite numbers, got "):
+        delta_pair(w, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^w_err must be three finite numbers, got "):
+        delta_pair((1.0, 0.0, 0.0), w)

@@ -224,3 +224,36 @@ def test_euler_factories_reject_non_finite_angles(angles):
 def test_su2_from_axis_rejects_a_non_finite_angle(angle):
     with pytest.raises(ValueError, match=r"^angle must be finite, got "):
         su2_from_axis((0.0, 0.0, 1.0), angle)
+
+
+@pytest.mark.parametrize("v", [((1,), 2, 3), np.ones((2, 3)), (math.nan, 0.0, 0.0), (2.0, 0.0, 0.0)])
+def test_rotate_euler_names_a_vector_that_is_not_a_unit_3_vector(v):
+    with pytest.raises(ValueError, match=r"^v must be a unit 3-vector: "):
+        rotate_euler(v, np.eye(3))
+
+
+@pytest.mark.parametrize("s", [np.full((3, 3), math.nan), np.eye(2), "x"])
+def test_rotate_euler_names_a_matrix_that_is_not_finite_3x3(s):
+    with pytest.raises(ValueError, match=r"^s must be a finite 3x3 matrix, got "):
+        rotate_euler((1.0, 0.0, 0.0), s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_matrix((10**400, 0.0, 0.0)),
+        lambda: euler_matrix(("x", 0.0, 0.0)),
+        lambda: su2_from_euler((0.0, 10**400, 0.0)),
+    ],
+)
+def test_triples_that_float_rejects_are_named(call):
+    # an int beyond the float range, or a string that is no number, fails float() inside the triple
+    with pytest.raises(ValueError, match=r"^Euler angles must be a triple \(phi, theta, psi\), got "):
+        call()
+
+
+def test_overflowing_ints_are_named():
+    with pytest.raises(ValueError, match=r"^angle must be one finite number, got "):
+        su2_from_axis((0.0, 0.0, 1.0), 10**400)
+    with pytest.raises(ValueError, match=r"^axis must be a unit 3-vector: "):
+        su2_from_axis((10**400, 0.0, 0.0), 1.0)

@@ -1,4 +1,8 @@
-"""Start-up: importing the package loads no scipy, and every command, average included, runs without it."""
+"""Start-up: the package loads no scipy, and its import, --help and average load no numpy.
+
+Every command, average included, runs without scipy; --help and average also run without numpy,
+and the package exports each public name from its module on first use.
+"""
 
 import json
 import os
@@ -19,23 +23,76 @@ NO_SCIPY_RUNS = [
     ["average", "--err", "0.3,0.2,0.1", "--angles", "0.7,-1.3,2.1", "--vec", "0.48,0.6,0.64"],
 ]
 
-# runs each argv through cli.main with scipy blocked, then checks that the block held
+# the commands that need no numpy: --help exits through SystemExit
+NO_NUMPY_RUNS = [["--help"], *(argv for argv in NO_SCIPY_RUNS if argv[0] == "average")]
+
+# runs each argv in sys.argv[1] through cli.main with the module sys.argv[2] (scipy by default)
+# blocked, then checks that the block held
 _BLOCKED = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
+blocked = sys.argv[2] if len(sys.argv) > 2 else "scipy"
+sys.modules[blocked] = None
 from blochprop.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     results.append([code, out.getvalue()])
 try:
-    import scipy
+    __import__(blocked)
 except ImportError:
-    results.append("scipy blocked")
+    results.append(blocked + " blocked")
 print(json.dumps(results))
 """
+
+# the package's public names, each with a module it can be imported from
+PUBLIC = {
+    "CASE_STUDIES": "analysis",
+    "CaseReport": "analysis",
+    "CaseSpec": "analysis",
+    "DegenerateRotationError": "propagation",
+    "ErrorAngles": "propagation",
+    "ErrorSeries": "propagation",
+    "EulerAngles": "bloch",
+    "ExtremumResult": "analysis",
+    "PeriodEstimate": "analysis",
+    "PeriodEstimationError": "analysis",
+    "Spherical": "bloch",
+    "TimeAverage": "analysis",
+    "angle_distance": "bloch",
+    "cartesian_to_spherical": "bloch",
+    "closed_form_extrema": "analysis",
+    "delta_batch": "propagation",
+    "delta_closed_form": "propagation",
+    "delta_pair": "propagation",
+    "equivalent_continuous_angles": "propagation",
+    "estimate_period_numeric": "analysis",
+    "euler_matrix": "rotations",
+    "find_extrema": "analysis",
+    "find_extremum": "analysis",
+    "generator": "propagation",
+    "generator_eigenvalues": "propagation",
+    "limit_convergence_check": "propagation",
+    "matrix_exp_generator": "propagation",
+    "matrix_to_cartesian": "bloch",
+    "period": "propagation",
+    "qubit_to_matrix": "bloch",
+    "rotate_euler": "rotations",
+    "rotate_su2": "rotations",
+    "rotation_log": "propagation",
+    "run_case_study": "analysis",
+    "simulate": "propagation",
+    "sp_general": "propagation",
+    "sp_special": "propagation",
+    "spherical_to_cartesian": "bloch",
+    "su2_from_axis": "rotations",
+    "su2_from_euler": "rotations",
+    "time_averaged_error": "analysis",
+}
 
 
 def run_python(*args) -> str:
@@ -64,6 +121,61 @@ def test_commands_run_with_scipy_blocked(capsys):
         unblocked.append([code, capsys.readouterr().out])
     assert blocked == unblocked + ["scipy blocked"]
     assert [code for code, _ in unblocked] == [0] * len(NO_SCIPY_RUNS)
+
+
+def run_unblocked(runs, capsys) -> list:
+    """[exit code, stdout] of each argv through cli.main in this process, as _BLOCKED records them."""
+    results = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append([code, capsys.readouterr().out])
+    return results
+
+
+def test_help_and_average_run_with_numpy_blocked(capsys, monkeypatch):
+    # argparse wraps --help at the terminal's width; both sides read it from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    blocked = json.loads(run_python("-c", _BLOCKED, json.dumps(NO_NUMPY_RUNS), "numpy"))
+    unblocked = run_unblocked(NO_NUMPY_RUNS, capsys)
+    assert blocked == unblocked + ["numpy blocked"]
+    assert [code for code, _ in unblocked] == [0] * len(NO_NUMPY_RUNS)
+    assert unblocked[0][1].startswith("usage: blochprop ")
+
+
+def test_import_loads_only_the_numpy_free_modules():
+    code = (
+        "import sys; sys.modules['numpy'] = None; import blochprop, blochprop.cli, blochprop.scalar; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'blochprop'))"
+    )
+    assert run_python("-c", code) == "['blochprop', 'blochprop.cli', 'blochprop.scalar']\n"
+
+
+# in a fresh interpreter: the submodules a bare import loads, then __all__ and dir, then the names
+# that resolve to the same object as in their module in PUBLIC
+_EXPORTS = """
+import importlib, json, sys
+import blochprop
+loaded = sorted(m for m in sys.modules if m.startswith("blochprop."))
+public = json.loads(sys.argv[1])
+same = [n for n, m in public.items() if getattr(blochprop, n) is getattr(importlib.import_module("blochprop." + m), n)]
+print(json.dumps([loaded, sorted(blochprop.__all__), set(blochprop.__all__) <= set(dir(blochprop)), same]))
+"""
+
+
+def test_public_names_load_their_module_on_first_use():
+    loaded, names, listed, same = json.loads(run_python("-c", _EXPORTS, json.dumps(PUBLIC)))
+    assert loaded == []
+    assert names == sorted([*PUBLIC, "__version__"])
+    assert listed
+    assert same == list(PUBLIC)
+
+
+def test_submodules_resolve_after_a_bare_import():
+    code = "import blochprop; print(blochprop.analysis.__name__, blochprop.cli.__name__, hasattr(blochprop, 'nosuch'))"
+    assert run_python("-c", code) == "blochprop.analysis blochprop.cli False\n"
 
 
 def test_time_averaged_error_loads_no_scipy():
