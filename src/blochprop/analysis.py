@@ -40,7 +40,7 @@ from .bloch import EulerAngles
 from .propagation import ErrorSeries, _az_rows, _el_rows, _pair_kernel, _pseudo_rows
 from .scalar import (
     PROBE_ERR, PeriodEstimationError, _check_phase, _closed_form_at, _count, _delta_az, _delta_el, _family,
-    _finite_triple, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _target_index, period
+    _finite_triple, _floats, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _target_index, period
 )
 # re-exported, so that these stay importable from this module
 from .scalar import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, time_averaged_error
@@ -291,10 +291,12 @@ def _check_starts(num_starts: int, seed: int) -> tuple[int, int]:
 def _box(bounds) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
     """The lower and upper edges, as floats, of a box of four finite (lo, hi) pairs with lo <= hi; else None."""
     try:
-        lo, hi = zip(*[(float(a), float(b)) for a, b in bounds])
-    except (TypeError, ValueError):
+        pairs = [_floats(pair) or () for pair in bounds]
+    except TypeError:
+        # bounds is not iterable
         return None
-    return (lo, hi) if len(lo) == 4 and all(-inf < a <= b < inf for a, b in zip(lo, hi)) else None
+    ok = len(pairs) == 4 and all(len(p) == 2 and -inf < p[0] <= p[1] < inf for p in pairs)
+    return tuple(zip(*pairs)) if ok else None
 
 
 def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> list[ExtremumResult]:
@@ -482,8 +484,11 @@ def run_case_study(spec: CaseSpec, num_starts: int = 1000, seed: int = 0) -> Cas
     """Periods, the four extremal values, and a one-period plotting series.
 
     The numeric period and the series use the fixed probe error (0, 0.2, 0)
-    on the elevation channel; extrema search the case's error box.
+    on the elevation channel; extrema search the case's error box.  A
+    ``spec`` that is not a CaseSpec raises ValueError.
     """
+    if not isinstance(spec, CaseSpec):
+        raise ValueError(f"spec must be a CaseSpec, got {spec!r}")
     analytic = period(spec.angles)
     numeric = estimate_period_numeric("el", PROBE_ERR, spec.angles, base=spec.base_vector)
     max_az, max_el, min_az, min_el = (

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalar import POLE_EPS, VALIDATION_TOL, _finite_float, _finite_vector, _require_unit
+from .scalar import _NOT_A_FLOAT, POLE_EPS, VALIDATION_TOL, _finite_float, _finite_vector, _require_unit
 
 
 class Spherical(NamedTuple):
@@ -76,9 +76,19 @@ def qubit_to_matrix(v) -> np.ndarray:
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]])
 
 
+def _as_array(x, name: str, what: str, dtype=float) -> np.ndarray:
+    """x as an array of ``dtype``, the one conversion of an array input; else a ValueError that names x."""
+    try:
+        # numpy would read a str or bytes of digits as a number, and None as NaN
+        if not isinstance(x, (str, bytes, type(None))):
+            return np.asarray(x, dtype=dtype)
+    except _NOT_A_FLOAT:
+        pass
+    raise ValueError(f"{name} must be {what}, got {x!r}")
+
+
 def _require_unit_norm(norm) -> None:
     """Raise unless every norm of a computed stack of qubit vectors is within VALIDATION_TOL of 1; NaN fails."""
-    norm = np.asarray(norm, dtype=float)
     bad = ~(np.abs(norm - 1.0) <= VALIDATION_TOL)
     if bad.any():
         raise ValueError(f"qubit vector must be unit norm, got |v| = {float(norm[bad][0])!r}")
@@ -90,9 +100,12 @@ def matrix_to_cartesian(m) -> np.ndarray:
     q1 = Re(m12 + m21)/2, q2 = Re((m21 - m12)/2i), q3 = Re(m11).  Every
     matrix in a stack must pass the check, and NaN entries fail it.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _as_array(m, "m", "a stack of 2x2 matrices", complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    # finiteness first: inf - inf warns
+    if not np.isfinite(m).all():
+        raise ValueError("matrix is not Hermitian traceless")
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     ok = (
         (np.abs(m00 - np.conj(m00)) <= VALIDATION_TOL)

@@ -45,17 +45,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
-from .rotations import _euler_entries, _finite_matrix, _float_array, _row_times, euler_matrix, su2_from_euler
+from .bloch import EulerAngles, _as_array, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
+from .rotations import _euler_entries, _finite_matrix, _row_times, euler_matrix, su2_from_euler
 from .scalar import (
     POLE_EPS, _TWO_PI, _Family, _check_phase, _count, _delta_scalar, _family, _finite_float, _finite_triple,
     _finite_vector, _require_unit
 )
 # re-exported, so that these stay importable from this module
-from .scalar import (
-    DegenerateRotationError, _closed_form_at, _delta_az, _delta_el, _pair_floats, _point_reader, _pseudo_az,
-    _pseudo_el, delta_closed_form, period
-)
+from .scalar import DegenerateRotationError, delta_closed_form, period
 
 ANTISYMMETRY_TOL = 1e-12
 # min(d, 2*pi - d) can exceed pi by a rounding ulp when d is near pi
@@ -84,7 +81,8 @@ class ErrorSeries:
     delta_el: np.ndarray
 
     def __post_init__(self) -> None:
-        t, daz, del_ = (np.asarray(c, dtype=float) for c in (self.t, self.delta_az, self.delta_el))
+        t = _require_finite(self.t, "t")
+        daz, del_ = (_as_array(getattr(self, c), c, "numbers in [0, pi]") for c in ("delta_az", "delta_el"))
         if not (t.shape == daz.shape == del_.shape and t.ndim == 1):
             raise ValueError("series columns must be 1-d arrays of equal length")
         if t.size > 1 and not np.all(np.diff(t) > 0):
@@ -111,7 +109,7 @@ def delta_pair(w, w_err) -> tuple[float, float]:
 
 def _require_finite(x, name: str) -> np.ndarray:
     """x as a float array of finite numbers; else a ValueError that names x."""
-    x = _float_array(x, name, "finite numbers")
+    x = _as_array(x, name, "finite numbers")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x
@@ -294,7 +292,7 @@ def matrix_exp_generator(j, t) -> np.ndarray:
     matrix_exp_generator(j, ts[k]).  A ``j`` that is not a finite antisymmetric
     3x3 matrix, a non-finite t, or a phase w * t that overflows raises ValueError.
     """
-    j = _float_array(j, "generator", "a finite antisymmetric 3x3 matrix")
+    j = _as_array(j, "generator", "a finite antisymmetric 3x3 matrix")
     # finiteness first: a NaN entry compares False, so it would pass the > test, and inf - inf warns
     if j.shape != (3, 3) or not np.isfinite(j).all() or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
         raise ValueError("generator must be a finite antisymmetric 3x3 matrix")

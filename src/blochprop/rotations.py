@@ -21,10 +21,8 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .bloch import matrix_to_cartesian, qubit_to_matrix
+from .bloch import _as_array, matrix_to_cartesian, qubit_to_matrix
 from .scalar import _euler_floats, _euler_products, _finite_float, _finite_triple, _require_unit
-# re-exported, so that it stays importable from this module
-from .scalar import _triple
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -62,9 +60,8 @@ def su2_from_axis(axis, angle: float) -> np.ndarray:
 
 def rotate_su2(v, u: np.ndarray) -> np.ndarray:
     """Rotate a unit vector by conjugating its qubit matrix: U M U^dagger."""
-    m = qubit_to_matrix(v)
-    u = np.asarray(u, dtype=complex)
-    return matrix_to_cartesian(u @ m @ u.conj().T)
+    u = _finite_matrix(u, "u", 2, complex)
+    return matrix_to_cartesian(u @ qubit_to_matrix(v) @ u.conj().T)
 
 
 def _euler_entries(angles: np.ndarray) -> np.ndarray:
@@ -98,17 +95,10 @@ def rotate_euler(v, s: np.ndarray) -> np.ndarray:
     return np.array(_require_unit(v, "v")) @ _finite_matrix(s, "s")
 
 
-def _float_array(x, name: str, what: str) -> np.ndarray:
-    """x as a float array; a ValueError "<name> must be <what>, got <x>" where numpy cannot convert it."""
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be {what}, got {x!r}") from None
-
-
-def _finite_matrix(x, name: str) -> np.ndarray:
-    """x as a finite 3x3 float array; else a ValueError that names x."""
-    m = _float_array(x, name, "a finite 3x3 matrix")
-    if m.shape != (3, 3) or not np.isfinite(m).all():
-        raise ValueError(f"{name} must be a finite 3x3 matrix, got shape {m.shape}")
+def _finite_matrix(x, name: str, size: int = 3, dtype=float) -> np.ndarray:
+    """x as a finite size x size array of ``dtype``; else a ValueError that names x."""
+    what = f"a finite {size}x{size} matrix"
+    m = _as_array(x, name, what, dtype)
+    if m.shape != (size, size) or not np.isfinite(m).all():
+        raise ValueError(f"{name} must be {what}, got shape {m.shape}")
     return m

@@ -69,37 +69,37 @@ _TARGETS = {"az": 0, "el": 1}
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
 
 
+def _floats(x) -> tuple[float, ...] | None:
+    """x as a tuple of floats, or None when it is not a sequence of numbers: a str or bytes never is one."""
+    try:
+        return None if isinstance(x, (str, bytes)) else tuple(map(float, x))
+    except _NOT_A_FLOAT:
+        return None
+
+
 def _require_unit(v, name: str, tol: float = VALIDATION_TOL) -> tuple[float, float, float]:
     """v as three floats whose norm is within ``tol`` of 1: the one check of an input unit vector; else ValueError."""
-    try:
-        x, y, z = map(float, v)
-        if abs(hypot(x, y, z) - 1.0) <= tol:
-            return x, y, z
-    except _NOT_A_FLOAT:
-        pass
+    x = _floats(v)
+    if x is not None and len(x) == 3 and abs(hypot(*x) - 1.0) <= tol:
+        return x
     raise ValueError(f"{name} must be a unit 3-vector: three numbers with unit norm within {tol!r}, got {v!r}")
 
 
 def _finite_vector(v, name: str) -> tuple[float, float, float]:
     """v as three finite floats of any norm, zero included; else a ValueError that names v."""
-    try:
-        x, y, z = map(float, v)
-        if isfinite(x) and isfinite(y) and isfinite(z):
-            return x, y, z
-    except _NOT_A_FLOAT:
-        pass
+    x = _floats(v)
+    if x is not None and len(x) == 3 and all(map(isfinite, x)):
+        return x
     raise ValueError(f"{name} must be three finite numbers, got {v!r}")
 
 
 def _triple(x, name: str) -> tuple[float, float, float]:
     """x as three floats; a ValueError that names x when it is a scalar or has another length."""
-    try:
-        x = tuple(map(float, x))
-    except _NOT_A_FLOAT:
-        raise ValueError(f"{name} must be a triple (phi, theta, psi), got {x!r}") from None
-    if len(x) != 3:
-        raise ValueError(f"{name} must be a triple (phi, theta, psi), got {len(x)} values {x!r}")
-    return x
+    floats = _floats(x)
+    if floats is not None and len(floats) == 3:
+        return floats
+    got = repr(x) if floats is None else f"{len(floats)} values {floats!r}"
+    raise ValueError(f"{name} must be a triple (phi, theta, psi), got {got}")
 
 
 def _finite_float(x, name: str) -> float:
@@ -396,13 +396,14 @@ def time_averaged_error(
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
     base = _require_unit(base, "base")
+    tol = _finite_float(tol, "tol")
     family = _family(angles)
     t_period = _period(family)
     val, abserr, neval, ier = dqagse(
         _closed_form_at(err, family, base, (_delta_az, _delta_el)[idx]),
         0.0,
         t_period,
-        float(tol),
+        tol,
         QUAD_EPSREL,
         QUAD_LIMIT,
     )

@@ -36,14 +36,12 @@ from blochprop.propagation import (
     _az_rows,
     _family,
     _pair_kernel,
-    _point_reader,
-    _pseudo_az,
-    _pseudo_el,
     _pseudo_rows,
     delta_batch,
     delta_closed_form,
     period,
 )
+from blochprop.scalar import _point_reader, _pseudo_az, _pseudo_el
 
 SQRT5 = math.sqrt(5.0)
 X_BASE = (1.0, 0.0, 0.0)
@@ -734,7 +732,7 @@ def test_rate_triple_is_parsed_once(name, monkeypatch):
             parsed.append(x)
         return triple(x, what)
 
-    triple = rotations._triple
+    triple = scalar._triple
     for module in (rotations, propagation, analysis, scalar):
         monkeypatch.setattr(module, "_triple", spy, raising=False)
     ONE_PARSE_CALLS[name]()

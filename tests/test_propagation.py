@@ -15,12 +15,8 @@ from blochprop.bloch import POLE_EPS, EulerAngles, angle_distance, cartesian_to_
 from blochprop.propagation import (
     DegenerateRotationError,
     ErrorAngles,
-    _closed_form_at,
     _conjugate,
-    _delta_az,
-    _delta_el,
     _family,
-    _pair_floats,
     _trajectory_deltas,
     ErrorSeries,
     delta_batch,
@@ -40,6 +36,7 @@ from blochprop.propagation import (
 from blochprop.analysis import estimate_period_numeric, find_extrema
 from blochprop.bloch import qubit_to_matrix
 from blochprop.rotations import euler_matrix, rotate_euler, rotate_su2, su2_from_axis, su2_from_euler
+from blochprop.scalar import _closed_form_at, _delta_az, _delta_el, _pair_floats
 
 SQRT5 = math.sqrt(5.0)
 REF_ERR = (0.0, 0.2, 0.0)

@@ -9,15 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochprop.bloch import POLE_EPS
-from blochprop.propagation import (
-    _family,
-    _pair_kernel,
-    _point_reader,
-    _pseudo_az,
-    _pseudo_el,
-    _pseudo_rows,
-    delta_closed_form,
-)
+from blochprop.propagation import _family, _pair_kernel, _pseudo_rows, delta_closed_form
+from blochprop.scalar import _point_reader, _pseudo_az, _pseudo_el
 
 
 def float_readers(w, n_az):

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from blochprop import quadpack
 from blochprop.analysis import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, period, time_averaged_error
-from blochprop.propagation import _closed_form_at, _delta_az, _delta_el, _family
 from blochprop.quadpack import IntegrationWarning, dqagse, message
+from blochprop.scalar import _closed_form_at, _delta_az, _delta_el, _family
 
 
 def quad_oracle(f, a, b, epsabs, epsrel, limit):
