@@ -9,10 +9,12 @@ starts minimize a pseudo-angle of the discrepancy, a strictly increasing
 function of it built from + - * / sqrt and abs only (see scalar's notes on
 the evaluation paths), so the search takes the same steps on every host.
 All starts, and in find_extrema all four extrema, advance together as one
-batch of simplices evaluated in numpy, and the last HANDOFF_ROWS live starts
-finish one at a time in plain floats; each start still follows its own path,
-stop test and evaluation cap, exactly as it would alone.  Each extremum
-reports delta_closed_form at the best point of its best start, with the
+batch of simplices evaluated in numpy.  Plain floats take over twice: an
+objective call of at most HANDOFF_ROWS points runs on the point readers,
+and the last HANDOFF_ROWS live starts finish one at a time in a float copy
+of the method; each start still follows its own path, stop test and
+evaluation cap, exactly as it would alone.  Each extremum reports
+delta_closed_form at the best point of its best start, with the
 evaluations spent, the starts that hit the cap and the starts that reached
 the reported value.  Every reported extremum is attained at its reported
 point, which makes max values certified lower bounds of the true suprema
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 from math import acos, inf, nextafter, pi, sqrt
 from numbers import Integral
-from operator import add, index, sub
+from operator import index
 
 import numpy as np
 
@@ -51,8 +53,9 @@ SEARCH_BOX = ((0.0, BOX_HI),) * 4
 
 # evaluation cap of one Nelder-Mead start
 MAX_EVALS = 2000
-# a lockstep batch with this many live starts or fewer finishes each of them alone, in plain floats
-HANDOFF_ROWS = 16
+# objective calls of at most this many points run in plain floats, and so do four-coordinate starts
+# once at most this many are live
+HANDOFF_ROWS = 32
 STARTS_AT_BEST_TOL = 1e-9
 
 PERIOD_GRID = 1024
@@ -137,23 +140,31 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
     the points the method uses are evaluated, so every start follows the
     same path and count as it would alone.
 
-    A lockstep iteration costs about the same numpy time whatever its size,
-    so once HANDOFF_ROWS or fewer starts are live, each is finished by
-    _nelder_mead_tail, the same method in plain floats.  ``point(row)``
-    returns the objective of start ``row`` on one point (a list of n
-    floats); it must equal f's value of that point bit for bit, or the
-    handoff changes the start's path.  Returns (x_best [N, n], f_best [N],
-    nfev [N]).
+    A small numpy call costs about the same whatever its size, so plain
+    floats take over twice at HANDOFF_ROWS.  ``point(row)``, the objective
+    of start ``row`` on one point (n floats), evaluates every call of at
+    most HANDOFF_ROWS points; and once at most HANDOFF_ROWS four-coordinate
+    starts are live, _nelder_mead_tail finishes each, the same method in
+    plain floats.  ``point(row)`` must equal f's value of a point bit for
+    bit, or either choice changes a start's path.  Returns (x_best [N, n],
+    f_best [N], nfev [N]).
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     num, n = x0.shape
+    reader = cache(point)
+
+    def values(x, rows):
+        if rows.size > HANDOFF_ROWS:
+            return f(x, rows)
+        return np.array([reader(r)(p) for r, p in zip(rows.tolist(), x.tolist())])
+
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     diag = np.arange(n)
     sim[:, diag + 1, diag] = np.where(x0 + 0.25 <= hi, x0 + 0.25, x0 - 0.25)
     sim[:, 1:] = np.clip(sim[:, 1:], lo, hi)
-    vals = f(sim.reshape(-1, n), np.repeat(np.arange(num), n + 1)).reshape(num, n + 1)
+    vals = values(sim.reshape(-1, n), np.repeat(np.arange(num), n + 1)).reshape(num, n + 1)
     nfev = np.full(num, n + 1)
     x_best = np.empty((num, n))
     f_best = np.empty(num)
@@ -179,10 +190,10 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
             if not live.size:
                 break
             rows, sim, vals, nfev = rows.take(live), sim.take(live, axis=0), vals.take(live, axis=0), nfev.take(live)
-        if rows.size <= HANDOFF_ROWS:
+        if n == 4 and rows.size <= HANDOFF_ROWS:
             for k, row in enumerate(rows.tolist()):
                 x_best[row], f_best[row], nfev_out[row] = _nelder_mead_tail(
-                    point(row), sim[k].tolist(), vals[k].tolist(), int(nfev[k]), lo.tolist(), hi.tolist(), maxfev
+                    reader(row), sim[k].tolist(), vals[k].tolist(), int(nfev[k]), lo.tolist(), hi.tolist(), maxfev
                 )
             break
 
@@ -192,7 +203,7 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
         cen = cen / n
         step = cen - sim[:, n]
         refl = np.minimum(np.maximum(cen + step, lo), hi)
-        fr = f(refl, rows)
+        fr = values(refl, rows)
         nfev += 1
         # rows that reflect past the best vertex expand; rows whose
         # reflection is no better than the second-worst vertex contract
@@ -205,7 +216,7 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
                 np.where((fr < vals[:, n])[:, None], cen + 0.5 * (refl - cen), cen - 0.5 * step),
             )
             cand = np.minimum(np.maximum(cand[second], lo), hi)
-            fc = f(cand, rows[second])
+            fc = values(cand, rows[second])
             nfev[second] += 1
             fr2, exp2 = fr[second], expand[second]
             take = np.where(exp2, fc < fr2, fc < np.minimum(fr2, vals[second, n]))
@@ -215,7 +226,7 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
             if shrink.size:
                 best = sim[shrink, :1]
                 pts = best + 0.5 * (sim[shrink, 1:] - best)
-                fs = f(pts.reshape(-1, n), np.repeat(rows[shrink], n)).reshape(-1, n)
+                fs = values(pts.reshape(-1, n), np.repeat(rows[shrink], n)).reshape(-1, n)
                 nfev[shrink] += n
                 sim[shrink, 1:n], vals[shrink, 1:n] = pts[:, :-1], fs[:, :-1]
                 refl[shrink], fr[shrink] = pts[:, -1], fs[:, -1]
@@ -225,57 +236,65 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
 
 
 def _nelder_mead_tail(f, sim, vals, nfev, lo, hi, maxfev):
-    """One start of _nelder_mead_batch, continued in plain floats from its state.
+    """One four-coordinate start of _nelder_mead_batch, continued in plain floats from its state.
 
-    ``sim`` holds the n+1 vertices (lists of n floats), ``vals`` their values
-    and ``nfev`` the evaluations so far; ``f(p)`` is the value of one point.
-    Every step is the batch's arithmetic on floats, in the same order, and
-    the points are evaluated in the same order, so the start takes the same
-    path, stop test and count as in the batch.  Returns (x_best, f_best,
-    nfev).
+    ``sim`` holds the 5 vertices (sequences of 4 floats), ``vals`` their
+    values and ``nfev`` the evaluations so far; ``f(p)`` is the value of one
+    point.  Each coordinate's centroid, step, clip, candidate and shrink is
+    written out in the batch's order of operations, and the points are
+    evaluated in the same order, so the start takes the same path, stop
+    test and count as in the batch.  Returns (x_best, f_best, nfev).
     """
-    n = len(lo)
+    (lx, ly, lz, lt), (hx, hy, hz, ht) = lo, hi
     # the batch's stable argsort: ties keep their order
-    order = sorted(range(n + 1), key=vals.__getitem__)
+    order = sorted(range(5), key=vals.__getitem__)
     sim, vals = [sim[k] for k in order], [vals[k] for k in order]
     while True:
         best = sim[0]
         if nfev >= maxfev or (
-            vals[n] - vals[0] <= 1e-10 and all(abs(c - b) <= 1e-8 for v in sim[1:] for c, b in zip(v, best))
+            vals[4] - vals[0] <= 1e-10 and all(abs(c - b) <= 1e-8 for v in sim[1:] for c, b in zip(v, best))
         ):
             return best, vals[0], nfev
 
-        cen = [reduce(add, c) / n for c in zip(*sim[:n])]
-        step = list(map(sub, cen, sim[n]))
+        (bx, by, bz, bt), (px, py, pz, pt), (qx, qy, qz, qt), (rx, ry, rz, rt), (wx, wy, wz, wt) = sim
+        # the batch's centroid (((s0 + s1) + s2) + s3) / 4
+        cx, cy = (bx + px + qx + rx) / 4, (by + py + qy + ry) / 4
+        cz, ct = (bz + pz + qz + rz) / 4, (bt + pt + qt + rt) / 4
+        dx, dy, dz, dt = cx - wx, cy - wy, cz - wz, ct - wt
+        x, y, z, t = cx + dx, cy + dy, cz + dz, ct + dt
         # the batch's np.minimum(np.maximum(x, lo), hi)
-        refl = [l if x < l else h if x > h else x for x, l, h in zip(map(add, cen, step), lo, hi)]
+        refl = (lx if x < lx else hx if x > hx else x, ly if y < ly else hy if y > hy else y,
+                lz if z < lz else hz if z > hz else z, lt if t < lt else ht if t > ht else t)
         fr = f(refl)
         nfev += 1
         expand = fr < vals[0]
-        if expand or not fr < vals[n - 1]:
+        if expand or not fr < vals[3]:
             if expand:
-                cand = [c + 2.0 * d for c, d in zip(cen, step)]
-            elif fr < vals[n]:
-                cand = [c + 0.5 * (r - c) for c, r in zip(cen, refl)]
+                x, y, z, t = cx + 2.0 * dx, cy + 2.0 * dy, cz + 2.0 * dz, ct + 2.0 * dt
+            elif fr < vals[4]:
+                x, y, z, t = refl
+                x, y, z, t = cx + 0.5 * (x - cx), cy + 0.5 * (y - cy), cz + 0.5 * (z - cz), ct + 0.5 * (t - ct)
             else:
-                cand = [c - 0.5 * d for c, d in zip(cen, step)]
-            cand = [l if x < l else h if x > h else x for x, l, h in zip(cand, lo, hi)]
+                x, y, z, t = cx - 0.5 * dx, cy - 0.5 * dy, cz - 0.5 * dz, ct - 0.5 * dt
+            cand = (lx if x < lx else hx if x > hx else x, ly if y < ly else hy if y > hy else y,
+                    lz if z < lz else hz if z > hz else z, lt if t < lt else ht if t > ht else t)
             fc = f(cand)
             nfev += 1
-            if fc < fr if expand else fc < min(fr, vals[n]):
+            if fc < fr if expand else fc < min(fr, vals[4]):
                 refl, fr = cand, fc
             elif not expand:
                 # shrink toward the best vertex, then sort all of it again
-                pts = [[b + 0.5 * (x - b) for b, x in zip(best, v)] for v in sim[1:]]
-                sim[1:], vals[1:] = pts, [f(p) for p in pts]
-                nfev += n
-                order = sorted(range(n + 1), key=vals.__getitem__)
+                sim[1:] = [(bx + 0.5 * (x - bx), by + 0.5 * (y - by), bz + 0.5 * (z - bz), bt + 0.5 * (t - bt))
+                           for x, y, z, t in sim[1:]]
+                vals[1:] = map(f, sim[1:])
+                nfev += 4
+                order = sorted(range(5), key=vals.__getitem__)
                 sim, vals = [sim[k] for k in order], [vals[k] for k in order]
                 continue
-        # the sorted first n vertices stay in order; a stable sort puts the new worst vertex
+        # the sorted first four vertices stay in order; a stable sort puts the new worst vertex
         # after every one whose value it equals
-        k = bisect_right(vals, fr, 0, n)
-        del sim[n], vals[n]
+        k = bisect_right(vals, fr, 0, 4)
+        del sim[4], vals[4]
         sim.insert(k, refl)
         vals.insert(k, fr)
 

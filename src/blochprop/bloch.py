@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import atan2, cos, hypot, pi, sin
 from typing import NamedTuple
 
@@ -87,6 +88,16 @@ def _as_array(x, name: str, what: str, dtype=float) -> np.ndarray:
     raise ValueError(f"{name} must be {what}, got {x!r}")
 
 
+@contextmanager
+def _no_overflow(name: str):
+    """Run a block in which a numpy overflow raises a ValueError that names ``name``, the input too large for it."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{name} has entries too large to compute with") from None
+
+
 def _require_unit_norm(norm) -> None:
     """Raise unless every norm of a computed stack of qubit vectors is within VALIDATION_TOL of 1; NaN fails."""
     bad = ~(np.abs(norm - 1.0) <= VALIDATION_TOL)
@@ -107,17 +118,18 @@ def matrix_to_cartesian(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix is not Hermitian traceless")
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    ok = (
-        (np.abs(m00 - np.conj(m00)) <= VALIDATION_TOL)
-        & (np.abs(m11 - np.conj(m11)) <= VALIDATION_TOL)
-        & (np.abs(m01 - np.conj(m10)) <= VALIDATION_TOL)
-        & (np.abs(m00 + m11) <= VALIDATION_TOL)
-    )
-    if not ok.all():
-        raise ValueError("matrix is not Hermitian traceless")
-    q = np.empty(m.shape[:-2] + (3,))
-    q[..., 0] = ((m01 + m10) / 2.0).real
-    q[..., 1] = ((m10 - m01) / 2j).real
+    with _no_overflow("matrix m"):
+        ok = (
+            (np.abs(m00 - np.conj(m00)) <= VALIDATION_TOL)
+            & (np.abs(m11 - np.conj(m11)) <= VALIDATION_TOL)
+            & (np.abs(m01 - np.conj(m10)) <= VALIDATION_TOL)
+            & (np.abs(m00 + m11) <= VALIDATION_TOL)
+        )
+        if not ok.all():
+            raise ValueError("matrix is not Hermitian traceless")
+        q = np.empty(m.shape[:-2] + (3,))
+        q[..., 0] = ((m01 + m10) / 2.0).real
+        q[..., 1] = ((m10 - m01) / 2j).real
     q[..., 2] = m00.real
     return q
 

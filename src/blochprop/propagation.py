@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import EulerAngles, _as_array, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
+from .bloch import EulerAngles, _as_array, _no_overflow, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
 from .rotations import _euler_entries, _finite_matrix, _row_times, euler_matrix, su2_from_euler
 from .scalar import (
     POLE_EPS, _TWO_PI, _Family, _check_phase, _count, _delta_scalar, _family, _finite_float, _finite_triple,
@@ -85,8 +85,9 @@ class ErrorSeries:
         daz, del_ = (_as_array(getattr(self, c), c, "numbers in [0, pi]") for c in ("delta_az", "delta_el"))
         if not (t.shape == daz.shape == del_.shape and t.ndim == 1):
             raise ValueError("series columns must be 1-d arrays of equal length")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("sample times must be strictly increasing")
+        # compared, not differenced: the difference of two finite times can overflow
+        if not (t[1:] > t[:-1]).all():
+            raise ValueError("sample times t must be strictly increasing")
         hi = pi + DELTA_RANGE_SLACK
         # written so that NaN, which compares False, fails the range check
         if daz.size and not (daz.min() >= 0 and daz.max() <= hi and del_.min() >= 0 and del_.max() <= hi):
@@ -294,10 +295,11 @@ def matrix_exp_generator(j, t) -> np.ndarray:
     """
     j = _as_array(j, "generator", "a finite antisymmetric 3x3 matrix")
     # finiteness first: a NaN entry compares False, so it would pass the > test, and inf - inf warns
-    if j.shape != (3, 3) or not np.isfinite(j).all() or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
-        raise ValueError("generator must be a finite antisymmetric 3x3 matrix")
+    with _no_overflow("generator"):
+        if j.shape != (3, 3) or not np.isfinite(j).all() or float(np.abs(j + j.T).max()) > ANTISYMMETRY_TOL:
+            raise ValueError("generator must be a finite antisymmetric 3x3 matrix")
+        w = float(np.hypot(np.hypot(j[2, 1], j[0, 2]), j[1, 0]))
     t = _require_finite(t, "t")
-    w = float(np.hypot(np.hypot(j[2, 1], j[0, 2]), j[1, 0]))
     if w == 0.0:
         return np.tile(np.eye(3), t.shape + (1, 1))
     t_max = float(np.abs(t).max()) if t.size else 0.0
@@ -326,25 +328,26 @@ def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     ValueError.
     """
     r = _finite_matrix(r, "r")
-    cos_angle = (float(np.trace(r)) - 1.0) / 2.0
-    cos_angle = min(1.0, max(-1.0, cos_angle))
-    anti = (r - r.T) / 2.0
-    sin_angle = hypot(hypot(anti[2, 1], anti[0, 2]), anti[1, 0])
-    if cos_angle < 0.0 and sin_angle < NEAR_HALF_TURN:
-        uu = ((r + r.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
-        k = int(np.argmax(np.diag(uu)))
-        u = uu[:, k] / sqrt(uu[k, k])
-        sin_u = float(u[0] * anti[2, 1] + u[1] * anti[0, 2] + u[2] * anti[1, 0])
-        if abs(sin_u) <= HALF_TURN_TOL and not allow_half_turn:
-            raise ValueError("rotation angle is pi: logarithm axis is ambiguous")
-        if sin_u < 0.0:
-            u, sin_u = -u, -sin_u
-        ux, uy, uz = atan2(sin_u, cos_angle) * u
-        return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-    if sin_angle < 1e-9:
-        # angle ~ 0: anti already equals the log to O(angle^3)
-        return anti
-    return anti * (atan2(sin_angle, cos_angle) / sin_angle)
+    with _no_overflow("r"):
+        cos_angle = (float(np.trace(r)) - 1.0) / 2.0
+        cos_angle = min(1.0, max(-1.0, cos_angle))
+        anti = (r - r.T) / 2.0
+        sin_angle = hypot(hypot(anti[2, 1], anti[0, 2]), anti[1, 0])
+        if cos_angle < 0.0 and sin_angle < NEAR_HALF_TURN:
+            uu = ((r + r.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
+            k = int(np.argmax(np.diag(uu)))
+            u = uu[:, k] / sqrt(uu[k, k])
+            sin_u = float(u[0] * anti[2, 1] + u[1] * anti[0, 2] + u[2] * anti[1, 0])
+            if abs(sin_u) <= HALF_TURN_TOL and not allow_half_turn:
+                raise ValueError("rotation angle is pi: logarithm axis is ambiguous")
+            if sin_u < 0.0:
+                u, sin_u = -u, -sin_u
+            ux, uy, uz = atan2(sin_u, cos_angle) * u
+            return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+        if sin_angle < 1e-9:
+            # angle ~ 0: anti already equals the log to O(angle^3)
+            return anti
+        return anti * (atan2(sin_angle, cos_angle) / sin_angle)
 
 
 def equivalent_continuous_angles(step) -> EulerAngles:

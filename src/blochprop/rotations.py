@@ -21,7 +21,7 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .bloch import _as_array, matrix_to_cartesian, qubit_to_matrix
+from .bloch import _as_array, _no_overflow, matrix_to_cartesian, qubit_to_matrix
 from .scalar import _euler_floats, _euler_products, _finite_float, _finite_triple, _require_unit
 
 SIGMA_0 = np.eye(2, dtype=complex)
@@ -61,7 +61,8 @@ def su2_from_axis(axis, angle: float) -> np.ndarray:
 def rotate_su2(v, u: np.ndarray) -> np.ndarray:
     """Rotate a unit vector by conjugating its qubit matrix: U M U^dagger."""
     u = _finite_matrix(u, "u", 2, complex)
-    return matrix_to_cartesian(u @ qubit_to_matrix(v) @ u.conj().T)
+    with _no_overflow("u"):
+        return matrix_to_cartesian(u @ qubit_to_matrix(v) @ u.conj().T)
 
 
 def _euler_entries(angles: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ the samples of analysis.case_series call it one point at a time, and adaptive qu
 time_averaged_error integrates it with a reader of one discrepancy (_delta_az or _delta_el, the
 pair's own operations), about 1.5 us a sample with the pair's value, error estimate and evaluation
 count.  _point_reader takes a whole search point [eps_x, eps_y, eps_z, t] and forms the error
-rotation per point: the plain-float finish of the search.  Each front keeps its own omega = 0
+rotation per point: the search's plain-float objective.  Each front keeps its own omega = 0
 branch, which reads the start pair as it is, because the identity family would turn a -0.0 into
 +0.0.  The angle readers _delta_az and _delta_el use math.hypot and math.atan2, as does
 propagation.delta_pair, and _delta_scalar returns both.  A numpy call on one point costs about ten
@@ -35,9 +35,10 @@ comparisons and one difference test, so the search minimizes the pseudo-angle p 
 _pseudo_el): p rises strictly from 0 to 2 as the gap goes from 0 to pi, by 1/2 to 1 per radian.
 It takes only + - * / sqrt and abs, which numpy and Python round alike on every host and with
 every numpy loop.  The lockstep batch reads _pair_kernel's vectors with propagation._pseudo_rows;
-the last live starts finish one at a time on _point_reader (about 2.5 us a point), read with
-_pseudo_az or _pseudo_el, so the two agree bit for bit.  The search then reports
-delta_closed_form at the point it found.
+its small objective calls, and the finish of its last live starts, run on _point_reader (about
+2.2 us a point, where a numpy call of up to a few dozen points costs about 60 us), read with
+_pseudo_az or _pseudo_el, so the two agree bit for bit.  The search then reports delta_closed_form at the point
+it found.
 """
 
 from __future__ import annotations

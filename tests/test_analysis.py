@@ -96,6 +96,45 @@ class TestLockstepNelderMead:
             assert xa[0].tolist() == xb[i].tolist()
             assert fa[0] == fb[i] and na[0] == nb[i]
 
+    @staticmethod
+    def tilted_bowls(centre, calls):
+        """f and point of |dx| + 3 dy^2 + dx dy / 2 around each row's centre, equal bit for bit; counts into calls."""
+
+        def f(x, rows):
+            calls["numpy"] += 1
+            d = x - centre[rows]
+            return np.abs(d[:, 0]) + 3.0 * d[:, 1] * d[:, 1] + 0.5 * d[:, 0] * d[:, 1]
+
+        def point(row):
+            cx, cy = centre[row].tolist()
+
+            def at(p):
+                calls["float"] += 1
+                return abs(p[0] - cx) + 3.0 * (p[1] - cy) * (p[1] - cy) + 0.5 * (p[0] - cx) * (p[1] - cy)
+
+            return at
+
+        return f, point
+
+    @pytest.mark.parametrize("maxfev", [60, MAX_EVALS])
+    def test_two_coordinate_rows_do_not_depend_on_the_batch(self, maxfev):
+        # a batch that is not four-dimensional never hands off, but its calls of at most HANDOFF_ROWS points
+        # run on the point readers; a row alone runs on them throughout
+        rng = np.random.default_rng(5)
+        size = 2 * analysis.HANDOFF_ROWS
+        x0, centre = rng.uniform(0.0, 3.0, (size, 2)), rng.uniform(0.5, 2.5, (size, 2))
+        lo, hi = [0.0, 0.0], [3.0, 3.0]
+        calls = {"numpy": 0, "float": 0}
+        xb, fb, nb = _nelder_mead_batch(*self.tilted_bowls(centre, calls), x0, lo, hi, maxfev=maxfev)
+        assert calls["numpy"] > 0 and calls["float"] > 0
+        assert len(set(nb.tolist())) > 1
+        for i in range(size):
+            alone = {"numpy": 0, "float": 0}
+            xa, fa, na = _nelder_mead_batch(*self.tilted_bowls(centre[i : i + 1], alone), x0[i : i + 1], lo, hi, maxfev)
+            assert alone["numpy"] == 0
+            assert xa[0].tolist() == xb[i].tolist()
+            assert fa[0] == fb[i] and na[0] == nb[i]
+
 
 class TestFindExtremum:
     def test_deterministic_given_seed(self):
@@ -575,6 +614,8 @@ SEARCH_CASES = [
     ((1.0, 0.0, 0.0), (0.7, -1.3, 2.1), 16, 3),
     ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 9, 0),
     ((0.6, 0.0, 0.8), (2.0, 1.0, 3.0), 1, 11),
+    # the benchmark's start count: small second-point and shrink calls run on the point readers mid-lockstep
+    ((0.48, 0.6, 0.64), (0.7, -1.3, 2.1), 64, 0),
 ]
 
 

@@ -65,9 +65,9 @@ def vectors(valid):
 
 
 def arrays(valid):
-    """The malformed values of an array kind: unconvertible, None, ragged, all NaN, all infinite."""
+    """The malformed values of an array kind: unconvertible, None, ragged, all NaN, all infinite, all near overflow."""
     valid = np.asarray(valid)
-    return ["x", None, [0.0, [1.0, 2.0]], np.full_like(valid, NAN), np.full_like(valid, INF)]
+    return ["x", None, [0.0, [1.0, 2.0]], np.full_like(valid, NAN), np.full_like(valid, INF), np.full_like(valid, 1e308)]
 
 
 # function name -> (valid keyword arguments, {argument: (malformed values, the README's names for it)})
