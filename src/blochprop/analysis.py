@@ -238,17 +238,14 @@ def _nelder_mead_batch(f, point, x0, lo, hi, maxfev=MAX_EVALS):
 def _nelder_mead_tail(f, sim, vals, nfev, lo, hi, maxfev):
     """One four-coordinate start of _nelder_mead_batch, continued in plain floats from its state.
 
-    ``sim`` holds the 5 vertices (sequences of 4 floats), ``vals`` their
-    values and ``nfev`` the evaluations so far; ``f(p)`` is the value of one
-    point.  Each coordinate's centroid, step, clip, candidate and shrink is
-    written out in the batch's order of operations, and the points are
-    evaluated in the same order, so the start takes the same path, stop
-    test and count as in the batch.  Returns (x_best, f_best, nfev).
+    ``sim`` holds the 5 vertices (sequences of 4 floats) sorted as the batch's
+    stable argsort leaves them, ``vals`` their values and ``nfev`` the evaluations
+    so far; ``f(p)`` is the value of one point.  Each coordinate's centroid, step,
+    clip, candidate and shrink is written out in the batch's order of operations,
+    and the points are evaluated in the same order, so the start takes the same
+    path, stop test and count as in the batch.  Returns (x_best, f_best, nfev).
     """
     (lx, ly, lz, lt), (hx, hy, hz, ht) = lo, hi
-    # the batch's stable argsort: ties keep their order
-    order = sorted(range(5), key=vals.__getitem__)
-    sim, vals = [sim[k] for k in order], [vals[k] for k in order]
     while True:
         best = sim[0]
         if nfev >= maxfev or (

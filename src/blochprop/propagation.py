@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import EulerAngles, _as_array, _no_overflow, _require_unit_norm, matrix_to_cartesian, qubit_to_matrix
-from .rotations import _euler_entries, _finite_matrix, _row_times, euler_matrix, su2_from_euler
+from .rotations import _euler_entries, _rotation_matrix, _row_times, euler_matrix, su2_from_euler
 from .scalar import (
     POLE_EPS, _TWO_PI, _Family, _check_phase, _count, _delta_scalar, _family, _finite_float, _finite_triple,
     _finite_vector, _require_unit
@@ -143,7 +143,7 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     elif pipeline == "su2":
         m0 = np.stack([qubit_to_matrix(pair[0]), qubit_to_matrix(pair[1])])
         traj = matrix_to_cartesian(_by_doubling(m0, su2_from_euler(step), n, _conjugate))
-        # a step outside SU(2) changes the norm, as rotate_su2 then reports
+        # a step outside SU(2) changes the norm; rotate_su2 rejects such a u before it rotates
         _require_unit_norm(np.hypot(np.hypot(traj[..., 0], traj[..., 1]), traj[..., 2]))
     elif pipeline == "closed":
         gen = rotation_log(euler_matrix(step), allow_half_turn=True)
@@ -193,9 +193,6 @@ def _trajectory_deltas(pair: np.ndarray, traj: np.ndarray) -> tuple[np.ndarray, 
     """
     rows = np.array(traj, dtype=float).reshape(-1, 6)
     rows[0] = pair.reshape(6)
-    norm = np.hypot(np.hypot(rows[:, 0::3], rows[:, 1::3]), rows[:, 2::3])
-    if (norm < POLE_EPS).any():
-        raise ValueError("discrepancies are undefined for zero vectors")
     vx, vy, vz, wx, wy, wz = rows.T.tolist()
     rho, rho_err = list(map(hypot, vx, vy)), list(map(hypot, wx, wy))
     # rows: rho, then the azimuths, then the elevations, each clean then perturbed
@@ -324,30 +321,29 @@ def rotation_log(r, allow_half_turn: bool = False) -> np.ndarray:
     sign and the angle.  A half-turn to within HALF_TURN_TOL has two
     logarithms, +pi [u] and -pi [u]; it is rejected as ambiguous unless
     ``allow_half_turn``, which returns one of them.  Both reproduce every
-    integer power of r.  An ``r`` that is not a finite 3x3 array raises
-    ValueError.
+    integer power of r.  An ``r`` that is not a rotation matrix, by the
+    rule of rotations._rotation_matrix, raises ValueError.
     """
-    r = _finite_matrix(r, "r")
-    with _no_overflow("r"):
-        cos_angle = (float(np.trace(r)) - 1.0) / 2.0
-        cos_angle = min(1.0, max(-1.0, cos_angle))
-        anti = (r - r.T) / 2.0
-        sin_angle = hypot(hypot(anti[2, 1], anti[0, 2]), anti[1, 0])
-        if cos_angle < 0.0 and sin_angle < NEAR_HALF_TURN:
-            uu = ((r + r.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
-            k = int(np.argmax(np.diag(uu)))
-            u = uu[:, k] / sqrt(uu[k, k])
-            sin_u = float(u[0] * anti[2, 1] + u[1] * anti[0, 2] + u[2] * anti[1, 0])
-            if abs(sin_u) <= HALF_TURN_TOL and not allow_half_turn:
-                raise ValueError("rotation angle is pi: logarithm axis is ambiguous")
-            if sin_u < 0.0:
-                u, sin_u = -u, -sin_u
-            ux, uy, uz = atan2(sin_u, cos_angle) * u
-            return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-        if sin_angle < 1e-9:
-            # angle ~ 0: anti already equals the log to O(angle^3)
-            return anti
-        return anti * (atan2(sin_angle, cos_angle) / sin_angle)
+    r = _rotation_matrix(r, "r")
+    cos_angle = (float(np.trace(r)) - 1.0) / 2.0
+    cos_angle = min(1.0, max(-1.0, cos_angle))
+    anti = (r - r.T) / 2.0
+    sin_angle = hypot(hypot(anti[2, 1], anti[0, 2]), anti[1, 0])
+    if cos_angle < 0.0 and sin_angle < NEAR_HALF_TURN:
+        uu = ((r + r.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
+        k = int(np.argmax(np.diag(uu)))
+        u = uu[:, k] / sqrt(uu[k, k])
+        sin_u = float(u[0] * anti[2, 1] + u[1] * anti[0, 2] + u[2] * anti[1, 0])
+        if abs(sin_u) <= HALF_TURN_TOL and not allow_half_turn:
+            raise ValueError("rotation angle is pi: logarithm axis is ambiguous")
+        if sin_u < 0.0:
+            u, sin_u = -u, -sin_u
+        ux, uy, uz = atan2(sin_u, cos_angle) * u
+        return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+    if sin_angle < 1e-9:
+        # angle ~ 0: anti already equals the log to O(angle^3)
+        return anti
+    return anti * (atan2(sin_angle, cos_angle) / sin_angle)
 
 
 def equivalent_continuous_angles(step) -> EulerAngles:

@@ -21,8 +21,8 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .bloch import _as_array, _no_overflow, matrix_to_cartesian, qubit_to_matrix
-from .scalar import _euler_floats, _euler_products, _finite_float, _finite_triple, _require_unit
+from .bloch import _as_array, matrix_to_cartesian, qubit_to_matrix
+from .scalar import VALIDATION_TOL, _euler_floats, _euler_products, _finite_float, _finite_triple, _require_unit
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,10 +59,9 @@ def su2_from_axis(axis, angle: float) -> np.ndarray:
 
 
 def rotate_su2(v, u: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector by conjugating its qubit matrix: U M U^dagger."""
-    u = _finite_matrix(u, "u", 2, complex)
-    with _no_overflow("u"):
-        return matrix_to_cartesian(u @ qubit_to_matrix(v) @ u.conj().T)
+    """Rotate a unit vector by conjugating its qubit matrix by a unitary 2x2 matrix: U M U^dagger."""
+    u = _rotation_matrix(u, "u", 2, complex)
+    return matrix_to_cartesian(u @ qubit_to_matrix(v) @ u.conj().T)
 
 
 def _euler_entries(angles: np.ndarray) -> np.ndarray:
@@ -92,14 +91,23 @@ def euler_matrix(angles) -> np.ndarray:
 
 
 def rotate_euler(v, s: np.ndarray) -> np.ndarray:
-    """Row-vector rotation w = v @ S of a unit vector by a finite 3x3 matrix."""
-    return np.array(_require_unit(v, "v")) @ _finite_matrix(s, "s")
+    """Row-vector rotation w = v @ S of a unit vector by a 3x3 rotation matrix."""
+    return np.array(_require_unit(v, "v")) @ _rotation_matrix(s, "s")
 
 
-def _finite_matrix(x, name: str, size: int = 3, dtype=float) -> np.ndarray:
-    """x as a finite size x size array of ``dtype``; else a ValueError that names x."""
+def _rotation_matrix(x, name: str, size: int = 3, dtype=float) -> np.ndarray:
+    """x as a size x size rotation of ``dtype``, the one check of a rotation matrix; else a ValueError naming x."""
     what = f"a finite {size}x{size} matrix"
     m = _as_array(x, name, what, dtype)
     if m.shape != (size, size) or not np.isfinite(m).all():
         raise ValueError(f"{name} must be {what}, got shape {m.shape}")
+    kind, sign = ("rotation", " and determinant +1") if dtype is float else ("unitary", "")
+    # every real and imaginary part within 1 + VALIDATION_TOL of zero first, by comparisons alone, so that no
+    # product overflows; then rows orthonormal within VALIDATION_TOL, and a real matrix a rotation, not a reflection
+    if not (
+        np.abs([m.real, m.imag]).max() <= 1.0 + VALIDATION_TOL
+        and np.abs(m @ m.conj().T - np.eye(size)).max() <= VALIDATION_TOL
+        and (not sign or np.linalg.det(m) > 0.0)
+    ):
+        raise ValueError(f"{name} must be a {kind} matrix: orthogonal rows of unit norm{sign}")
     return m

@@ -28,7 +28,9 @@ from blochprop import (
     matrix_to_cartesian,
     period,
     qubit_to_matrix,
+    rotate_euler,
     rotate_su2,
+    rotation_log,
     run_case_study,
     su2_from_euler,
     time_averaged_error,
@@ -312,3 +314,38 @@ def test_inputs_once_unnamed_are_named(entry):
     call, message = NAMED[entry]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# finite matrices that do not rotate, each once computed with: now refused by the rule, which names them
+NON_ROTATIONS = {
+    "2I": 2.0 * np.eye(3),
+    "-I": -np.eye(3),
+    "reflection": np.diag([1.0, 1.0, -1.0]),
+    "shear": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+NON_UNITARIES = {
+    "2I": 2.0 * np.eye(2, dtype=complex),
+    "1.1I": 1.1 * np.eye(2, dtype=complex),
+    "shear": np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
+}
+ROTATING = {"r": rotation_log, "s": lambda s: rotate_euler(TILTED, s)}
+
+
+def assert_refused(call, matrix, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(matrix)
+
+
+@pytest.mark.parametrize("key", sorted(NON_ROTATIONS))
+@pytest.mark.parametrize("name", sorted(ROTATING))
+def test_a_matrix_that_does_not_rotate_is_named(name, key):
+    message = rf"^{name} must be a rotation matrix: orthogonal rows of unit norm and determinant \+1$"
+    assert_refused(ROTATING[name], NON_ROTATIONS[key], message)
+
+
+@pytest.mark.parametrize("key", sorted(NON_UNITARIES))
+def test_a_matrix_that_is_not_unitary_is_named(key):
+    message = r"^u must be a unitary matrix: orthogonal rows of unit norm$"
+    assert_refused(lambda u: rotate_su2(TILTED, u), NON_UNITARIES[key], message)

@@ -245,9 +245,10 @@ def test_simulate_matches_step_by_step_reference(pipeline, steps, v, err, step):
     ],
 )
 def test_su2_pipeline_checks_like_rotate_su2(monkeypatch, u, message):
-    # a matrix that is not in SU(2) fails the checks of rotate_su2, with its messages
+    # a matrix that is not in SU(2) is refused by rotate_su2, which names u; the su2 pipeline, whose
+    # step comes from su2_from_euler, reads the rotated vectors back and fails with ``message``
     v, v_err = ref_pair()
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=r"^u must be a unitary matrix"):
         rotate_su2(rotate_su2(v, u), u)
     monkeypatch.setattr("blochprop.propagation.su2_from_euler", lambda step: u)
     with pytest.raises(ValueError, match=message):
