@@ -315,14 +315,72 @@ def _box(bounds) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
     return tuple(zip(*pairs)) if ok else None
 
 
+# numpy's SeedSequence and PCG64 (O'Neill 2014), the stream of default_rng([seed, i])
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(n: int) -> list[int]:
+    """n >= 0 as its little-endian 32-bit words, 0 as [0], as SeedSequence reads an int."""
+    return [n >> k & _M32 for k in range(0, n.bit_length() or 1, 32)]
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix: each call xors a word with the next constant, h, h*mult, ..., then multiplies it."""
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+# SeedSequence's mix of two pool words
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _start_draws(seed: int, starts) -> list[list[float]]:
+    """For each start index i in ``starts``, numpy's default_rng([seed, i]).random(4), bit for bit, with no numpy.
+
+    SeedSequence hashes the 32-bit words of seed and i into a pool of four words, then draws from it the state
+    and increment of PCG64, whose steps give each float's 53 bits.  NEP 19 fixes this stream, not Generator's methods.
+    """
+    seed_words = _words32(seed)
+    draws = []
+    for i in starts:
+        entropy = seed_words + _words32(i)
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(v) for v in (entropy + [0] * 4)[:4]]
+        for s in range(4):
+            for d in range(4):
+                if d != s:
+                    pool[d] = _mix(pool[d], hashmix(pool[s]))
+        for v in entropy[4:]:
+            pool = [_mix(p, hashmix(v)) for p in pool]
+        w = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
+        state_hi, state_lo, inc_hi, inc_lo = (w[k] | w[k + 1] << 32 for k in (0, 2, 4, 6))
+        inc = (inc_hi << 64 | inc_lo) << 1 & _M128 | 1
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _M128
+        row = []
+        for _ in range(4):
+            state = (state * _PCG64_MULT + inc) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            row.append((((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53)
+        draws.append(row)
+    return draws
+
+
 def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> list[ExtremumResult]:
     """Multistart search for several (target, mode) kinds in one lockstep batch.
 
-    Start i of every kind begins at the same point, drawn from the substream
-    seeded by (seed, i).  The starts minimize the discrepancy's pseudo-angle
-    (scalar._pseudo_az and _pseudo_el), signed for a maximum; each kind
-    then reports delta_closed_form at the best vertex of its best start,
-    ranked by that value, ties to the lowest start index.
+    Start i of every kind begins at lo + (hi - lo) * u, for u the four floats of
+    default_rng([seed, i]).random(4) from _start_draws.  The starts minimize the discrepancy's
+    pseudo-angle (scalar._pseudo_az and _pseudo_el), signed for a maximum; each kind then
+    reports delta_closed_form at the best vertex of its best start, ranked by that value,
+    ties to the lowest start index.
     """
     for _, mode in kinds:
         if mode not in ("max", "min"):
@@ -340,7 +398,7 @@ def _search(kinds, base_vector, angles, num_starts: int, seed: int, bounds) -> l
         raise ValueError(f"bounds must be four finite (lo, hi) pairs with lo <= hi, got {bounds!r}")
     lo, hi = np.array(box[0]), np.array(box[1])
     _check_phase(family, max(abs(float(lo[3])), abs(float(hi[3]))))
-    u = np.array([np.random.default_rng([seed, i]).random(4) for i in range(num_starts)])
+    u = np.array(_start_draws(seed, range(num_starts)))
     x0 = np.tile(lo + (hi - lo) * u, (len(kinds), 1))
 
     kernel = _pair_kernel(family, base)
@@ -389,8 +447,8 @@ def find_extremum(
 ) -> ExtremumResult:
     """Best discrepancy extremum over the (eps_x, eps_y, eps_z, t) box.
 
-    Deterministic for a given seed: start i draws its initial point from
-    the substream seeded by (seed, i), so prefixes agree across different
+    Deterministic for a given seed: start i draws its initial point from numpy's
+    default_rng([seed, i]), computed in plain Python, so prefixes agree across different
     num_starts and the best value can only improve as starts are added.
     """
     return _search([(target, mode)], base_vector, angles, num_starts, seed, bounds)[0]

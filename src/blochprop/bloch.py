@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalar import _NOT_A_FLOAT, POLE_EPS, VALIDATION_TOL, _finite_float, _finite_vector, _require_unit
+from .scalar import _NOT_A_FLOAT, POLE_EPS, VALIDATION_TOL, _complex, _finite_float, _finite_vector, _require_unit
 
 
 class Spherical(NamedTuple):
@@ -80,9 +80,14 @@ def qubit_to_matrix(v) -> np.ndarray:
 def _as_array(x, name: str, what: str, dtype=float) -> np.ndarray:
     """x as an array of ``dtype``, the one conversion of an array input; else a ValueError that names x."""
     try:
-        # numpy would read a str or bytes of digits as a number, and None as NaN
+        # numpy would read a str or bytes of digits as a number, and None as NaN; and it would cast a
+        # complex x to a real dtype, dropping the imaginary part with only a warning.  An int beyond
+        # int64 makes an object array, whose complex elements only their types show
         if not isinstance(x, (str, bytes, type(None))):
-            return np.asarray(x, dtype=dtype)
+            a = np.asarray(x)
+            kind = a.dtype.kind
+            if dtype is complex or not (kind == "c" or kind == "O" and any(map(_complex, map(type, a.flat)))):
+                return a.astype(dtype, copy=False)
     except _NOT_A_FLOAT:
         pass
     raise ValueError(f"{name} must be {what}, got {x!r}")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
 from operator import index
 
@@ -70,10 +70,25 @@ _TARGETS = {"az": 0, "el": 1}
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
 
 
+@cache
+def _complex(t: type) -> bool:
+    """Whether t is complex and not real, as numpy's complex scalar types are: float() would read their real part."""
+    # numbers loads here, off the start-up path, where it would take about a millisecond
+    from numbers import Complex, Real
+    return issubclass(t, Complex) and not issubclass(t, Real)
+
+
+def _real(v) -> float:
+    """float(v), and a TypeError for a complex v."""
+    if not isinstance(v, (float, int)) and _complex(type(v)):
+        raise TypeError(f"{v!r} is complex")
+    return float(v)
+
+
 def _floats(x) -> tuple[float, ...] | None:
-    """x as a tuple of floats, or None when it is not a sequence of numbers: a str or bytes never is one."""
+    """x as a tuple of floats, or None when it is not a sequence of real numbers: a str or bytes never is one."""
     try:
-        return None if isinstance(x, (str, bytes)) else tuple(map(float, x))
+        return None if isinstance(x, (str, bytes)) else tuple(map(_real, x))
     except _NOT_A_FLOAT:
         return None
 
@@ -104,9 +119,9 @@ def _triple(x, name: str) -> tuple[float, float, float]:
 
 
 def _finite_float(x, name: str) -> float:
-    """x as one finite float; a ValueError that names x when it is not one number or not finite."""
+    """x as one finite float; a ValueError that names x when it is not one real number or not finite."""
     try:
-        x = float(x)
+        x = _real(x)
     except _NOT_A_FLOAT:
         raise ValueError(f"{name} must be one finite number, got {x!r}") from None
     if not isfinite(x):

@@ -47,7 +47,7 @@ ERR = (0.3, 0.2, 0.1)
 # equal first and last angles, so that equivalent_continuous_angles has an answer
 STEP = (0.1, 0.2, 0.1)
 
-SCALARS = ["x", None, [1.0], NAN, INF, HUGE]
+SCALARS = ["x", None, [1.0], NAN, INF, HUGE, np.complex128(0.5)]
 COUNTS = [2.5, "2", None, -1]
 CHOICES = [None, "x", []]
 BOXES = [
@@ -58,18 +58,26 @@ BOXES = [
 
 
 def vectors(valid):
-    """The malformed values of a vector or triple kind: strings, non-sequences, nesting, non-finite, lengths."""
+    """The malformed values of a vector or triple kind: strings, non-sequences, nesting, non-finite, lengths, complex
+    (a real triple times 1 + 0j)."""
     x, y, z = valid
     return [
         "100", b"100", None, 1.0, [[x, y, z]], (x, [y], z), np.eye(3), np.ones((3, 1)),
-        (NAN, y, z), (x, INF, z), (x, y, HUGE), (x, y), (x, y, z, 0.0),
+        (NAN, y, z), (x, INF, z), (x, y, HUGE), (x, y), (x, y, z, 0.0), np.array(valid) * (1 + 0j),
     ]
 
 
 def arrays(valid):
-    """The malformed values of an array kind: unconvertible, None, ragged, all NaN, all infinite, all near overflow."""
+    """The malformed values of an array kind: unconvertible, None, ragged, all NaN, all infinite, all near overflow,
+    and complex when the kind is real: a complex array, and numpy complex scalars beside an int beyond int64, which
+    numpy holds in an object array."""
     valid = np.asarray(valid)
-    return ["x", None, [0.0, [1.0, 2.0]], np.full_like(valid, NAN), np.full_like(valid, INF), np.full_like(valid, 1e308)]
+    malformed = [
+        "x", None, [0.0, [1.0, 2.0]], np.full_like(valid, NAN), np.full_like(valid, INF), np.full_like(valid, 1e308)
+    ]
+    if np.iscomplexobj(valid):
+        return malformed
+    return [*malformed, valid * (1 + 1j), [np.complex128(1.5), 2**70], [np.complex64(1), 10**400]]
 
 
 # function name -> (valid keyword arguments, {argument: (malformed values, the README's names for it)})
@@ -349,3 +357,27 @@ def test_a_matrix_that_does_not_rotate_is_named(name, key):
 def test_a_matrix_that_is_not_unitary_is_named(key):
     message = r"^u must be a unitary matrix: orthogonal rows of unit norm$"
     assert_refused(lambda u: rotate_su2(TILTED, u), NON_UNITARIES[key], message)
+
+
+def holds_complex(x):
+    """Whether x is a numpy complex array or scalar, or a list holding a numpy complex scalar."""
+    return any(getattr(v, "dtype", None) in (np.complex64, np.complex128) for v in (x if isinstance(x, list) else [x]))
+
+
+# the table's complex values for each real argument: numpy would read each as its real part, with only a warning
+COMPLEX = {
+    f"{name}-{argument}-{type(bad[0] if isinstance(bad, list) else bad).__name__}": (name, argument, bad)
+    for name, (valid, arguments) in CONTRACT.items()
+    for argument, (malformed, _) in arguments.items()
+    for bad in malformed
+    if holds_complex(bad) and not np.iscomplexobj(valid[argument])
+}
+
+
+@pytest.mark.parametrize("key", sorted(COMPLEX))
+def test_a_complex_value_for_a_real_argument_is_refused(key):
+    # the table test would also pass a finite result; a complex value must be refused by name, never read
+    name, argument, bad = COMPLEX[key]
+    valid, arguments = CONTRACT[name]
+    names = arguments[argument][1]
+    assert_refused(lambda x: getattr(blochprop, name)(**{**valid, argument: x}), bad, rf"\b(?:{names})\b")

@@ -132,6 +132,20 @@ class TestStartsAtBest:
         assert r.starts_at_best >= 15
 
 
+class TestStartDraws:
+    # numpy is the oracle only here: the search computes default_rng([seed, i]).random(4) in plain Python
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7, 2**100 - 3])
+    def test_numpy_stream_bit_for_bit(self, seed):
+        starts = [0, 1, 999, 2**32]
+        want = [np.random.default_rng([seed, i]).random(4).tolist() for i in starts]
+        assert analysis._start_draws(seed, starts) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**128 - 1), st.integers(0, 2**40 - 1))
+    def test_numpy_stream_at_any_seed_and_index(self, seed, i):
+        assert analysis._start_draws(seed, [i]) == [np.random.default_rng([seed, i]).random(4).tolist()]
+
+
 OVERFLOW_RATES = (1e308, 1e308, 1.0)
 
 

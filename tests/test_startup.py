@@ -1,6 +1,7 @@
-"""Start-up: the package loads no scipy, and its import, --help and average load no numpy.
+"""Start-up: the package loads no scipy, its import, --help and average load no numpy, and extrema no numpy.random.
 
 Every command, average included, runs without scipy; --help and average also run without numpy,
+extrema also runs without numpy.random where numpy itself does not load it (numpy 1.x does, 2.4 does not),
 and the package exports each public name from its module on first use.
 """
 
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import blochprop
 from blochprop.cli import main
@@ -25,6 +28,9 @@ NO_SCIPY_RUNS = [
 
 # the commands that need no numpy: --help exits through SystemExit
 NO_NUMPY_RUNS = [["--help"], *(argv for argv in NO_SCIPY_RUNS if argv[0] == "average")]
+
+# the search draws its start points in plain Python, at any seed
+NO_NUMPY_RANDOM_RUNS = [["extrema", "--starts", "4"], ["extrema", "--starts", "4", "--seed", str(2**70)]]
 
 # runs each argv in sys.argv[1] through cli.main with the module sys.argv[2] (scipy by default)
 # blocked, then checks that the block held
@@ -143,6 +149,16 @@ def test_help_and_average_run_with_numpy_blocked(capsys, monkeypatch):
     assert blocked == unblocked + ["numpy blocked"]
     assert [code for code, _ in unblocked] == [0] * len(NO_NUMPY_RUNS)
     assert unblocked[0][1].startswith("usage: blochprop ")
+
+
+def test_extrema_runs_with_numpy_random_blocked(capsys):
+    """Holds where numpy loads numpy.random on first use, as numpy 2.4 does; numpy 1.x loads it with numpy."""
+    if run_python("-c", "import sys, numpy; print('numpy.random' in sys.modules)") == "True\n":
+        pytest.skip("import numpy itself loads numpy.random, as numpy 1.x does")
+    blocked = json.loads(run_python("-c", _BLOCKED, json.dumps(NO_NUMPY_RANDOM_RUNS), "numpy.random"))
+    unblocked = run_unblocked(NO_NUMPY_RANDOM_RUNS, capsys)
+    assert blocked == unblocked + ["numpy.random blocked"]
+    assert [code for code, _ in unblocked] == [0] * len(NO_NUMPY_RANDOM_RUNS)
 
 
 def test_import_loads_only_the_numpy_free_modules():
