@@ -506,13 +506,13 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
 
     The signal is delta_batch's ``target`` column: the kernel is built
     once and only the target's discrepancy is read (_az_rows or _el_rows).
-    All candidates are first screened together, in one kernel call, on
-    every PERIOD_SCREEN_STRIDE-th grid point; only those that pass are
-    checked on the full grid, in candidate order.  The screen never drops
-    the candidate the full check would accept: its points are a subset of
-    the grid, and the kernel gives each point the same value whatever else
-    shares the call, so a candidate's screen maximum never exceeds its grid
-    maximum.
+    All candidates are first screened together on every
+    PERIOD_SCREEN_STRIDE-th grid point, in the signal's kernel call; only
+    those that pass are checked on the full grid, in candidate order.  The
+    screen never drops the candidate the full check would accept: its
+    points are a subset of the grid, and the kernel gives each point the
+    same value whatever else shares the call, so a candidate's screen
+    maximum never exceeds its grid maximum.
     """
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
@@ -521,18 +521,20 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     t_period = _period(family)
     kernel = _pair_kernel(family, base)
     read = (_az_rows, _el_rows)[idx]
-    ts = np.linspace(0.0, t_period, PERIOD_GRID)
-    sig = read(kernel(err, ts))
-    if float(sig.max() - sig.min()) < CONSTANT_SIGNAL_TOL:
-        return PeriodEstimate(t_period, degenerate=True)
-
     candidates = [t_period / k for k in range(16, 1, -1)]
     candidates.append(t_period)
     candidates.extend(k * t_period for k in range(2, 11))
     tol = PERIOD_MATCH_TOL
     cands = np.array(candidates)
+    ts = np.linspace(0.0, t_period, PERIOD_GRID)
     stride = slice(None, None, PERIOD_SCREEN_STRIDE)
-    screen = read(kernel(err, ts[stride] + cands[:, None]))
+    # the signal and the screen points in one kernel call, each read on its own
+    w = kernel(err, np.append(ts, ts[stride] + cands[:, None]))
+    sig = read(w[..., :PERIOD_GRID])
+    if float(sig.max() - sig.min()) < CONSTANT_SIGNAL_TOL:
+        return PeriodEstimate(t_period, degenerate=True)
+
+    screen = read(w[..., PERIOD_GRID:]).reshape(len(candidates), -1)
     for cand in cands[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
         residual = float(np.abs(read(kernel(err, ts + cand)) - sig).max())
         if residual < tol:

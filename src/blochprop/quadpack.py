@@ -8,12 +8,15 @@ scipy.integrate.quad returns with full_output=1 for a finite interval, bit for b
 the error estimate, the evaluation count and the error code.  Index arithmetic keeps QUADPACK's
 one-based lists, so the port reads line by line against the Fortran.
 
-The integrand is called one point at a time, in QUADPACK's order, and must return a float.
+The quadrature runs on a rule: a function that takes the tuple of a 21-point rule's abscissae and
+returns an iterable of the 21 integrand values, in that order, as floats.  dqagse takes an integrand
+of one point and calls it one point at a time, in QUADPACK's order; _qags takes a rule, so that a
+caller can evaluate the 21 points of each rule in one call.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from sys import float_info
 
@@ -87,12 +90,13 @@ def _max(x: float, y: float) -> float:
     return y if y > x or x != x else x
 
 
-def dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
+def dqk21(rule, a: float, b: float) -> tuple[float, float, float, float]:
     """(result, abserr, resabs, resasc) of the 21-point Gauss-Kronrod rule on [a, b].
 
-    resabs approximates the integral of |f| and resasc that of |f - mean|.  The 21 samples are
-    taken in dqk21's order: the centre, then the pairs centre -+ hlgth * XGKj for even j and
-    then for odd j.  The loops are written out, as the rule is the quadrature's inner loop.
+    resabs approximates the integral of |f| and resasc that of |f - mean|.  ``rule`` takes the 21
+    abscissae in dqk21's order, the centre, then the pairs centre -+ hlgth * XGKj for even j and
+    then for odd j, and returns f at each.  The loops are written out, as the rule is the
+    quadrature's inner loop.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
@@ -100,7 +104,7 @@ def dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
     x6, x7, x8, x9, x10 = hlgth * XGK6, hlgth * XGK7, hlgth * XGK8, hlgth * XGK9, hlgth * XGK10
     (
         fc, m2, p2, m4, p4, m6, p6, m8, p8, m10, p10, m1, p1, m3, p3, m5, p5, m7, p7, m9, p9,
-    ) = map(f, (
+    ) = rule((
         centr,
         centr - x2, centr + x2, centr - x4, centr + x4, centr - x6, centr + x6,
         centr - x8, centr + x8, centr - x10, centr + x10,
@@ -278,10 +282,16 @@ def dqagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> t
     5 probably divergent.  As in quad, b < a integrates over [b, a] and negates the result.
 
     Invalid input, QUADPACK's ier 6, raises ValueError with quad's message: ``limit`` below 1,
-    or ``epsabs <= 0`` with ``epsrel`` below max(50 * machine epsilon, 5e-29).
+    or ``epsabs <= 0`` with ``epsrel`` below max(50 * machine epsilon, 5e-29).  f is called one
+    point at a time.
     """
+    return _qags(partial(map, f), a, b, epsabs, epsrel, limit)
+
+
+def _qags(rule, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int, int]:
+    """dqagse on a rule, which takes the abscissae of one 21-point rule and returns f at each (see dqk21)."""
     if b < a:
-        result, abserr, neval, ier = dqagse(f, b, a, epsabs, epsrel, limit)
+        result, abserr, neval, ier = _qags(rule, b, a, epsabs, epsrel, limit)
         return -result, abserr, neval, ier
     if epsabs <= 0.0 and epsrel < _max(50.0 * EPMACH, 5e-29):
         raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both 5e-29 and 50*(machine epsilon).")
@@ -290,7 +300,7 @@ def dqagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> t
 
     # first approximation to the integral; in dqagse's names defabs is dqk21's resabs, resabs its resasc
     ier = ierro = 0
-    result, abserr, defabs, resabs = dqk21(f, a, b)
+    result, abserr, defabs, resabs = dqk21(rule, a, b)
     dres = abs(result)
     errbnd = _max(epsabs, epsrel * dres)
     if abserr <= 100.0 * EPMACH * defabs and abserr > errbnd:
@@ -330,8 +340,8 @@ def dqagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> t
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = dqk21(f, a1, b1)
-        area2, error2, _, defab2 = dqk21(f, a2, b2)
+        area1, error1, _, defab1 = dqk21(rule, a1, b1)
+        area2, error2, _, defab2 = dqk21(rule, a2, b2)
 
         # improve the previous approximations to the integral and the error and test for accuracy
         area12 = area1 + area2

@@ -271,6 +271,12 @@ class TestAverageCommand:
             assert run_cli("average", "--angles", "0,0,1e-310") == 1
         assert "(0.0, 0.0, 1e-310)" in one_line_error(capsys)
 
+    def test_period_whose_bisection_overflows_exits_1(self, capsys):
+        # T = 1.57e308 is finite, but a bisection midpoint near its top end overflows
+        assert run_cli("average", "--angles", "0,0,4e-308") == 1
+        err = one_line_error(capsys)
+        assert "(0.0, 0.0, 4e-308)" in err and "1.5707963267948964e+308 is too long to integrate" in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -303,6 +303,11 @@ def test_a_box_edge_beyond_the_float_range_is_named():
 NAMED = {
     "tol None": (lambda: time_averaged_error("el", ERR, RATES, tol=None), r"^tol must be one finite number, got None$"),
     "tol nan": (lambda: time_averaged_error("el", ERR, RATES, tol=NAN), r"^tol must be finite, got nan$"),
+    "long period": (
+        lambda: time_averaged_error("az", (0.0, 0.2, 0.0), (0.0, 0.0, 4e-308)),
+        r"^rotation rates \(0\.0, 0\.0, 4e-308\): the period 1\.5707963267948964e\+308 is too long to integrate: "
+        r"a bisection midpoint overflows$",
+    ),
     "spec": (lambda: run_case_study("x"), r"^spec must be a CaseSpec, got 'x'$"),
     "ErrorSeries t": (lambda: ErrorSeries("x", [0.0], [0.0]), r"^t must be finite numbers, got 'x'$"),
     "ErrorSeries delta_el": (
