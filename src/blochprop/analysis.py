@@ -41,8 +41,8 @@ import numpy as np
 from .bloch import EulerAngles
 from .propagation import ErrorSeries, _az_rows, _el_rows, _pair_kernel, _pseudo_rows
 from .scalar import (
-    PROBE_ERR, PeriodEstimationError, _check_phase, _closed_form_at, _count, _delta_az, _delta_el, _family,
-    _finite_triple, _floats, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _target_index, period
+    PROBE_ERR, PeriodEstimationError, _check_phase, _count, _delta_az, _delta_el, _family, _finite_triple, _floats,
+    _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _samples, _start_pair, _target_index, period
 )
 # re-exported, so that these stay importable from this module
 from .scalar import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, time_averaged_error
@@ -551,8 +551,8 @@ def case_series(spec: CaseSpec) -> ErrorSeries:
     """One-period closed-form series of the probe error (0, 0.2, 0)."""
     family = _family(spec.angles)
     ts = np.linspace(0.0, _period(family), CASE_SERIES_SAMPLES)
-    at = _closed_form_at(PROBE_ERR, family, _require_unit(spec.base_vector, "base_vector"))
-    daz, del_ = map(np.array, zip(*map(at, ts.tolist())))
+    start = _start_pair(PROBE_ERR, _require_unit(spec.base_vector, "base_vector"))
+    daz, del_ = (np.array(_samples(idx, *start, family.omega, family.na, family.nt, ts.tolist())) for idx in (0, 1))
     return ErrorSeries(t=ts, delta_az=daz, delta_el=del_)
 
 

@@ -132,27 +132,33 @@ def simulate(v, v_err, step, steps: int, pipeline: str = "euler") -> ErrorSeries
     discrete pipelines at every integer i (see module docstring).  Sample 0
     is the input pair itself.  The discrepancies are then read a column at
     a time with the operations of ``delta_pair``, and equal it on every row.
+    A ``steps`` whose arrays cannot be allocated raises ValueError.
     """
     n = _count(steps, "steps", 0)
     step = _finite_triple(step, "step: Euler angles", "step angles")
     pair = np.array([_require_unit(v, "v"), _require_unit(v_err, "v_err")])
-    t = np.arange(n + 1, dtype=float)
-
-    if pipeline == "euler":
-        traj = _by_doubling(pair, euler_matrix(step), n, lambda s, w: w @ s)
-    elif pipeline == "su2":
-        m0 = np.stack([qubit_to_matrix(pair[0]), qubit_to_matrix(pair[1])])
-        traj = matrix_to_cartesian(_by_doubling(m0, su2_from_euler(step), n, _conjugate))
-        # a step outside SU(2) changes the norm; rotate_su2 rejects such a u before it rotates
-        _require_unit_norm(np.hypot(np.hypot(traj[..., 0], traj[..., 1]), traj[..., 2]))
-    elif pipeline == "closed":
-        gen = rotation_log(euler_matrix(step), allow_half_turn=True)
-        # a zero generator leaves the pair as it is: pair @ I would turn -0.0 into +0.0
-        traj = pair @ matrix_exp_generator(gen, t) if gen.any() else np.broadcast_to(pair, (n + 1, 2, 3))
-    else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-
-    daz, del_ = _trajectory_deltas(pair, traj)
+    try:
+        # numpy refuses an array past its index range with ValueError, and np.arange reads a length
+        # near 2**63 as 0; every smaller run that does not fit fails with MemoryError
+        if n >= np.iinfo(np.intp).max // 8:
+            raise MemoryError
+        t = np.arange(n + 1, dtype=float)
+        if pipeline == "euler":
+            traj = _by_doubling(pair, euler_matrix(step), n, lambda s, w: w @ s)
+        elif pipeline == "su2":
+            m0 = np.stack([qubit_to_matrix(pair[0]), qubit_to_matrix(pair[1])])
+            traj = matrix_to_cartesian(_by_doubling(m0, su2_from_euler(step), n, _conjugate))
+            # a step outside SU(2) changes the norm; rotate_su2 rejects such a u before it rotates
+            _require_unit_norm(np.hypot(np.hypot(traj[..., 0], traj[..., 1]), traj[..., 2]))
+        elif pipeline == "closed":
+            gen = rotation_log(euler_matrix(step), allow_half_turn=True)
+            # a zero generator leaves the pair as it is: pair @ I would turn -0.0 into +0.0
+            traj = pair @ matrix_exp_generator(gen, t) if gen.any() else np.broadcast_to(pair, (n + 1, 2, 3))
+        else:
+            raise ValueError(f"unknown pipeline {pipeline!r}")
+        daz, del_ = _trajectory_deltas(pair, traj)
+    except MemoryError:
+        raise ValueError(f"steps = {n} is too many: a run of {n + 1} samples does not fit in memory") from None
     return ErrorSeries(t=t, delta_az=daz, delta_el=del_)
 
 

@@ -29,8 +29,9 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# stricter than VALIDATION_TOL: rotate_su2 re-checks every rotated vector, so a U whose axis is off
-# by this tolerance must keep the vector's norm well inside VALIDATION_TOL over many applications
+# stricter than VALIDATION_TOL: rotate_su2 checks that u is unitary within VALIDATION_TOL, and u u^H is
+# off the identity by sin(angle/2)^2 (|axis|^2 - 1), about twice the axis's norm error near a half turn:
+# a U whose axis is off by 1e-9 is refused at angles 3.0 and pi, and accepted at 0.5
 AXIS_NORM_TOL = 1e-12
 
 

@@ -16,20 +16,17 @@ every host tried, with or without numpy's AVX-512 loops.
 Every public entry parses its rate triple once, with _family, the one place that divides by omega
 for the unit axis, and both paths and their fronts take that parsed family.
 
-The float path is _pair_floats, which evaluates the family at t, forms both vectors and hands the
-six floats to a reader.  It has two fronts.  _closed_form_at fixes the error rotation and the
-family once per trajectory and returns a function of t alone: delta_closed_form is built from it,
-and the samples of analysis.case_series call it one point at a time.  With a reader of one
-discrepancy (_delta_az or _delta_el, the pair's own operations) it is the pointwise reference of
-time_averaged_error, whose adaptive quadrature calls _az_rule or _el_rule once per 21-point Kronrod
-rule instead: _pair_floats and the reader written out in one loop, which gives each sample the same
-bytes at about 0.75 (azimuth) and 1.05 us (elevation) a sample, against about 1.4 us through
-_closed_form_at.  _point_reader takes a whole search point [eps_x, eps_y, eps_z, t] and forms the
-error rotation per point: the search's plain-float objective.  Each front keeps its own omega = 0
-branch, which reads the start pair as it is, because the identity family would turn a -0.0 into
-+0.0.  The angle readers _delta_az and _delta_el use math.hypot and math.atan2, as does
-propagation.delta_pair, and _delta_scalar returns both.  A numpy call on one point costs about ten
-times a float one.
+The float path is _pair_floats: the family at t, both vectors, and a reader of the six floats.  It
+has two fronts.  _point_reader forms the error rotation per point p = [eps_x, eps_y, eps_z, t]:
+read with _delta_scalar it is delta_closed_form, with a pseudo-angle the search's plain-float
+objective; at omega = 0 it reads the start pair as it is, since the identity family would turn a
+-0.0 into +0.0.  _samples takes one trajectory's start pair (_start_pair) and returns one
+discrepancy at each of many t: _pair_floats and _delta_az or _delta_el written out in one loop, bit
+for bit, at about 0.75 (azimuth) and 0.9 us (elevation) a sample, against about 2.2 us a point
+through _point_reader.  time_averaged_error calls it once per 21-point Kronrod rule and
+analysis.case_series once per column, both at omega > 0.  _delta_az and _delta_el use math.hypot
+and math.atan2, as propagation.delta_pair does, and _delta_scalar returns both.  A numpy call on one
+point costs about ten times a float one.
 
 The multistart extremum search reads no angle at all.  Nelder-Mead uses its objective only through
 comparisons and one difference test, so the search minimizes the pseudo-angle p = 1 - c / (|s| +
@@ -299,22 +296,7 @@ def delta_closed_form(
     t = _finite_float(t, "t")
     family = _family(angles)
     _check_phase(family, abs(t))
-    return _closed_form_at(err, family, _require_unit(base, "base"))(t)
-
-
-def _closed_form_at(err, family: _Family, base, read=_delta_scalar):
-    """delta_closed_form(err, t, angles, base) as a function of a float t alone, for float triples err and base.
-
-    The perturbed start vector is computed once; each call then runs _pair_floats alone, so a
-    caller that samples one trajectory at many times pays for the error rotation once.  With
-    ``read`` _delta_az or _delta_el the function returns that one discrepancy, equal to the pair's,
-    and skips the other's angles.
-    """
-    start = _start_pair(err, base)
-    if family.omega == 0.0:
-        constant = read(*start)
-        return lambda t: constant
-    return partial(_pair_floats, *start, family.omega, family.na, family.nt, read)
+    return _point_reader(family, _require_unit(base, "base"), _delta_scalar)((*err, t))
 
 
 def _start_pair(err, base) -> tuple:
@@ -327,8 +309,8 @@ def _start_pair(err, base) -> tuple:
 def _point_reader(family: _Family, base, read):
     """read(clean, perturbed) of _pair_kernel's vectors at one point p = [eps_x, eps_y, eps_z, t].
 
-    The search's plain-float objective: _closed_form_at's operations with the error rotation
-    formed per point, and no numpy call.  ``base`` is a float triple.
+    The point front of _pair_floats: the error rotation formed per point, in _start_pair's
+    operations, and no numpy call.  ``base`` is a float triple.
     """
     bx, by, bz = base
     omega, na, nt = family.omega, family.na, family.nt
@@ -349,8 +331,8 @@ def _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, t):
     """read(b @ sp_general(t), v @ sp_general(t)): the clean and perturbed vectors at t, in plain floats.
 
     ``b`` is the base and ``v`` the perturbed start base @ S(err); ``na`` and ``nt`` are
-    (phi+psi)/omega and theta/omega, and omega must be positive.  The one plain-float copy of the
-    family: propagation._sp_entries does the same operations in the same order, and every row
+    (phi+psi)/omega and theta/omega, and omega must be positive.  _samples writes it out for a
+    trajectory, and propagation._sp_entries does the same operations in the same order; every row
     product runs in _row_times's order, so the six floats ``read`` takes are _pair_kernel's bytes.
     """
     wt = omega * t
@@ -369,11 +351,11 @@ def _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, t):
     )
 
 
-def _az_rule(bx, by, bz, vx, vy, vz, omega, na, nt, ts) -> list[float]:
-    """[_pair_floats(b, v, omega, na, nt, _delta_az, t) for t in ts], bit for bit, in one call.
+def _samples(idx, bx, by, bz, vx, vy, vz, omega, na, nt, ts) -> list[float]:
+    """[_pair_floats(b, v, omega, na, nt, (_delta_az, _delta_el)[idx], t) for t in ts], bit for bit.
 
-    time_averaged_error's integrand for one Kronrod rule.  The loop runs _pair_floats's operations
-    in its order, with _delta_az's inlined, and forms only the x and y components the azimuth reads.
+    The trajectory front (see the module docstring), for omega > 0: _pair_floats's operations in
+    its order, with the reader inlined; the azimuth forms only the x and y components it reads.
     """
     out = []
     for t in ts:
@@ -384,36 +366,21 @@ def _az_rule(bx, by, bz, vx, vy, vz, omega, na, nt, ts) -> list[float]:
         p22, off = 1.0 - mc * na * na, mc * na * nt
         x, y = bx * c + by * p21 + bz * p31, bx * p12 + by * p22 + bz * off
         u, v = vx * c + vy * p21 + vz * p31, vx * p12 + vy * p22 + vz * off
-        # hypot(x, y) is never below max(|x|, |y|), rounded or not, so it can fall below POLE_EPS
-        # only when both coordinates lie within +-POLE_EPS: testing those first is _delta_az's test
-        if abs(x) < POLE_EPS and abs(y) < POLE_EPS and hypot(x, y) < POLE_EPS:
-            x, y = 1.0, 0.0
-        if abs(u) < POLE_EPS and abs(v) < POLE_EPS and hypot(u, v) < POLE_EPS:
-            u, v = 1.0, 0.0
-        d = abs(atan2(y, x) - atan2(v, u)) % _TWO_PI
+        if idx:
+            p13, p33 = -nt * s, 1.0 - mc * nt * nt
+            z, w = bx * p13 + by * off + bz * p33, vx * p13 + vy * off + vz * p33
+            d = abs(atan2(hypot(x, y), z) - atan2(hypot(u, v), w))
+        else:
+            # hypot(x, y) is never below max(|x|, |y|), rounded or not, so it can fall below POLE_EPS
+            # only when both coordinates lie within +-POLE_EPS: testing those first is _delta_az's test
+            if abs(x) < POLE_EPS and abs(y) < POLE_EPS and hypot(x, y) < POLE_EPS:
+                x, y = 1.0, 0.0
+            if abs(u) < POLE_EPS and abs(v) < POLE_EPS and hypot(u, v) < POLE_EPS:
+                u, v = 1.0, 0.0
+            d = abs(atan2(y, x) - atan2(v, u))
+        d %= _TWO_PI
         # min(d, e) as builtin min computes it, the first argument unless the second is smaller,
         # without the call, which costs about a fifth of a sample on CPython 3.11
-        e = _TWO_PI - d
-        out.append(e if e < d else d)
-    return out
-
-
-def _el_rule(bx, by, bz, vx, vy, vz, omega, na, nt, ts) -> list[float]:
-    """[_pair_floats(b, v, omega, na, nt, _delta_el, t) for t in ts], bit for bit, in one call.
-
-    time_averaged_error's integrand for one Kronrod rule: _pair_floats's operations in its order,
-    with _delta_el's inlined and its wrap written as in _az_rule.
-    """
-    out = []
-    for t in ts:
-        wt = omega * t
-        c, s, h = cos(wt), sin(wt), sin(wt / 2.0)
-        mc = 2.0 * (h * h)
-        p12, p13, p21, p31 = na * s, -nt * s, -na * s, nt * s
-        p22, off, p33 = 1.0 - mc * na * na, mc * na * nt, 1.0 - mc * nt * nt
-        r = hypot(bx * c + by * p21 + bz * p31, bx * p12 + by * p22 + bz * off)
-        q = hypot(vx * c + vy * p21 + vz * p31, vx * p12 + vy * p22 + vz * off)
-        d = abs(atan2(r, bx * p13 + by * off + bz * p33) - atan2(q, vx * p13 + vy * off + vz * p33)) % _TWO_PI
         e = _TWO_PI - d
         out.append(e if e < d else d)
     return out
@@ -453,9 +420,8 @@ def time_averaged_error(
     average then exhausts the 200 subintervals on rounding noise.  The
     integrand is delta_closed_form(err, t, angles, base)[target] at fixed
     err, angles and base, evaluated one 21-point Kronrod rule per call by
-    _az_rule or _el_rule, which compute only the target's discrepancy (see
-    the module docstring); each sample gives the pair's value bit for bit,
-    so the result does not depend on the shortcut.  The result is a float
+    _samples, which gives the pair's value bit for bit on the target's
+    discrepancy alone (see the module docstring).  The result is a float
     that also carries the error estimate and evaluation count (see
     TimeAverage).  A nonzero error code of the quadrature warns with
     quadpack's IntegrationWarning and quad's message for that code.  A
@@ -472,11 +438,11 @@ def time_averaged_error(
     tol = _finite_float(tol, "tol")
     family = _family(angles)
     t_period = _period(family)
-    rule = partial((_az_rule, _el_rule)[idx], *_start_pair(err, base), family.omega, family.na, family.nt)
+    rule = partial(_samples, idx, *_start_pair(err, base), family.omega, family.na, family.nt)
     try:
         val, abserr, neval, ier = _qags(rule, 0.0, t_period, tol, QUAD_EPSREL, QUAD_LIMIT)
     except ValueError:
-        # the rules take every finite t; only an infinite one, a midpoint 0.5 * (a + b) that
+        # _samples takes every finite t; only an infinite one, a midpoint 0.5 * (a + b) that
         # overflows, makes cos raise
         raise ValueError(
             f"rotation rates {family.rates!r}: the period {t_period!r} is too long to integrate: "

@@ -551,12 +551,14 @@ class TestCaseStudies:
         assert report.series.t[-1] == pytest.approx(report.analytic_period, abs=1e-15)
 
     def test_case_series_samples_the_probe_error(self):
-        spec = CASE_STUDIES[1]
-        series = case_series(spec)
-        assert len(series) == 512
-        for k in (0, 100, 511):
-            expected = delta_closed_form(PROBE_ERR, series.t[k], spec.angles, base=spec.base_vector)
-            assert (series.delta_az[k], series.delta_el[k]) == expected
+        # every sample of every case, on its own base and at both poles, bit for bit
+        poles = [CaseSpec(case.label, case.angles, base) for case in CASE_STUDIES for base in ((0, 0, 1), (0, 0, -1))]
+        for spec in CASE_STUDIES + tuple(poles):
+            series = case_series(spec)
+            assert len(series) == 512
+            expected = [delta_closed_form(PROBE_ERR, t, spec.angles, base=spec.base_vector) for t in series.t.tolist()]
+            assert series.delta_az.tobytes() == np.array([az for az, _ in expected]).tobytes()
+            assert series.delta_el.tobytes() == np.array([el for _, el in expected]).tobytes()
 
     def test_custom_spec_err_box_is_respected(self):
         box = ((0.0, 0.5),) * 4

@@ -132,6 +132,12 @@ class TestSimulateCommand:
     def test_negative_steps_exits_1(self):
         assert run_cli("simulate", "--err", "0,0.2,0", "--step", "1,1,1", "--steps", "-3") == 1
 
+    @pytest.mark.parametrize("steps", [2**50, 10**20])
+    def test_steps_that_do_not_fit_in_memory_exit_1(self, steps, capsys):
+        # 2**50 samples fail at allocation, so no memory is written; 10**20 lies past numpy's index range
+        assert run_cli("simulate", "--step", "0.1,0.2,0.3", "--steps", str(steps)) == 1
+        assert f"error: steps = {steps} is too many" in one_line_error(capsys)
+
     def test_bad_angle_literal_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--err", "0,0.2,0", "--step", "pie,1,1", "--steps", "3")

@@ -32,6 +32,7 @@ from blochprop import (
     rotate_su2,
     rotation_log,
     run_case_study,
+    simulate,
     su2_from_euler,
     time_averaged_error,
 )
@@ -307,6 +308,10 @@ NAMED = {
         lambda: time_averaged_error("az", (0.0, 0.2, 0.0), (0.0, 0.0, 4e-308)),
         r"^rotation rates \(0\.0, 0\.0, 4e-308\): the period 1\.5707963267948964e\+308 is too long to integrate: "
         r"a bisection midpoint overflows$",
+    ),
+    "steps beyond memory": (
+        lambda: simulate(X_BASE, TILTED, STEP, 2**50),
+        r"^steps = 1125899906842624 is too many: a run of 1125899906842625 samples does not fit in memory$",
     ),
     "spec": (lambda: run_case_study("x"), r"^spec must be a CaseSpec, got 'x'$"),
     "ErrorSeries t": (lambda: ErrorSeries("x", [0.0], [0.0]), r"^t must be finite numbers, got 'x'$"),

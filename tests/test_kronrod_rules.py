@@ -1,8 +1,8 @@
-"""time_averaged_error's per-rule integrands against the pointwise reference, with no scipy.
+"""time_averaged_error's per-rule integrand against the pointwise reference, with no scipy.
 
-The quadrature evaluates one 21-point Kronrod rule per call of _az_rule or _el_rule.  Each rule
-must give every abscissa the value _closed_form_at gives it with the channel's reader, bit for
-bit, so that the average, its error estimate, its evaluation count and its warnings equal those of
+The quadrature evaluates one 21-point Kronrod rule per call of _samples.  Each call must give every
+abscissa the value _point_reader gives that point with the channel's reader, bit for bit, so that
+the average, its error estimate, its evaluation count and its warnings equal those of
 quadpack.dqagse over the pointwise function.
 """
 
@@ -21,18 +21,18 @@ from blochprop.scalar import (
     POLE_EPS,
     QUAD_EPSREL,
     QUAD_LIMIT,
-    _az_rule,
-    _closed_form_at,
     _delta_az,
     _delta_el,
-    _el_rule,
     _family,
+    _point_reader,
+    _samples,
     _start_pair,
     period,
     time_averaged_error,
 )
 
-RULES = {"az": (_az_rule, _delta_az), "el": (_el_rule, _delta_el)}
+# each channel's _samples index and pointwise reader
+RULES = {"az": (0, _delta_az), "el": (1, _delta_el)}
 
 signed_huge = st.floats(1e300, 1e307).flatmap(lambda x: st.sampled_from([x, -x]))
 rate_triples = st.one_of(
@@ -52,11 +52,12 @@ errs = st.one_of(
 
 
 def rule_and_reference(target, err, rates, base):
-    """The target's rule, bound as time_averaged_error binds it, and the pointwise reference."""
-    rule, read = RULES[target]
+    """The target's rule, bound as time_averaged_error binds it, and the pointwise reference of t."""
+    idx, read = RULES[target]
     family = _family(rates)
-    bound = partial(rule, *_start_pair(err, base), family.omega, family.na, family.nt)
-    return bound, _closed_form_at(err, family, base, read)
+    bound = partial(_samples, idx, *_start_pair(err, base), family.omega, family.na, family.nt)
+    at = _point_reader(family, base, read)
+    return bound, lambda t: at((*err, t))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -36,7 +36,7 @@ from blochprop.propagation import (
 from blochprop.analysis import estimate_period_numeric, find_extrema
 from blochprop.bloch import qubit_to_matrix
 from blochprop.rotations import euler_matrix, rotate_euler, rotate_su2, su2_from_axis, su2_from_euler
-from blochprop.scalar import _closed_form_at, _delta_az, _delta_el, _pair_floats
+from blochprop.scalar import _delta_scalar, _pair_floats, _samples, _start_pair
 
 SQRT5 = math.sqrt(5.0)
 REF_ERR = (0.0, 0.2, 0.0)
@@ -177,6 +177,15 @@ class TestSimulate:
             with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
                 simulate(v, v_err, REF_STEP, steps, pipeline=pipeline)
         assert len(simulate(v, v_err, REF_STEP, np.int64(3), pipeline=pipeline)) == 4
+
+    @pytest.mark.parametrize("pipeline", ["euler", "su2", "closed"])
+    @pytest.mark.parametrize("steps", [2**50, 2**63 - 2, 10**20])
+    def test_steps_that_do_not_fit_in_memory_are_named(self, pipeline, steps):
+        # 2**50 samples fail at allocation, so no memory is written; np.arange reads 2**63 - 1 samples
+        # as none, and 10**20 lies past numpy's index range
+        v, v_err = ref_pair()
+        with pytest.raises(ValueError, match=f"^steps = {steps} is too many: a run of {steps + 1} samples"):
+            simulate(v, v_err, REF_STEP, steps, pipeline=pipeline)
 
 
 def reference_simulate(v, v_err, step, steps, pipeline):
@@ -749,25 +758,57 @@ class TestDeltaClosedForm:
 
 
 unit_bases = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda b: math.hypot(*b) > 1e-3)
-zero_rate_triples = st.sampled_from([(0.0, 0.0, 0.0), (0.5, 0.0, -0.5), (-1.25, 0.0, 1.25)])
+zero_rate_triples = st.sampled_from(
+    [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (0.5, 0.0, -0.5), (-1.25, -0.0, 1.25)]
+)
+# _samples takes omega > 0: time_averaged_error and case_series rule out omega = 0 first
+moving_rate_triples = angle_triples.filter(lambda r: math.hypot(r[1], r[0] + r[2]) > 0.0)
+
+
+def trajectory(err, angles, base, ts):
+    """(delta_az, delta_el) at each t from one _samples call per channel, as case_series makes them."""
+    family = _family(angles)
+    start = _start_pair(err, base)
+    return list(zip(*(_samples(idx, *start, family.omega, family.na, family.nt, ts) for idx in (0, 1))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     err_triples,
-    st.one_of(zero_rate_triples, angle_triples),
+    moving_rate_triples,
     unit_bases,
     st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8),
 )
 def test_closed_form_closure_equals_delta_closed_form(err, angles, base, fractions):
-    # one closure serves every t of a trajectory, over five periods, and
-    # gives delta_closed_form's value bit for bit, also when omega = 0
+    # one _samples call per channel serves every t of a trajectory, over five periods, and gives
+    # delta_closed_form's value bit for bit
     base = tuple(c / math.hypot(*base) for c in base)
     omega = math.hypot(angles[1], angles[0] + angles[2])
     cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
-    at = _closed_form_at(err, _family(angles), base)
-    for f in fractions:
-        assert at(f * cycle) == delta_closed_form(err, f * cycle, angles, base)
+    ts = [f * cycle for f in fractions]
+    assert trajectory(err, angles, base, ts) == [delta_closed_form(err, t, angles, base) for t in ts]
+
+
+def signed_zero_or(floats):
+    """floats, or a zero of either sign."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), floats)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.tuples(*[signed_zero_or(st.floats(-7.0, 7.0))] * 3),
+    zero_rate_triples,
+    st.tuples(*[signed_zero_or(st.floats(-1.0, 1.0))] * 3).filter(lambda b: math.hypot(*b) > 1e-3),
+    st.floats(-1e300, 1e300),
+)
+@example(err=(-0.0, 0.0, -0.0), angles=(0.0, 0.0, 0.0), base=(-1.0, -0.0, 0.0), t=2.5)
+@example(err=(0.0, -0.0, 0.0), angles=(-0.0, 0.0, -0.0), base=(-0.0, -0.0, -1.0), t=-1.0)
+def test_delta_closed_form_at_omega_zero_reads_the_start_pair(err, angles, base, t):
+    # the family is the identity at every t, and delta_closed_form reads the start pair as it is: a
+    # product by the identity would turn a -0.0 into +0.0
+    base = tuple(c / math.hypot(*base) for c in base)
+    expected = _delta_scalar(*_start_pair(err, base))
+    assert [v.hex() for v in delta_closed_form(err, t, angles, base)] == [v.hex() for v in expected]
 
 
 # -- stacked forms and non-finite input ---------------------------------------
@@ -991,7 +1032,7 @@ def test_delta_batch_rejects_non_finite_input(err, t):
             delta_batch(err, t, (1.0, 1.0, 1.0))
 
 
-# -- one-channel closures ---------------------------------------------------------
+# -- one-channel samples ----------------------------------------------------------
 
 # the error triples that send (1, 0, 0), (0, 0, 1) and (0, 0, -1) onto a pole or keep them there
 pole_errors = st.sampled_from(
@@ -1001,7 +1042,7 @@ pole_errors = st.sampled_from(
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    st.one_of(zero_rate_triples, angle_triples),
+    moving_rate_triples,
     st.one_of(axis_bases, pole_bases, unit_bases),
     st.one_of(st.just((0.0, 0.0, 0.0)), pole_errors, st.tuples(*[err_components] * 3)),
     st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8),
@@ -1011,18 +1052,17 @@ pole_errors = st.sampled_from(
 @example(angles=(1.0, 1.0, 1.0), base=(0.0, 0.0, -1.0), err=(0.0, 0.0, 0.0), fractions=[0.0, 0.5, 2.0])
 @example(angles=(0.0, 0.0, 2.2250738585e-313), base=(1.0, 0.0, 0.0), err=(0.0, 0.0, 0.0), fractions=[0.0, 3.0])
 def test_one_channel_closures_equal_delta_closed_form(angles, base, err, fractions):
-    # time_averaged_error integrates one of these, so each must give its channel of the pair bit
-    # for bit, at the poles and over eight periods; a tiny omega samples t in [0, 8] instead, as
-    # its period overflows
+    # time_averaged_error integrates one channel of _samples, so each must give its channel of the
+    # pair bit for bit, at the poles and over eight periods; a tiny omega samples t in [0, 8]
+    # instead, as its period overflows
     base = tuple(c / math.hypot(*base) for c in base)
     omega = math.hypot(angles[1], angles[0] + angles[2])
     cycle = 2 * math.pi / omega if omega > 1e-6 else 1.0
-    az = _closed_form_at(err, _family(angles), base, _delta_az)
-    el = _closed_form_at(err, _family(angles), base, _delta_el)
-    for f in fractions:
-        pair = delta_closed_form(err, f * cycle, angles, base)
-        assert az(f * cycle) == pair[0]
-        assert el(f * cycle) == pair[1]
+    ts = [f * cycle for f in fractions]
+    pairs = [delta_closed_form(err, t, angles, base) for t in ts]
+    assert [[v.hex() for v in pair] for pair in trajectory(err, angles, base, ts)] == [
+        [v.hex() for v in pair] for pair in pairs
+    ]
 
 
 def test_one_channel_closures_equal_delta_closed_form_on_random_points():
@@ -1032,10 +1072,8 @@ def test_one_channel_closures_equal_delta_closed_form_on_random_points():
         base = rng.normal(size=3)
         base = tuple((base / np.linalg.norm(base)).tolist())
         err = tuple(rng.uniform(0.0, 2 * math.pi, 3).tolist())
-        az = _closed_form_at(err, _family(rates), base, _delta_az)
-        el = _closed_form_at(err, _family(rates), base, _delta_el)
-        for t in rng.uniform(0.0, 40.0, 200).tolist():
-            assert (az(t), el(t)) == delta_closed_form(err, t, rates, base)
+        ts = rng.uniform(0.0, 40.0, 200).tolist()
+        assert trajectory(err, rates, base, ts) == [delta_closed_form(err, t, rates, base) for t in ts]
 
 
 # -- shapes and bases at the closed forms ------------------------------------------
@@ -1078,7 +1116,8 @@ def test_every_vector_entry_names_a_vector_that_is_not_a_unit_3_vector(entry, v)
 
 
 def test_rotation_axes_are_held_to_a_tighter_norm_than_vectors():
-    # rotate_su2 re-checks every rotated vector, so an axis may be off by 1e-12 where a vector may be off by 1e-9
+    # rotate_su2 checks that u is unitary within 1e-9, and near a half turn u is off by about twice the axis's
+    # norm error, so an axis may be off by 1e-12 where a vector may be off by 1e-9
     off = (1.0 + 1e-10, 0.0, 0.0)
     assert qubit_to_matrix(off)[0, 1] == 1.0 + 1e-10
     with pytest.raises(ValueError, match=r"^axis must be a unit 3-vector"):

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from blochprop.bloch import EulerAngles
 from blochprop.rotations import (
+    AXIS_NORM_TOL,
     SIGMA_0,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     _euler_entries,
     euler_matrix,
     rotate_euler,
@@ -72,6 +76,26 @@ class TestSu2FromAxis:
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError, match="unit"):
             su2_from_axis((1.0, 1.0, 0.0), 0.3)
+
+    def test_an_axis_just_inside_its_tolerance_gives_a_u_that_rotate_su2_accepts(self):
+        axis = tuple((np.array([0.48, 0.6, 0.64]) * (1.0 + 0.99e-12)).tolist())
+        assert 0.9e-12 < math.hypot(*axis) - 1.0 <= AXIS_NORM_TOL
+        for angle in (math.pi, 3.0):
+            w = rotate_su2((1.0, 0.0, 0.0), su2_from_axis(axis, angle))
+            assert abs(np.linalg.norm(w) - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("angle, accepted", [(math.pi, False), (3.0, False), (0.5, True)])
+    def test_an_axis_off_by_1e_9_would_give_a_u_that_rotate_su2_refuses_near_a_half_turn(self, angle, accepted):
+        # why AXIS_NORM_TOL is stricter than VALIDATION_TOL: u u^H is off the identity by
+        # sin(angle/2)^2 (|axis|^2 - 1), and rotate_su2 checks that u is unitary within VALIDATION_TOL
+        n = np.array([0.48, 0.6, 0.64]) * (1.0 + 1e-9)
+        half = angle / 2.0
+        u = math.cos(half) * SIGMA_0 - 1j * math.sin(half) * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
+        if accepted:
+            assert rotate_su2((1.0, 0.0, 0.0), u).shape == (3,)
+        else:
+            with pytest.raises(ValueError, match="^u must be a unitary matrix"):
+                rotate_su2((1.0, 0.0, 0.0), u)
 
     def test_z_axis_action_matches_euler_action(self):
         v = np.array([1.0, 0.0, 0.0])
