@@ -60,19 +60,18 @@ STARTS_AT_BEST_TOL = 1e-9
 
 PERIOD_GRID = 1024
 PERIOD_MATCH_TOL = 1e-6
-# every PERIOD_SCREEN_STRIDE-th grid point screens all period candidates at once
+# every PERIOD_SCREEN_STRIDE-th grid point screens all 16 period candidates at once
 PERIOD_SCREEN_STRIDE = 64
-CONSTANT_SIGNAL_TOL = 1e-9
 
 
 class PeriodEstimate(float):
-    """Estimated period; ``degenerate`` marks a constant signal.
+    """Estimated period; ``degenerate`` marks a signal too flat to tell its shifts apart.
 
-    A constant discrepancy signal (zero error, or an error that commutes
-    with the rotation) is periodic with every period, so the analytic value
-    is returned by convention and flagged instead of raising.  ``residual``
-    is the matched candidate's max |delta(t + period) - delta(t)| over the
-    grid, 0.0 when degenerate.
+    A signal whose range on the grid is below PERIOD_MATCH_TOL (zero error, an
+    error that commutes with the rotation, or one too small to show) would
+    match every candidate, so the analytic value is returned by convention and
+    flagged.  ``residual`` is the matched candidate's largest gap
+    |delta(t + period) - delta(t)| on the grid, 0.0 when degenerate.
     """
 
     degenerate: bool
@@ -297,10 +296,20 @@ def _nelder_mead_tail(f, sim, vals, nfev, lo, hi, maxfev):
 
 
 def _check_starts(num_starts: int, seed: int) -> tuple[int, int]:
-    """(num_starts, seed) as plain ints; rejects a start count below 1 and a seed below 0, or either not an integer."""
+    """(num_starts, seed) as plain ints; rejects a start count below 1 and a seed below 0, or either not an integer.
+
+    A count whose simplices, five 4-vectors a start, cannot be allocated is refused before any start is drawn:
+    numpy refuses that unwritten block with MemoryError, or with ValueError past its index range.
+    """
     num_starts = _count(num_starts, "num_starts", 1)
     if not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    try:
+        np.empty((num_starts, 5, 4))
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"num_starts = {num_starts} is too many: the simplices of {num_starts} starts do not fit in memory"
+        ) from None
     return num_starts, index(seed)
 
 
@@ -498,11 +507,12 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
 def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> PeriodEstimate:
     """Smallest candidate period matching the sampled discrepancy signal.
 
-    Candidates T/16 ... T/2, T, 2T ... 10T around the analytic period T are
+    The candidates are the divisors T/16 ... T/2, T of the analytic period T
+    (exp(tG) repeats after T, so no multiple of T could match first); one is
     accepted when max_t |delta(t) - delta(t + candidate)| over a dense
-    one-period grid of PERIOD_GRID points stays below PERIOD_MATCH_TOL.
-    A constant signal is flagged degenerate and assigned the analytic
-    period (every positive number is a period of a constant).
+    one-period grid of PERIOD_GRID points stays below PERIOD_MATCH_TOL.  A
+    signal whose range on the grid is below that tolerance would match every
+    shift, so it is flagged degenerate and assigned the analytic period.
 
     The signal is delta_batch's ``target`` column: the kernel is built
     once and only the target's discrepancy is read (_az_rows or _el_rows).
@@ -521,26 +531,23 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     t_period = _period(family)
     kernel = _pair_kernel(family, base)
     read = (_az_rows, _el_rows)[idx]
-    candidates = [t_period / k for k in range(16, 1, -1)]
-    candidates.append(t_period)
-    candidates.extend(k * t_period for k in range(2, 11))
+    cands = np.array([t_period / k for k in range(16, 0, -1)])
     tol = PERIOD_MATCH_TOL
-    cands = np.array(candidates)
     ts = np.linspace(0.0, t_period, PERIOD_GRID)
     stride = slice(None, None, PERIOD_SCREEN_STRIDE)
     # the signal and the screen points in one kernel call, each read on its own
     w = kernel(err, np.append(ts, ts[stride] + cands[:, None]))
     sig = read(w[..., :PERIOD_GRID])
-    if float(sig.max() - sig.min()) < CONSTANT_SIGNAL_TOL:
+    if float(sig.max() - sig.min()) < tol:
         return PeriodEstimate(t_period, degenerate=True)
 
-    screen = read(w[..., PERIOD_GRID:]).reshape(len(candidates), -1)
+    screen = read(w[..., PERIOD_GRID:]).reshape(len(cands), -1)
     for cand in cands[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
         residual = float(np.abs(read(kernel(err, ts + cand)) - sig).max())
         if residual < tol:
             return PeriodEstimate(cand, residual=residual)
     raise PeriodEstimationError(
-        f"no period below 10 analytic periods fits the {target} signal for angles {tuple(angles)}"
+        f"no period among the divisors T/16 ... T/2, T fits the {target} signal for angles {tuple(angles)}"
     )
 
 

@@ -152,7 +152,7 @@ class DegenerateRotationError(ValueError):
 
 
 class PeriodEstimationError(RuntimeError):
-    """No candidate period below ten analytic periods matched the signal."""
+    """No divisor T/16 ... T/2, T of the analytic period T matched the signal."""
 
 
 class UnknownTargetError(ValueError, KeyError):

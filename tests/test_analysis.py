@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
@@ -434,6 +434,14 @@ class TestEstimatePeriodNumeric:
         assert est.degenerate
         assert float(est) == pytest.approx(period(UNIT_RATES), abs=1e-15)
 
+    @pytest.mark.parametrize("size", [1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("rates", [UNIT_RATES, (0.7, -1.3, 2.1)])
+    @pytest.mark.parametrize("base", [X_BASE, (0.48, 0.6, 0.64)])
+    def test_small_error_flagged_degenerate(self, size, rates, base):
+        # the signal varies by less than PERIOD_MATCH_TOL, so every shift would match; the answer was T/16
+        est = estimate_period_numeric("el", (0.0, size, 0.0), rates, base)
+        assert (float(est), est.degenerate, est.residual) == (period(rates), True, 0.0)
+
     def test_estimate_behaves_like_float(self):
         est = PeriodEstimate(2.5, degenerate=True)
         assert est + 0.5 == 3.0
@@ -481,7 +489,7 @@ def full_scan_period(target, err, angles, base, tol=None):
     t_period = period(angles)
     ts = np.linspace(0.0, t_period, analysis.PERIOD_GRID)
     sig = delta_batch(err, ts, angles, base)[:, idx]
-    if float(sig.max() - sig.min()) < analysis.CONSTANT_SIGNAL_TOL:
+    if float(sig.max() - sig.min()) < tol:
         return t_period, True, 0.0
     for cand in [t_period / k for k in range(16, 1, -1)] + [k * t_period for k in range(1, 11)]:
         gap = float(np.abs(delta_batch(err, ts + cand, angles, base)[:, idx] - sig).max())
@@ -504,6 +512,9 @@ def period_inputs(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(period_inputs())
+# small errors, whose signal varies by less than PERIOD_MATCH_TOL
+@example(("az", (0.0, 1e-7, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0)))
+@example(("el", (0.0, 1e-7, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0)))
 def test_period_screen_matches_full_scan(inputs):
     target, err, rates, base = inputs
     want = full_scan_period(target, err, rates, base)
@@ -798,3 +809,17 @@ def test_start_counts_that_are_not_integers_are_named(num_starts):
         find_extrema(X_BASE, UNIT_RATES, num_starts, 0)
     with pytest.raises(ValueError, match=r"^num_starts must be an integer, got "):
         find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts, 0)
+
+
+@pytest.mark.parametrize("num_starts", [2**50, 2**63 - 2, 10**20])
+def test_start_counts_that_do_not_fit_in_memory_are_named(num_starts, monkeypatch):
+    # 2**50 starts' simplices fail at allocation, so no memory is written; 2**63 - 2 and 10**20 lie past
+    # numpy's index range.  Each is refused before a start is drawn
+    monkeypatch.setattr(analysis, "_start_draws", lambda *args: pytest.fail("a start was drawn"))
+    message = rf"^num_starts = {num_starts} is too many: the simplices of {num_starts} starts do not fit in memory$"
+    with pytest.raises(ValueError, match=message):
+        find_extrema(X_BASE, UNIT_RATES, num_starts, 0)
+    with pytest.raises(ValueError, match=message):
+        find_extremum("el", "max", X_BASE, UNIT_RATES, num_starts, 0)
+    with pytest.raises(ValueError, match=message):
+        run_case_study(CASE_STUDIES[0], num_starts=num_starts)

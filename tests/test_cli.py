@@ -203,6 +203,13 @@ class TestPeriodCommand:
         assert run_cli("period", "--angles", "1,1,1", "--err", "0,0,0") == 0
         assert "degenerate" in capsys.readouterr().out
 
+    def test_small_error_reports_degenerate_signal(self, capsys):
+        # the signal varies by less than PERIOD_MATCH_TOL, so every shift would match: not T/16
+        assert run_cli("period", "--angles", "1,1,1", "--err", "0,1e-7,0") == 0
+        out = capsys.readouterr().out
+        assert "numeric estimate: 2.8099258924162904 (degenerate: constant signal, analytic value returned)" in out
+        assert "difference:       0\n" in out
+
 
 class TestCasesCommand:
     def test_runs_all_cases(self, tmp_path, capsys):
@@ -309,6 +316,15 @@ def test_cases_zero_starts_creates_nothing(tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("starts", [2**50, 2**63 - 2, 10**20])
+@pytest.mark.parametrize("command", ["extrema", "cases"])
+def test_starts_that_do_not_fit_in_memory_exit_1_and_create_nothing(tmp_path, capsys, command, starts):
+    # refused before any start is drawn or any directory is made
+    assert run_cli(command, "--starts", str(starts), "--output", str(tmp_path / "out")) == 1
+    assert f"error: num_starts = {starts} is too many" in one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,seed,output", [("extrema", "-1", "out/report.json"), ("cases", "-3", "out")])
 def test_negative_seed_exits_1_and_creates_nothing(tmp_path, capsys, command, seed, output):
     assert run_cli(command, "--seed", seed, "--starts", "2", "--output", str(tmp_path / output)) == 1
@@ -348,7 +364,7 @@ def test_step_whose_phase_sum_overflows_runs_in_every_pipeline(tmp_path, capsys)
 
 def test_period_estimation_failure_exits_1(monkeypatch, capsys):
     def no_match(*args, **kwargs):
-        raise PeriodEstimationError("no period below 10 analytic periods fits")
+        raise PeriodEstimationError("no period among the divisors T/16 ... T/2, T fits")
 
     monkeypatch.setattr("blochprop.analysis.estimate_period_numeric", no_match)
     assert run_cli("period", "--angles", "1,1,1") == 1

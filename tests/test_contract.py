@@ -313,6 +313,10 @@ NAMED = {
         lambda: simulate(X_BASE, TILTED, STEP, 2**50),
         r"^steps = 1125899906842624 is too many: a run of 1125899906842625 samples does not fit in memory$",
     ),
+    "starts beyond memory": (
+        lambda: find_extrema(X_BASE, RATES, 2**50, 0),
+        r"^num_starts = 1125899906842624 is too many: the simplices of 1125899906842624 starts do not fit in memory$",
+    ),
     "spec": (lambda: run_case_study("x"), r"^spec must be a CaseSpec, got 'x'$"),
     "ErrorSeries t": (lambda: ErrorSeries("x", [0.0], [0.0]), r"^t must be finite numbers, got 'x'$"),
     "ErrorSeries delta_el": (
