@@ -41,8 +41,8 @@ import numpy as np
 from .bloch import EulerAngles
 from .propagation import ErrorSeries, _az_rows, _el_rows, _pair_kernel, _pseudo_rows
 from .scalar import (
-    PROBE_ERR, PeriodEstimationError, _check_phase, _count, _delta_az, _delta_el, _family, _finite_triple, _floats,
-    _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _samples, _start_pair, _target_index, period
+    PROBE_ERR, PeriodEstimationError, _TWO_PI, _check_phase, _count, _delta_az, _delta_el, _family, _finite_triple,
+    _floats, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _samples, _start_pair, _target_index, period
 )
 # re-exported, so that these stay importable from this module
 from .scalar import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, time_averaged_error
@@ -70,8 +70,8 @@ class PeriodEstimate(float):
     A signal whose range on the grid is below PERIOD_MATCH_TOL (zero error, an
     error that commutes with the rotation, or one too small to show) would
     match every candidate, so the analytic value is returned by convention and
-    flagged.  ``residual`` is the matched candidate's largest gap
-    |delta(t + period) - delta(t)| on the grid, 0.0 when degenerate.
+    flagged.  ``residual`` is the matched candidate T/k's largest gap
+    |delta(s + 2 pi / k) - delta(s)| on the phase grid, 0.0 when degenerate.
     """
 
     degenerate: bool
@@ -508,18 +508,21 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     """Smallest candidate period matching the sampled discrepancy signal.
 
     The candidates are the divisors T/16 ... T/2, T of the analytic period T
-    (exp(tG) repeats after T, so no multiple of T could match first); one is
-    accepted when max_t |delta(t) - delta(t + candidate)| over a dense
-    one-period grid of PERIOD_GRID points stays below PERIOD_MATCH_TOL.  A
-    signal whose range on the grid is below that tolerance would match every
-    shift, so it is flagged degenerate and assigned the analytic period.
+    (exp(tG) repeats after T, so no multiple of T could match first).  The
+    signal is read over the phase s = omega * t, at time s of the unit-speed
+    family (omega = 1, the same axis), where T/k is the shift 2 pi / k: T/k
+    is accepted when max_s |delta(s) - delta(s + 2 pi / k)| over a
+    PERIOD_GRID-point grid of [0, 2 pi] stays below PERIOD_MATCH_TOL, and
+    no point leaves [0, 4 pi] at any rate.  A signal whose range on the grid
+    is below that tolerance would match every shift, so it is flagged
+    degenerate and assigned the analytic period.
 
-    The signal is delta_batch's ``target`` column: the kernel is built
-    once and only the target's discrepancy is read (_az_rows or _el_rows).
-    All candidates are first screened together on every
-    PERIOD_SCREEN_STRIDE-th grid point, in the signal's kernel call; only
-    those that pass are checked on the full grid, in candidate order.  The
-    screen never drops the candidate the full check would accept: its
+    The signal is read as delta_batch reads its ``target`` column: the
+    kernel is built once and only the target's discrepancy is read
+    (_az_rows or _el_rows).  All candidates are first screened together on
+    every PERIOD_SCREEN_STRIDE-th grid point, in the signal's kernel call;
+    only those that pass are checked on the full grid, in candidate order.
+    The screen never drops the candidate the full check would accept: its
     points are a subset of the grid, and the kernel gives each point the
     same value whatever else shares the call, so a candidate's screen
     maximum never exceeds its grid maximum.
@@ -529,23 +532,23 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     base = _require_unit(base, "base")
     family = _family(angles)
     t_period = _period(family)
-    kernel = _pair_kernel(family, base)
+    kernel = _pair_kernel(family._replace(omega=1.0), base)
     read = (_az_rows, _el_rows)[idx]
-    cands = np.array([t_period / k for k in range(16, 0, -1)])
+    ks = np.arange(16, 0, -1)
     tol = PERIOD_MATCH_TOL
-    ts = np.linspace(0.0, t_period, PERIOD_GRID)
+    phases = np.linspace(0.0, _TWO_PI, PERIOD_GRID)
     stride = slice(None, None, PERIOD_SCREEN_STRIDE)
     # the signal and the screen points in one kernel call, each read on its own
-    w = kernel(err, np.append(ts, ts[stride] + cands[:, None]))
+    w = kernel(err, np.append(phases, phases[stride] + (_TWO_PI / ks)[:, None]))
     sig = read(w[..., :PERIOD_GRID])
     if float(sig.max() - sig.min()) < tol:
         return PeriodEstimate(t_period, degenerate=True)
 
-    screen = read(w[..., PERIOD_GRID:]).reshape(len(cands), -1)
-    for cand in cands[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
-        residual = float(np.abs(read(kernel(err, ts + cand)) - sig).max())
+    screen = read(w[..., PERIOD_GRID:]).reshape(len(ks), -1)
+    for k in ks[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
+        residual = float(np.abs(read(kernel(err, phases + _TWO_PI / k)) - sig).max())
         if residual < tol:
-            return PeriodEstimate(cand, residual=residual)
+            return PeriodEstimate(t_period / k, residual=residual)
     raise PeriodEstimationError(
         f"no period among the divisors T/16 ... T/2, T fits the {target} signal for angles {tuple(angles)}"
     )
@@ -559,7 +562,8 @@ def case_series(spec: CaseSpec) -> ErrorSeries:
     family = _family(spec.angles)
     ts = np.linspace(0.0, _period(family), CASE_SERIES_SAMPLES)
     start = _start_pair(PROBE_ERR, _require_unit(spec.base_vector, "base_vector"))
-    daz, del_ = (np.array(_samples(idx, *start, family.omega, family.na, family.nt, ts.tolist())) for idx in (0, 1))
+    phases = [family.omega * t for t in ts.tolist()]
+    daz, del_ = (np.array(_samples(idx, *start, family.na, family.nt, phases)) for idx in (0, 1))
     return ErrorSeries(t=ts, delta_az=daz, delta_el=del_)
 
 

@@ -382,8 +382,8 @@ def equivalent_continuous_angles(step) -> EulerAngles:
 # the kernel's vectors with numpy's hypot and arctan2 (_az_rows and _el_rows,
 # stacked), which may round otherwise than math's, so delta_batch and
 # delta_closed_form agree to about 1e-15 but not bit for bit.  The period grid
-# of analysis.estimate_period_numeric reads one channel of the same kernel with
-# _az_rows or _el_rows alone: delta_batch's column, bit for bit.  The search's
+# of analysis.estimate_period_numeric reads one channel of the unit-speed
+# family's kernel at phases in [0, 4 pi] with _az_rows or _el_rows.  The search's
 # lockstep batch reads the kernel's vectors with _pseudo_rows, bit for bit
 # scalar._pseudo_az and scalar._pseudo_el.
 #

@@ -21,11 +21,11 @@ has two fronts.  _point_reader forms the error rotation per point p = [eps_x, ep
 read with _delta_scalar it is delta_closed_form, with a pseudo-angle the search's plain-float
 objective; at omega = 0 it reads the start pair as it is, since the identity family would turn a
 -0.0 into +0.0.  _samples takes one trajectory's start pair (_start_pair) and returns one
-discrepancy at each of many t: _pair_floats and _delta_az or _delta_el written out in one loop, bit
-for bit, at about 0.75 (azimuth) and 0.9 us (elevation) a sample, against about 2.2 us a point
-through _point_reader.  time_averaged_error calls it once per 21-point Kronrod rule and
-analysis.case_series once per column, both at omega > 0.  _delta_az and _delta_el use math.hypot
-and math.atan2, as propagation.delta_pair does, and _delta_scalar returns both.  A numpy call on one
+discrepancy at each of many phases omega * t: _pair_floats and _delta_az or _delta_el written out in
+one loop, bit for bit, at about 0.75 (azimuth) and 0.9 us (elevation) a sample, against about 2.2 us
+a point through _point_reader.  time_averaged_error calls it once per 21-point Kronrod rule over the
+phase and analysis.case_series once per column.  _delta_az and _delta_el use math.hypot and
+math.atan2, as propagation.delta_pair does, and _delta_scalar returns both.  A numpy call on one
 point costs about ten times a float one.
 
 The multistart extremum search reads no angle at all.  Nelder-Mead uses its objective only through
@@ -351,15 +351,14 @@ def _pair_floats(bx, by, bz, vx, vy, vz, omega, na, nt, read, t):
     )
 
 
-def _samples(idx, bx, by, bz, vx, vy, vz, omega, na, nt, ts) -> list[float]:
+def _samples(idx, bx, by, bz, vx, vy, vz, na, nt, phases) -> list[float]:
     """[_pair_floats(b, v, omega, na, nt, (_delta_az, _delta_el)[idx], t) for t in ts], bit for bit.
 
-    The trajectory front (see the module docstring), for omega > 0: _pair_floats's operations in
-    its order, with the reader inlined; the azimuth forms only the x and y components it reads.
+    The trajectory front (see the module docstring), read at the phases wt = omega * t: _pair_floats's
+    operations in its order, with the reader inlined; the azimuth forms only the x and y it reads.
     """
     out = []
-    for t in ts:
-        wt = omega * t
+    for wt in phases:
         c, s, h = cos(wt), sin(wt), sin(wt / 2.0)
         mc = 2.0 * (h * h)
         p12, p21, p31 = na * s, -na * s, nt * s
@@ -390,7 +389,7 @@ class TimeAverage(float):
     """Time-averaged discrepancy with its quadrature's error estimate.
 
     ``abserr`` is the quadrature's absolute error estimate of the integral
-    divided by the period, so it bounds the error of the average itself;
+    over the phase, divided by 2 pi, so it bounds the error of the average;
     ``neval`` is the number of integrand evaluations the quadrature made.
     Both equal what scipy.integrate.quad reports for the same integral.
     """
@@ -408,25 +407,23 @@ class TimeAverage(float):
 def time_averaged_error(
     target: str, err, angles, base=(1.0, 0.0, 0.0), tol: float = 1e-8
 ) -> TimeAverage:
-    """Mean discrepancy over one full period, (1/T) * integral of delta.
+    """Mean discrepancy over one full period, (1/T) * integral of delta over [0, T].
 
+    Over a period the phase s = omega * t runs once over [0, 2 pi], so the
+    mean is that of delta at time s of the unit-speed family (omega = 1, the
+    same axis) over s in [0, 2 pi]: it depends on the rates only through
+    their axis, and omega only on whether a period exists (_period).
     Adaptive quadrature (quadpack.dqagse, QUADPACK's QAGS, which gives
-    scipy.integrate.quad's result bit for bit) with epsabs ``tol``, epsrel
-    1e-10 and at most 200 subintervals; the integrand has kinks where the
-    wrapped difference folds, which the subdivision resolves without
-    assistance.  ``tol`` bounds the error of the integral over the period,
-    so the average's own absolute tolerance is tol / T, tighter for slow
-    rates: rates (0, 0, 1e-10) give T of about 6e10, and the azimuth's zero
-    average then exhausts the 200 subintervals on rounding noise.  The
-    integrand is delta_closed_form(err, t, angles, base)[target] at fixed
-    err, angles and base, evaluated one 21-point Kronrod rule per call by
-    _samples, which gives the pair's value bit for bit on the target's
-    discrepancy alone (see the module docstring).  The result is a float
-    that also carries the error estimate and evaluation count (see
+    scipy.integrate.quad's result bit for bit) integrates over the phase
+    with epsabs ``tol``, epsrel 1e-10 and at most 200 subintervals, so the
+    average's own tolerance is tol / (2 pi) at every rate; the integrand
+    has kinks where the wrapped difference folds, which the subdivision
+    resolves without assistance.  _samples evaluates it one 21-point
+    Kronrod rule per call, delta_closed_form's value bit for bit on the
+    target's discrepancy alone (see the module docstring).  The result is a
+    float that also carries the error estimate and evaluation count (see
     TimeAverage).  A nonzero error code of the quadrature warns with
-    quadpack's IntegrationWarning and quad's message for that code.  A
-    period above half the float range can make a bisection midpoint
-    overflow; that raises ValueError.
+    quadpack's IntegrationWarning and quad's message for that code.
     """
     # imported on the first call: without cached bytecode, compiling quadpack would add about 5%
     # to the start-up of every command that never integrates
@@ -437,17 +434,9 @@ def time_averaged_error(
     base = _require_unit(base, "base")
     tol = _finite_float(tol, "tol")
     family = _family(angles)
-    t_period = _period(family)
-    rule = partial(_samples, idx, *_start_pair(err, base), family.omega, family.na, family.nt)
-    try:
-        val, abserr, neval, ier = _qags(rule, 0.0, t_period, tol, QUAD_EPSREL, QUAD_LIMIT)
-    except ValueError:
-        # _samples takes every finite t; only an infinite one, a midpoint 0.5 * (a + b) that
-        # overflows, makes cos raise
-        raise ValueError(
-            f"rotation rates {family.rates!r}: the period {t_period!r} is too long to integrate: "
-            "a bisection midpoint overflows"
-        ) from None
+    _period(family)
+    rule = partial(_samples, idx, *_start_pair(err, base), family.na, family.nt)
+    val, abserr, neval, ier = _qags(rule, 0.0, _TWO_PI, tol, QUAD_EPSREL, QUAD_LIMIT)
     if ier:
         warnings.warn(message(ier, QUAD_LIMIT), IntegrationWarning, stacklevel=2)
-    return TimeAverage(val / t_period, abserr / t_period, neval)
+    return TimeAverage(val / _TWO_PI, abserr / _TWO_PI, neval)

@@ -1,6 +1,7 @@
 """Extrema search, time averages, period estimation, case studies."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from blochprop.bloch import EulerAngles
 from blochprop.propagation import (
     DegenerateRotationError,
     _az_rows,
+    _el_rows,
     _family,
     _pair_kernel,
     _pseudo_rows,
@@ -41,11 +43,25 @@ from blochprop.propagation import (
     delta_closed_form,
     period,
 )
-from blochprop.scalar import _point_reader, _pseudo_az, _pseudo_el
+from blochprop.scalar import _delta_scalar, _point_reader, _pseudo_az, _pseudo_el
 
 SQRT5 = math.sqrt(5.0)
 X_BASE = (1.0, 0.0, 0.0)
 UNIT_RATES = (1.0, 1.0, 1.0)
+TWO_PI = 2 * math.pi
+
+
+def unit_speed_delta(err, angles, base, idx):
+    """delta_closed_form's channel idx at time s of the unit-speed family about the axis of ``angles``."""
+    at = _point_reader(_family(angles)._replace(omega=1.0), tuple(map(float, base)), _delta_scalar)
+    return lambda s: at((*err, s))[idx]
+
+
+def unit_speed_signal(target, err, angles, base):
+    """delta_batch's ``target`` column of the unit-speed family about the axis of ``angles``, at phases s."""
+    kernel = _pair_kernel(_family(angles)._replace(omega=1.0), tuple(map(float, base)))
+    read = (_az_rows, _el_rows)[{"az": 0, "el": 1}[target]]
+    return lambda s: read(kernel(err, s))
 
 
 def one_start(f, x0, lo, hi, maxfev=MAX_EVALS):
@@ -354,14 +370,13 @@ class TestTimeAveragedError:
         ],
     )
     def test_equals_quad_over_delta_closed_form(self, err, angles, base):
-        # the hoisted integrand changes no bit of the average, its error
-        # estimate or quad's evaluation count
-        t_period = period(angles)
+        # the hoisted integrand changes no bit of the average, its error estimate or quad's evaluation
+        # count: quad over the phase of the unit-speed family, divided by 2 pi
         for target, idx in (("az", 0), ("el", 1)):
             val, abserr, info = quad(
-                lambda t: delta_closed_form(err, t, angles, base)[idx],
+                unit_speed_delta(err, angles, base, idx),
                 0.0,
-                t_period,
+                TWO_PI,
                 epsabs=1e-8,
                 epsrel=1e-10,
                 limit=200,
@@ -369,8 +384,8 @@ class TestTimeAveragedError:
             )
             avg = time_averaged_error(target, err, angles, base)
             assert isinstance(avg, TimeAverage)
-            assert avg == val / t_period
-            assert avg.abserr == abserr / t_period
+            assert avg == val / TWO_PI
+            assert avg.abserr == abserr / TWO_PI
             assert avg.neval == info["neval"] > 0
 
 
@@ -401,20 +416,19 @@ def _random_average_configs():
 )
 def test_one_channel_average_equals_quad_over_the_pair(err, angles, base):
     # the integrand reads one discrepancy only, and quad still sees the same samples: the same
-    # average, error estimate and evaluation count as over delta_closed_form's pair
-    t_period = period(angles)
+    # average, error estimate and evaluation count as over the pair of the unit-speed family
     for target, idx in (("az", 0), ("el", 1)):
         val, abserr, info = quad(
-            lambda t: delta_closed_form(err, t, angles, base)[idx],
+            unit_speed_delta(err, angles, base, idx),
             0.0,
-            t_period,
+            TWO_PI,
             epsabs=1e-8,
             epsrel=1e-10,
             limit=200,
             full_output=1,
         )[:3]
         avg = time_averaged_error(target, err, angles, base)
-        assert (float(avg), avg.abserr, avg.neval) == (val / t_period, abserr / t_period, info["neval"])
+        assert (float(avg), avg.abserr, avg.neval) == (val / TWO_PI, abserr / TWO_PI, info["neval"])
 
 
 class TestEstimatePeriodNumeric:
@@ -456,6 +470,20 @@ class TestEstimatePeriodNumeric:
         with pytest.raises(DegenerateRotationError):
             estimate_period_numeric("el", PROBE_ERR, (0, 0, 0))
 
+    @pytest.mark.parametrize("target", ["az", "el"])
+    def test_period_above_half_the_float_range(self, target):
+        # T = 1.57e308: a grid over t, shifted by a candidate, overflowed to inf and no divisor matched; the
+        # phase stays in [0, 4 pi], so the slow rates read as unit rates about the same axis
+        slow, unit = (0.0, 4e-308, 0.0), (0.0, 1.0, 0.0)
+        assert period(slow) > sys.float_info.max / 2
+        est = estimate_period_numeric(target, PROBE_ERR, slow)
+        want = estimate_period_numeric(target, PROBE_ERR, unit)
+        assert (float(est), est.degenerate, est.residual) == (period(slow) / 2, False, want.residual)
+        assert float(want) == period(unit) / 2
+        # about the z axis neither discrepancy of the base (1, 0, 0) moves
+        est = estimate_period_numeric(target, PROBE_ERR, (0.0, 0.0, 4e-308))
+        assert (float(est), est.degenerate) == (period((0.0, 0.0, 4e-308)), True)
+
     def test_residual_of_the_matched_candidate(self):
         est = estimate_period_numeric("el", PROBE_ERR, UNIT_RATES)
         assert 0.0 <= est.residual < analysis.PERIOD_MATCH_TOL
@@ -465,10 +493,11 @@ class TestEstimatePeriodNumeric:
     def test_candidate_passing_the_screen_is_checked_on_the_grid(self, monkeypatch):
         # choose a tolerance between T/16's screen and grid maxima: T/16
         # passes the screen, fails the full grid and must not be returned
-        err, angles, idx = (0.3, 1.1, 2.0), UNIT_RATES, 0
+        err, angles = (0.3, 1.1, 2.0), UNIT_RATES
         t_period = period(angles)
-        ts = np.linspace(0.0, t_period, analysis.PERIOD_GRID)
-        gap = np.abs(delta_batch(err, ts + t_period / 16, angles)[:, idx] - delta_batch(err, ts, angles)[:, idx])
+        signal = unit_speed_signal("az", err, angles, X_BASE)
+        phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
+        gap = np.abs(signal(phases + TWO_PI / 16) - signal(phases))
         on_screen = float(gap[:: analysis.PERIOD_SCREEN_STRIDE].max())
         on_grid = float(gap.max())
         assert on_screen < on_grid
@@ -483,16 +512,21 @@ class TestEstimatePeriodNumeric:
 
 
 def full_scan_period(target, err, angles, base, tol=None):
-    """(value, degenerate, residual) by checking every candidate on the full grid, or None."""
-    idx = {"az": 0, "el": 1}[target]
+    """(value, degenerate, residual) by checking every candidate on the full grid, or None.
+
+    The grid and the shifts are phases of the unit-speed family; the shift 2 pi / k, or k 2 pi, of
+    the phase is the candidate T / k, or k T, of the rates.
+    """
     tol = analysis.PERIOD_MATCH_TOL if tol is None else tol
     t_period = period(angles)
-    ts = np.linspace(0.0, t_period, analysis.PERIOD_GRID)
-    sig = delta_batch(err, ts, angles, base)[:, idx]
+    signal = unit_speed_signal(target, err, angles, base)
+    phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
+    sig = signal(phases)
     if float(sig.max() - sig.min()) < tol:
         return t_period, True, 0.0
-    for cand in [t_period / k for k in range(16, 1, -1)] + [k * t_period for k in range(1, 11)]:
-        gap = float(np.abs(delta_batch(err, ts + cand, angles, base)[:, idx] - sig).max())
+    cands = [(TWO_PI / k, t_period / k) for k in range(16, 1, -1)] + [(k * TWO_PI, k * t_period) for k in range(1, 11)]
+    for shift, cand in cands:
+        gap = float(np.abs(signal(phases + shift) - sig).max())
         if gap < tol:
             return cand, False, gap
     return None

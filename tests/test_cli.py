@@ -210,6 +210,31 @@ class TestPeriodCommand:
         assert "numeric estimate: 2.8099258924162904 (degenerate: constant signal, analytic value returned)" in out
         assert "difference:       0\n" in out
 
+    def test_period_above_half_the_float_range_is_its_divisor(self, capsys):
+        # T = 1.57e308: a grid over t, shifted by a candidate, overflowed; the phase stays in [0, 4 pi], and
+        # the divisor is T/2, as for every omega about the theta axis, 1e-300 among them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("period", "--angles", "0,4e-308,0") == 0
+        out, err = capsys.readouterr()
+        assert out == (
+            "analytic period:  1.5707963267948964e+308\n"
+            "numeric estimate: 7.853981633974482e+307\n"
+            "difference:       7.853981633974482e+307\n"
+        )
+        assert err == ""
+        assert run_cli("period", "--angles", "0,1e-300,0") == 0
+        assert "numeric estimate: 3.1415926535897931e+300\n" in capsys.readouterr().out
+
+    def test_period_above_half_the_float_range_reports_degenerate_signal(self, capsys):
+        # about the z axis the probe's elevation never moves
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("period", "--angles", "0,0,4e-308") == 0
+        out, err = capsys.readouterr()
+        assert "numeric estimate: 1.5707963267948964e+308 (degenerate: constant signal, analytic value returned)" in out
+        assert err == ""
+
 
 class TestCasesCommand:
     def test_runs_all_cases(self, tmp_path, capsys):
@@ -284,11 +309,15 @@ class TestAverageCommand:
             assert run_cli("average", "--angles", "0,0,1e-310") == 1
         assert "(0.0, 0.0, 1e-310)" in one_line_error(capsys)
 
-    def test_period_whose_bisection_overflows_exits_1(self, capsys):
-        # T = 1.57e308 is finite, but a bisection midpoint near its top end overflows
-        assert run_cli("average", "--angles", "0,0,4e-308") == 1
-        err = one_line_error(capsys)
-        assert "(0.0, 0.0, 4e-308)" in err and "1.5707963267948964e+308 is too long to integrate" in err
+    def test_period_above_half_the_float_range_averages_as_unit_rates_about_its_axis(self, capsys):
+        # T = 1.57e308 is finite; the average reads the phase, which depends on the rates only through the axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("average", "--angles", "0,0,4e-308") == 0
+            slow = capsys.readouterr()
+            assert run_cli("average", "--angles", "0,0,1") == 0
+        assert slow == capsys.readouterr()
+        assert slow.err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """time_averaged_error's per-rule integrand against the pointwise reference, with no scipy.
 
-The quadrature evaluates one 21-point Kronrod rule per call of _samples.  Each call must give every
-abscissa the value _point_reader gives that point with the channel's reader, bit for bit, so that
-the average, its error estimate, its evaluation count and its warnings equal those of
-quadpack.dqagse over the pointwise function.
+The quadrature evaluates one 21-point Kronrod rule per call of _samples, over the phase [0, 2 pi].
+Each call must give every abscissa the value _point_reader gives that point of the unit-speed family
+with the channel's reader, bit for bit, so that the average, its error estimate, its evaluation count
+and its warnings equal those of quadpack.dqagse over the pointwise function, divided by 2 pi.
 """
 
 import math
@@ -33,6 +33,7 @@ from blochprop.scalar import (
 
 # each channel's _samples index and pointwise reader
 RULES = {"az": (0, _delta_az), "el": (1, _delta_el)}
+TWO_PI = 2 * math.pi
 
 signed_huge = st.floats(1e300, 1e307).flatmap(lambda x: st.sampled_from([x, -x]))
 rate_triples = st.one_of(
@@ -52,12 +53,15 @@ errs = st.one_of(
 
 
 def rule_and_reference(target, err, rates, base):
-    """The target's rule, bound as time_averaged_error binds it, and the pointwise reference of t."""
+    """The target's rule of phases, bound as time_averaged_error binds it, and the pointwise reference of the phase.
+
+    The reference reads the unit-speed family, omega = 1 about the axis of ``rates``, at time s.
+    """
     idx, read = RULES[target]
     family = _family(rates)
-    bound = partial(_samples, idx, *_start_pair(err, base), family.omega, family.na, family.nt)
-    at = _point_reader(family, base, read)
-    return bound, lambda t: at((*err, t))
+    bound = partial(_samples, idx, *_start_pair(err, base), family.na, family.nt)
+    at = _point_reader(family._replace(omega=1.0), base, read)
+    return bound, lambda s: at((*err, s))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -68,12 +72,11 @@ def rule_and_reference(target, err, rates, base):
 @example(rates=(1e300, -1e308, 2.1), base=(0.48, 0.6, 0.64), err=(0.3, 0.2, 0.1), phases=[6.0, -0.25])
 def test_each_rule_equals_the_pointwise_reference_bit_for_bit(rates, base, err, phases):
     base = tuple(c / math.hypot(*base) for c in base)
-    omega = _family(rates).omega
-    assume(omega > 0.0)
-    ts = (0.0, *(p / omega for p in phases))
+    assume(_family(rates).omega > 0.0)
+    phases = (0.0, *phases)
     for target in RULES:
         rule, reference = rule_and_reference(target, err, rates, base)
-        assert [v.hex() for v in rule(ts)] == [reference(t).hex() for t in ts]
+        assert [v.hex() for v in rule(phases)] == [reference(s).hex() for s in phases]
 
 
 def test_the_pole_example_starts_on_the_pole():
@@ -98,59 +101,86 @@ def _sweep_configs(n, seed):
     return configs
 
 
-# two averages that warn: the azimuth's zero average at a slow rate ("probably divergent"), and a
-# rate of 1e308 ("Extremely bad integrand behavior")
-WARNING_CASES = [
+# rates at both ends of the float range, whose averages over t in [0, T] warned: the azimuth's zero
+# average at 1e-10, where tol / T was below rounding ("probably divergent"), and a rate of 1e308
+# ("Extremely bad integrand behavior"); over the phase neither warns
+EDGE_RATE_CASES = [
     ((0.0, 0.2, 0.0), (0.0, 0.0, 1e-10), (1.0, 0.0, 0.0)),
     ((0.3, 0.2, 0.1), (0.7, -1e308, 2.1), (1.0, 0.0, 0.0)),
 ]
 
 
-@pytest.mark.parametrize("err, rates, base", _sweep_configs(100, seed=27) + WARNING_CASES)
+@pytest.mark.parametrize("err, rates, base", _sweep_configs(100, seed=27) + EDGE_RATE_CASES)
 def test_average_equals_dqagse_over_the_pointwise_reference(err, rates, base):
-    t_period = period(rates)
     for target in RULES:
         reference = rule_and_reference(target, err, rates, base)[1]
-        val, abserr, neval, ier = dqagse(reference, 0.0, t_period, 1e-8, QUAD_EPSREL, QUAD_LIMIT)
+        val, abserr, neval, ier = dqagse(reference, 0.0, TWO_PI, 1e-8, QUAD_EPSREL, QUAD_LIMIT)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             avg = time_averaged_error(target, err, rates, base)
         assert (float(avg).hex(), avg.abserr.hex(), avg.neval) == (
-            (val / t_period).hex(),
-            (abserr / t_period).hex(),
+            (val / TWO_PI).hex(),
+            (abserr / TWO_PI).hex(),
             neval,
         )
         assert [str(w.message) for w in caught] == ([message(ier, QUAD_LIMIT)] if ier else [])
 
 
-def test_the_warning_cases_warn():
-    codes = []
-    for err, rates, base in WARNING_CASES:
-        reference = rule_and_reference("az", err, rates, base)[1]
-        codes.append(dqagse(reference, 0.0, period(rates), 1e-8, QUAD_EPSREL, QUAD_LIMIT)[3])
-    assert codes == [5, 3]
+def test_the_edge_rate_cases_do_not_warn():
+    codes = [
+        dqagse(rule_and_reference(target, err, rates, base)[1], 0.0, TWO_PI, 1e-8, QUAD_EPSREL, QUAD_LIMIT)[3]
+        for err, rates, base in EDGE_RATE_CASES
+        for target in RULES
+    ]
+    assert codes == [0, 0, 0, 0]
 
 
-def test_a_period_whose_bisection_overflows_is_named():
-    # T = 1.57e308: bisecting near its top end, 0.5 * (a + b) overflows to inf, and cos(inf) raises
-    rates = (0.0, 0.0, 4e-308)
-    reference = rule_and_reference("az", (0.0, 0.2, 0.0), rates, (1.0, 0.0, 0.0))[1]
-    with pytest.raises(ValueError, match="math domain error"):
-        dqagse(reference, 0.0, period(rates), 1e-8, QUAD_EPSREL, QUAD_LIMIT)
-    # the contract table holds the whole message
-    with pytest.raises(ValueError, match="too long to integrate"):
-        time_averaged_error("az", (0.0, 0.2, 0.0), rates)
-
-
+@pytest.mark.parametrize("target", RULES)
 @pytest.mark.parametrize(
-    "target, err, base",
-    [("el", (0.0, 0.2, 0.0), (1.0, 0.0, 0.0)), ("az", (0.3, 0.2, 0.1), (0.48, 0.6, 0.64))],
+    "err, base", [((0.0, 0.2, 0.0), (1.0, 0.0, 0.0)), ((0.3, 0.2, 0.1), (0.48, 0.6, 0.64))]
 )
-def test_a_period_above_half_the_float_range_still_integrates_when_no_midpoint_overflows(target, err, base):
-    # the same T, where the first rule already meets the tolerance: no bisection, no refusal
+def test_a_period_above_half_the_float_range_averages_as_its_axis_at_unit_speed(target, err, base):
+    # T = 1.57e308: over t, a bisection midpoint near its top end overflowed; the phase never leaves [0, 2 pi]
     rates = (0.0, 0.0, 4e-308)
     assert period(rates) > sys.float_info.max / 2
-    reference = rule_and_reference(target, err, rates, base)[1]
-    val, abserr, neval, ier = dqagse(reference, 0.0, period(rates), 1e-8, QUAD_EPSREL, QUAD_LIMIT)
+    avg, unit = (time_averaged_error(target, err, r, base) for r in (rates, (0.0, 0.0, 1.0)))
+    assert (float(avg).hex(), avg.abserr.hex(), avg.neval) == (float(unit).hex(), unit.abserr.hex(), unit.neval)
+
+
+# the average reads the phase of the unit-speed family about the rates' axis, so only the axis matters
+POWERS = [1, -1, 20, -20, 500, -500, 1000, -1000]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rate_triples, bases, errs, st.sampled_from(sorted(RULES)))
+@example(rates=(0.7, -1.3, 2.1), base=(0.48, 0.6, 0.64), err=(0.3, 0.2, 0.1), target="el")
+@example(rates=(0.0, 0.0, 1.0), base=(1.0, 0.0, 0.0), err=(0.0, 0.2, 0.0), target="az")
+def test_rates_times_a_power_of_two_average_alike(rates, base, err, target):
+    base = tuple(c / math.hypot(*base) for c in base)
+    # a period that 2 pi / omega does not overflow
+    assume(_family(rates).omega > 1e-300)
     avg = time_averaged_error(target, err, rates, base)
-    assert (float(avg), avg.abserr, avg.neval, ier) == (val / period(rates), abserr / period(rates), 21, 0)
+    want = (float(avg).hex(), avg.abserr.hex(), avg.neval)
+    scaled = 0
+    for k in POWERS:
+        r = tuple(c * 2.0**k for c in rates)
+        # only where every rate scales exactly and the period stays finite
+        if any(d / 2.0**k != c for c, d in zip(rates, r)):
+            continue
+        try:
+            period(r)
+        except ValueError:
+            continue
+        got = time_averaged_error(target, err, r, base)
+        assert (float(got).hex(), got.abserr.hex(), got.neval) == want, k
+        scaled += 1
+    # k = 1 always scales the strategies' rates exactly
+    assert scaled
+
+
+@pytest.mark.parametrize("s", [10.0**e for e in range(-6, 10)])
+def test_equal_rates_average_alike_at_every_speed(s):
+    # over t in [0, T] the average's tolerance was tol * omega / (2 pi): at s = 1e9 the elevation read 0.13562605
+    err, base = (0.3, 0.2, 0.1), (0.48, 0.6, 0.64)
+    at_one = time_averaged_error("el", err, (1.0, 1.0, 1.0), base)
+    assert abs(time_averaged_error("el", err, (s, s, s), base) - at_one) <= 1e-12

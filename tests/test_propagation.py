@@ -766,10 +766,11 @@ moving_rate_triples = angle_triples.filter(lambda r: math.hypot(r[1], r[0] + r[2
 
 
 def trajectory(err, angles, base, ts):
-    """(delta_az, delta_el) at each t from one _samples call per channel, as case_series makes them."""
+    """(delta_az, delta_el) at each t: one _samples call per channel on the phases omega * t, as in case_series."""
     family = _family(angles)
     start = _start_pair(err, base)
-    return list(zip(*(_samples(idx, *start, family.omega, family.na, family.nt, ts) for idx in (0, 1))))
+    phases = [family.omega * t for t in ts]
+    return list(zip(*(_samples(idx, *start, family.na, family.nt, phases) for idx in (0, 1))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -41,7 +41,7 @@ def _step(x):
 
 
 # singular, oscillatory, kinked, discontinuous, zero and reversed integrands, and the azimuth
-# average's integrand at slow rates, whose period reaches 6e10 and 6e100
+# discrepancy over t at slow rates, whose period reaches 6e10 and 6e100
 HARD = {
     "1/sqrt(x)": (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
     "log(x)": (math.log, 0.0, 1.0),
@@ -150,20 +150,18 @@ def test_negative_absolute_tolerance_is_valid_with_a_relative_one():
     assert time_averaged_error("el", (0.0, 0.2, 0.0), (1.0, 1.0, 1.0), tol=0.0) > 0.0
 
 
-def test_slow_rates_exhaust_the_subdivisions():
-    # tol bounds the integral over the period, so the average's own tolerance is tol / T: at rates
-    # (0, 0, 1e-10) the azimuth's zero average (rounding noise near 1e-17) uses all 200 intervals
-    # and ends on the divergence test, as quad does
-    rates = (0.0, 0.0, 1e-10)
-    t_period = period(rates)
+def test_a_zero_tolerance_exhausts_the_subdivisions():
+    # with tol = 0 only the relative tolerance is left: the azimuth's zero average (rounding noise
+    # near 1e-17) uses all 200 intervals and ends on the divergence test, as quad does
+    rates = (0.0, 0.0, 1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        avg = time_averaged_error("az", (0.0, 0.2, 0.0), rates)
+        avg = time_averaged_error("az", (0.0, 0.2, 0.0), rates, tol=0.0)
     value, abserr, neval, msg = quad_oracle(
-        discrepancy((0.0, 0.2, 0.0), rates, (1.0, 0.0, 0.0), _delta_az), 0.0, t_period, 1e-8, 1e-10, 200
+        discrepancy((0.0, 0.2, 0.0), rates, (1.0, 0.0, 0.0), _delta_az), 0.0, 2 * math.pi, 0.0, 1e-10, 200
     )
     assert isinstance(avg, TimeAverage)
-    assert (float(avg), avg.abserr, avg.neval) == (value / t_period, abserr / t_period, neval)
+    assert (float(avg), avg.abserr, avg.neval) == (value / (2 * math.pi), abserr / (2 * math.pi), neval)
     assert avg.neval == neval == 8379 == 42 * QUAD_LIMIT - 21
     assert abs(avg) < 1e-15
     assert [(w.category, str(w.message)) for w in caught] == [(IntegrationWarning, msg)]
@@ -173,7 +171,7 @@ def test_slow_rates_exhaust_the_subdivisions():
 def test_integration_warning_is_a_user_warning():
     assert issubclass(IntegrationWarning, UserWarning)
     with pytest.warns(IntegrationWarning, match="probably divergent"):
-        time_averaged_error("az", (0.0, 0.2, 0.0), (0.0, 0.0, 1e-100))
+        time_averaged_error("az", (0.0, 0.2, 0.0), (0.0, 0.0, 1.0), tol=0.0)
 
 
 def test_ordinary_average_does_not_warn():
