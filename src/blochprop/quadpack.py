@@ -1,28 +1,27 @@
-"""QUADPACK's QAGS on plain Python floats: adaptive Gauss-Kronrod quadrature with extrapolation.
+"""Adaptive 21-point Gauss-Kronrod quadrature on plain Python floats, over pieces that the caller splits.
 
-A port of dqagse and its helpers dqk21 (the 21-point Gauss-Kronrod rule), dqpsrt (the ordered
-list of error estimates) and dqelg (Wynn's epsilon algorithm) from R. Piessens, E. de Doncker-
-Kapenga, C. W. Ueberhuber and D. K. Kahaner, *QUADPACK* (Springer, 1983); P. Wynn, *MTAC* 10
-(1956).  Every floating-point operation runs in QUADPACK's order, so dqagse returns what
-scipy.integrate.quad returns with full_output=1 for a finite interval, bit for bit: the integral,
-the error estimate, the evaluation count and the error code.  Index arithmetic keeps QUADPACK's
-one-based lists, so the port reads line by line against the Fortran.
+dqk21 is QUADPACK's 21-point Gauss-Kronrod rule (R. Piessens, E. de Doncker-Kapenga,
+C. W. Ueberhuber and D. K. Kahaner, *QUADPACK*, Springer, 1983), with every floating-point
+operation in QUADPACK's order: on one interval it returns what scipy.integrate.quad returns with
+limit=1, bit for bit.  integrate applies it to every piece between the caller's break points and
+then bisects the piece with the largest error estimate until the estimates sum to within the
+tolerance.  It has no extrapolation: the caller puts a break point at every kink of the integrand,
+so each piece is smooth and plain bisection converges.
 
 The quadrature runs on a rule: a function that takes the tuple of a 21-point rule's abscissae and
-returns an iterable of the 21 integrand values, in that order, as floats.  dqagse takes an integrand
-of one point and calls it one point at a time, in QUADPACK's order; _qags takes a rule, so that a
-caller can evaluate the 21 points of each rule in one call.
+returns an iterable of the 21 integrand values, in that order, as floats, so that a caller can
+evaluate the 21 points of each rule in one call; partial(map, f) is the rule of a function f of
+one point.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from operator import add
+from heapq import heapify, heappush, heapreplace
+from math import fsum
 from sys import float_info
 
 EPMACH = float_info.epsilon
 UFLOW = float_info.min
-OFLOW = float_info.max
 
 # dqk21's abscissae XGKj and weights WGKj of the 21-point Kronrod rule, j = 1 ... 11 from the
 # interval's end to its centre; the even abscissae and the weights WGj carry the 10-point Gauss rule
@@ -55,34 +54,20 @@ WG3 = 0.219086362515982043995534934228163
 WG4 = 0.269266719309996355091226921569469
 WG5 = 0.295524224714752870173892994651338
 
-# quad's message for each error code dqagse returns
-MESSAGES = {
-    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+# quad's message for its error code 1, the one way integrate can stop short of its tolerance
+LIMIT_MESSAGE = (
+    "The maximum number of subdivisions ({limit}) has been achieved.\n  "
     "If increasing the limit yields no improvement it is advised to "
     "analyze \n  the integrand in order to determine the difficulties.  "
     "If the position of a \n  local difficulty can be determined "
     "(singularity, discontinuity) one will \n  probably gain from "
     "splitting up the interval and calling the integrator \n  on the "
-    "subranges.  Perhaps a special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  "
-    "the requested tolerance from being achieved.  "
-    "The error may be \n  underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  "
-    "in the extrapolation table.  It is assumed that the requested "
-    "tolerance\n  cannot be achieved, and that the returned result "
-    "(if full_output = 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
-}
+    "subranges.  Perhaps a special-purpose integrator should be used."
+)
 
 
 class IntegrationWarning(UserWarning):
-    """The quadrature stopped with a nonzero error code; the message is quad's for that code."""
-
-
-def message(ier: int, limit: int) -> str:
-    """quad's message for error code ``ier`` of a run with subdivision limit ``limit``."""
-    return MESSAGES[ier].format(limit=limit)
+    """The quadrature reached its subdivision limit; the message is quad's for that case (LIMIT_MESSAGE)."""
 
 
 def _max(x: float, y: float) -> float:
@@ -150,335 +135,35 @@ def dqk21(rule, a: float, b: float) -> tuple[float, float, float, float]:
     return result, abserr, resabs, resasc
 
 
-def dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int) -> tuple[int, float, int]:
-    """Keep iord[1:] ordered by descending elist after a bisection; (maxerr, errmax, nrmax).
+def integrate(rule, points, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int, bool]:
+    """Integral of the rule's function over [points[0], points[-1]]: (result, abserr, neval, exhausted).
 
-    ``maxerr`` is the interval just bisected and ``last`` the interval appended; only the
-    jupbn largest estimates stay ordered, as the remaining subdivisions can reach no more.
+    ``points`` are the ends of the pieces, in ascending order.  dqk21 integrates each piece; then
+    the piece with the largest error estimate is bisected until the estimates sum to at most
+    max(epsabs, epsrel * |result|), or until there are ``limit`` pieces, when ``exhausted`` is
+    True.  result and abserr are the sums over the pieces, and neval counts the function values.
     """
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        # a difficult integrand can raise the error estimate by subdivision: move it up first
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
-        errmin = elist[last]
-        # insert errmax top-down, then errmin bottom-up
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        iord[k + 1] = last
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def dqelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, float, int]:
-    """One step of Wynn's epsilon algorithm on epstab[1:n + 1]; (n, result, abserr, nres).
-
-    epstab holds the table's last diagonal with the newest partial sum at n; the step appends
-    a diagonal, keeps at most 50 elements and returns the best extrapolated limit.  res3la holds
-    the last three results (one-based), from which abserr is estimated once nres reaches 4.
-    """
-    nres += 1
-    abserr = OFLOW
-    result = epstab[n]
-    if n >= 3:
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = OFLOW
-        num = k1 = n
-        for i in range(1, newelm + 1):
-            k2 = k1 - 1
-            k3 = k1 - 2
-            res = epstab[k1 + 2]
-            e0 = epstab[k3]
-            e1 = epstab[k2]
-            e2 = res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = _max(abs(e2), e1abs) * EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = _max(e1abs, abs(e0)) * EPMACH
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 agree to machine accuracy: convergence is assumed
-                result = res
-                abserr = err2 + err3
-                return n, result, _max(abserr, 5.0 * EPMACH * abs(result)), nres
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = _max(e1abs, abs(e3)) * EPMACH
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                # two elements are very close: omit part of the table
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:
-                # irregular behaviour in the table: omit part of it
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 -= 2
-            error = err2 + abs(res - e2) + err3
-            if not error > abserr:
-                abserr = error
-                result = res
-        # shift the table
-        if n == 50:
-            n = 49
-        ib = 2 if num % 2 == 0 else 1
-        for _ in range(newelm + 1):
-            epstab[ib] = epstab[ib + 2]
-            ib += 2
-        if num != n:
-            epstab[1 : n + 1] = epstab[num - n + 1 : num + 1]
-        if nres < 4:
-            res3la[nres] = result
-            abserr = OFLOW
-        else:
-            abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
-            res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
-    return n, result, _max(abserr, 5.0 * EPMACH * abs(result)), nres
-
-
-def dqagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int, int]:
-    """Integral of f over [a, b]: (result, abserr, neval, ier), as scipy.integrate.quad computes it.
-
-    Bisects the interval with the largest error estimate until the estimate summed over all
-    intervals is below max(epsabs, epsrel * |result|), at most ``limit`` intervals, and
-    accelerates convergence with the epsilon algorithm once the largest error sits on the
-    smallest intervals.  ier is quad's error code: 0 converged; 1 limit reached; 2 roundoff
-    detected; 3 bad integrand behaviour at some point; 4 no convergence of the extrapolation;
-    5 probably divergent.  As in quad, b < a integrates over [b, a] and negates the result.
-
-    Invalid input, QUADPACK's ier 6, raises ValueError with quad's message: ``limit`` below 1,
-    or ``epsabs <= 0`` with ``epsrel`` below max(50 * machine epsilon, 5e-29).  f is called one
-    point at a time.
-    """
-    return _qags(partial(map, f), a, b, epsabs, epsrel, limit)
-
-
-def _qags(rule, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int, int]:
-    """dqagse on a rule, which takes the abscissae of one 21-point rule and returns f at each (see dqk21)."""
-    if b < a:
-        result, abserr, neval, ier = _qags(rule, b, a, epsabs, epsrel, limit)
-        return -result, abserr, neval, ier
-    if epsabs <= 0.0 and epsrel < _max(50.0 * EPMACH, 5e-29):
-        raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both 5e-29 and 50*(machine epsilon).")
-    if limit < 1:
-        raise ValueError("Invalid 'limit' argument. There must be at least one subinterval")
-
-    # first approximation to the integral; in dqagse's names defabs is dqk21's resabs, resabs its resasc
-    ier = ierro = 0
-    result, abserr, defabs, resabs = dqk21(rule, a, b)
-    dres = abs(result)
-    errbnd = _max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, 21, ier
-
-    # one-based lists of the intervals' ends, integrals and errors, and iord of their order
-    alist = [0.0, a] + [0.0] * (limit - 1)
-    blist = [0.0, b] + [0.0] * (limit - 1)
-    rlist = [0.0, result] + [0.0] * (limit - 1)
-    elist = [0.0, abserr] + [0.0] * (limit - 1)
-    iord = [0, 1] + [0] * (limit - 1)
-    rlist2 = [0.0, result] + [0.0] * 51
-    res3la = [0.0] * 4
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
-    abserr = OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = 1 if dres >= (1.0 - 50.0 * EPMACH) * defabs else -1
-    sum_all = False
-
-    for last in range(2, limit + 1):
-        # bisect the interval with the nrmax-th largest error estimate
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, _, defab1 = dqk21(rule, a1, b1)
-        area2, error2, _, defab2 = dqk21(rule, a2, b2)
-
-        # improve the previous approximations to the integral and the error and test for accuracy
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = _max(epsabs, epsrel * abs(area))
-
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        # bad integrand behaviour at a point of the range
-        if _max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (abs(a2) + 1000.0 * UFLOW):
-            ier = 4
-
-        # append the new intervals to the list
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        else:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-        maxerr, errmax, nrmax = dqpsrt(limit, last, maxerr, elist, iord, nrmax)
-
-        if errsum <= errbnd:
-            sum_all = True
+    # the pieces as a heap by descending error estimate: (-abserr, a, b, result)
+    heap = []
+    for a, b in zip(points, points[1:]):
+        result, abserr, _, _ = dqk21(rule, a, b)
+        heap.append((-abserr, a, b, result))
+    heapify(heap)
+    neval = 21 * len(heap)
+    area = fsum(piece[3] for piece in heap)
+    errsum = -fsum(piece[0] for piece in heap)
+    exhausted = False
+    while errsum > _max(epsabs, epsrel * abs(area)):
+        if len(heap) >= limit:
+            exhausted = True
             break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg -= erlast
-        if abs(b1 - a1) > small:
-            erlarg += erro12
-        if not extrap:
-            # extrapolate only once the interval to bisect next is the smallest
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # the smallest interval has the largest error: before bisecting, decrease the error
-            # over the larger intervals (erlarg) and extrapolate
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-
-        # extrapolate
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = dqelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = _max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        # prepare bisection of the smallest interval
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small *= 0.5
-        erlarg = errsum
-
-    if not sum_all:
-        # choose between the extrapolated result and the sum over the intervals
-        if abserr == OFLOW:
-            sum_all = True
-        elif ier + ierro != 0:
-            if ierro == 3:
-                abserr += correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                sum_all = abserr / abs(result) > errsum / abs(area)
-            elif abserr > errsum:
-                sum_all = True
-            elif area == 0.0:
-                return result, abserr, 42 * last - 21, ier - 1 if ier > 2 else ier
-        if not sum_all and not (ksgn == -1 and _max(abs(result), abs(area)) <= defabs * 0.01):
-            # test on divergence; result / area is +-inf or nan when area is 0
-            if area != 0.0:
-                ratio = result / area
-                if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-                    ier = 6
-            elif result != 0.0 or errsum > 0.0:
-                ier = 6
-    if sum_all:
-        result = reduce(add, rlist[1 : last + 1], 0.0)
-        abserr = errsum
-    if ier > 2:
-        ier -= 1
-    return result, abserr, 42 * last - 21, ier
+        nerr, a, b, result = heap[0]
+        mid = 0.5 * (a + b)
+        area1, error1, _, _ = dqk21(rule, a, mid)
+        area2, error2, _, _ = dqk21(rule, mid, b)
+        heapreplace(heap, (-error1, a, mid, area1))
+        heappush(heap, (-error2, mid, b, area2))
+        neval += 42
+        area += area1 + area2 - result
+        errsum += error1 + error2 + nerr
+    return fsum(piece[3] for piece in heap), -fsum(piece[0] for piece in heap), neval, exhausted

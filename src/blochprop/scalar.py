@@ -24,9 +24,9 @@ objective; at omega = 0 it reads the start pair as it is, since the identity fam
 discrepancy at each of many phases omega * t: _pair_floats and _delta_az or _delta_el written out in
 one loop, bit for bit, at about 0.75 (azimuth) and 0.9 us (elevation) a sample, against about 2.2 us
 a point through _point_reader.  time_averaged_error calls it once per 21-point Kronrod rule over the
-phase and analysis.case_series once per column.  _delta_az and _delta_el use math.hypot and
-math.atan2, as propagation.delta_pair does, and _delta_scalar returns both.  A numpy call on one
-point costs about ten times a float one.
+pieces of the phase between _break_points, and analysis.case_series once per column.  _delta_az and
+_delta_el use math.hypot and math.atan2, as propagation.delta_pair does, and _delta_scalar returns
+both.  A numpy call on one point costs about ten times a float one.
 
 The multistart extremum search reads no angle at all.  Nelder-Mead uses its objective only through
 comparisons and one difference test, so the search minimizes the pseudo-angle p = 1 - c / (|s| +
@@ -45,7 +45,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from functools import cache, partial
-from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
+from math import acos, atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
 from operator import index
 
 # Radius below which a vector's xy-projection counts as "on the pole".
@@ -385,13 +385,52 @@ def _samples(idx, bx, by, bz, vx, vy, vz, na, nt, phases) -> list[float]:
     return out
 
 
+def _z_curve(ux: float, uy: float, uz: float, na: float, nt: float) -> tuple[float, float, float]:
+    """(c, R, alpha) such that the row vector u has z = c + R cos(s - alpha) at phase s of the unit-speed family.
+
+    The family about the axis (na, nt) moves z along a trigonometric polynomial of degree 1 in s.
+    R >= 0, and alpha is atan2's angle, so alpha is 0 or +-pi when R = 0.
+    """
+    k = nt * (uy * na - uz * nt)
+    return uz + k, hypot(k, ux * nt), atan2(-ux * nt, -k)
+
+
+def _break_points(idx, bx, by, bz, vx, vy, vz, na, nt) -> list[float]:
+    """0, the phases in (0, 2 pi) where channel idx of _samples has a kink or turns sharply, and 2 pi, ascending.
+
+    Rotations preserve differences and cross products, so the difference of the two vectors' z is
+    the z-curve of b - v, and the z of their cross product that of b x v.  The elevation gap has a
+    kink where the polar angles cross, at the zeros of the z-curve of b - v; the azimuth gap where
+    the azimuths are equal or a half turn apart, at the zeros of the z-curve of b x v.  Both turn
+    sharply where b or v passes nearest a pole, at alpha and alpha + pi of its own z-curve.  A
+    z-curve with R = 0 is constant and gives no point: its zeros fill the period or none of it.
+    """
+    if idx:
+        ux, uy, uz = bx - vx, by - vy, bz - vz
+    else:
+        ux, uy, uz = by * vz - bz * vy, bz * vx - bx * vz, bx * vy - by * vx
+    c, r, alpha = _z_curve(ux, uy, uz, na, nt)
+    points = []
+    # |c| <= R keeps -c / R within [-1, 1], as division rounds monotonically
+    if r and abs(c) <= r:
+        w = acos(-c / r)
+        points += (alpha - w, alpha + w)
+    for ux, uy, uz in ((bx, by, bz), (vx, vy, vz)):
+        _, r, alpha = _z_curve(ux, uy, uz, na, nt)
+        if r:
+            points += (alpha, alpha + pi)
+    # p % 2 pi lies in [0, 2 pi], and rounds up to 2 pi itself for a tiny negative p
+    return [0.0, *sorted({p for p in (p % _TWO_PI for p in points) if 0.0 < p < _TWO_PI}), _TWO_PI]
+
+
 class TimeAverage(float):
     """Time-averaged discrepancy with its quadrature's error estimate.
 
     ``abserr`` is the quadrature's absolute error estimate of the integral
-    over the phase, divided by 2 pi, so it bounds the error of the average;
-    ``neval`` is the number of integrand evaluations the quadrature made.
-    Both equal what scipy.integrate.quad reports for the same integral.
+    over the phase, divided by 2 pi: the sum of the 21-point Gauss-Kronrod
+    estimates of its pieces, an estimate of the average's error and not a
+    proven bound.  ``neval`` is the number of integrand evaluations the
+    quadrature made.
     """
 
     abserr: float
@@ -412,22 +451,22 @@ def time_averaged_error(
     Over a period the phase s = omega * t runs once over [0, 2 pi], so the
     mean is that of delta at time s of the unit-speed family (omega = 1, the
     same axis) over s in [0, 2 pi]: it depends on the rates only through
-    their axis, and omega only on whether a period exists (_period).
-    Adaptive quadrature (quadpack.dqagse, QUADPACK's QAGS, which gives
-    scipy.integrate.quad's result bit for bit) integrates over the phase
-    with epsabs ``tol``, epsrel 1e-10 and at most 200 subintervals, so the
-    average's own tolerance is tol / (2 pi) at every rate; the integrand
-    has kinks where the wrapped difference folds, which the subdivision
-    resolves without assistance.  _samples evaluates it one 21-point
-    Kronrod rule per call, delta_closed_form's value bit for bit on the
-    target's discrepancy alone (see the module docstring).  The result is a
-    float that also carries the error estimate and evaluation count (see
-    TimeAverage).  A nonzero error code of the quadrature warns with
-    quadpack's IntegrationWarning and quad's message for that code.
+    their axis, and omega only on whether a period exists (_period).  The
+    integrand is smooth but at the phases _break_points finds in closed
+    form, so quadpack.integrate runs the 21-point Gauss-Kronrod rule on each
+    piece between them and bisects the piece of largest error estimate,
+    with epsabs ``tol``, epsrel 1e-10 and at most 200 pieces: the average's
+    own tolerance is tol / (2 pi) at every rate.  _samples evaluates it one
+    rule per call, delta_closed_form's value bit for bit on the target's
+    discrepancy alone (see the module docstring).  The result is a float
+    that also carries the error estimate and evaluation count (see
+    TimeAverage).  Stopping at 200 pieces short of the tolerance warns with
+    quadpack's IntegrationWarning and quad's message for its subdivision
+    limit.
     """
-    # imported on the first call: without cached bytecode, compiling quadpack would add about 5%
-    # to the start-up of every command that never integrates
-    from .quadpack import IntegrationWarning, _qags, message
+    # imported on the first call: without cached bytecode, compiling quadpack would add to the
+    # start-up of every command that never integrates
+    from .quadpack import LIMIT_MESSAGE, IntegrationWarning, integrate
 
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
@@ -435,8 +474,10 @@ def time_averaged_error(
     tol = _finite_float(tol, "tol")
     family = _family(angles)
     _period(family)
-    rule = partial(_samples, idx, *_start_pair(err, base), family.na, family.nt)
-    val, abserr, neval, ier = _qags(rule, 0.0, _TWO_PI, tol, QUAD_EPSREL, QUAD_LIMIT)
-    if ier:
-        warnings.warn(message(ier, QUAD_LIMIT), IntegrationWarning, stacklevel=2)
+    pair = (*_start_pair(err, base), family.na, family.nt)
+    val, abserr, neval, exhausted = integrate(
+        partial(_samples, idx, *pair), _break_points(idx, *pair), tol, QUAD_EPSREL, QUAD_LIMIT
+    )
+    if exhausted:
+        warnings.warn(LIMIT_MESSAGE.format(limit=QUAD_LIMIT), IntegrationWarning, stacklevel=2)
     return TimeAverage(val / _TWO_PI, abserr / _TWO_PI, neval)

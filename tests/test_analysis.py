@@ -2,6 +2,7 @@
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ from blochprop.propagation import (
     delta_closed_form,
     period,
 )
-from blochprop.scalar import _delta_scalar, _point_reader, _pseudo_az, _pseudo_el
+from blochprop.quadpack import integrate
+from blochprop.scalar import _break_points, _delta_scalar, _point_reader, _pseudo_az, _pseudo_el, _start_pair
 
 SQRT5 = math.sqrt(5.0)
 X_BASE = (1.0, 0.0, 0.0)
@@ -55,6 +57,27 @@ def unit_speed_delta(err, angles, base, idx):
     """delta_closed_form's channel idx at time s of the unit-speed family about the axis of ``angles``."""
     at = _point_reader(_family(angles)._replace(omega=1.0), tuple(map(float, base)), _delta_scalar)
     return lambda s: at((*err, s))[idx]
+
+
+def break_points(idx, err, angles, base):
+    """The break points time_averaged_error splits channel idx's period at."""
+    family = _family(angles)
+    return _break_points(idx, *_start_pair(err, tuple(map(float, base))), family.na, family.nt)
+
+
+def quad_over_the_pieces(err, angles, base, idx):
+    """quad's average of channel idx over each piece between the break points, at a tolerance far below average's."""
+    f = unit_speed_delta(err, angles, base, idx)
+    points = break_points(idx, err, angles, base)
+    return math.fsum(quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0] for a, b in zip(points, points[1:])) / TWO_PI
+
+
+def assert_within_its_error_estimate(avg, reference):
+    """avg met average's tolerance, and lies within its error estimate (plus the reference's own 1e-13) of reference."""
+    assert isinstance(avg, TimeAverage)
+    assert avg.neval > 0 and avg.neval % 21 == 0
+    assert avg.abserr <= max(1e-8, 1e-10 * abs(avg) * TWO_PI) / TWO_PI
+    assert abs(avg - reference) <= avg.abserr + 1e-13
 
 
 def unit_speed_signal(target, err, angles, base):
@@ -369,24 +392,11 @@ class TestTimeAveragedError:
             ((0.0, 0.0, 0.0), UNIT_RATES, (0.0, 0.0, 1.0)),
         ],
     )
-    def test_equals_quad_over_delta_closed_form(self, err, angles, base):
-        # the hoisted integrand changes no bit of the average, its error estimate or quad's evaluation
-        # count: quad over the phase of the unit-speed family, divided by 2 pi
+    def test_agrees_with_quad_over_delta_closed_form(self, err, angles, base):
+        # quad over the phase of the unit-speed family, piece by piece, divided by 2 pi
         for target, idx in (("az", 0), ("el", 1)):
-            val, abserr, info = quad(
-                unit_speed_delta(err, angles, base, idx),
-                0.0,
-                TWO_PI,
-                epsabs=1e-8,
-                epsrel=1e-10,
-                limit=200,
-                full_output=1,
-            )
             avg = time_averaged_error(target, err, angles, base)
-            assert isinstance(avg, TimeAverage)
-            assert avg == val / TWO_PI
-            assert avg.abserr == abserr / TWO_PI
-            assert avg.neval == info["neval"] > 0
+            assert_within_its_error_estimate(avg, quad_over_the_pieces(err, angles, base, idx))
 
 
 def _random_average_configs():
@@ -414,21 +424,16 @@ def _random_average_configs():
     ]
     + _random_average_configs(),
 )
-def test_one_channel_average_equals_quad_over_the_pair(err, angles, base):
-    # the integrand reads one discrepancy only, and quad still sees the same samples: the same
-    # average, error estimate and evaluation count as over the pair of the unit-speed family
+def test_one_channel_average_equals_the_quadrature_over_the_pair(err, angles, base):
+    # the integrand reads one discrepancy only, and the quadrature still sees the same samples: the
+    # same average, error estimate and evaluation count as over the pair of the unit-speed family,
+    # which quad over the pieces confirms
     for target, idx in (("az", 0), ("el", 1)):
-        val, abserr, info = quad(
-            unit_speed_delta(err, angles, base, idx),
-            0.0,
-            TWO_PI,
-            epsabs=1e-8,
-            epsrel=1e-10,
-            limit=200,
-            full_output=1,
-        )[:3]
+        pair = partial(map, unit_speed_delta(err, angles, base, idx))
+        val, abserr, neval, _ = integrate(pair, break_points(idx, err, angles, base), 1e-8, 1e-10, 200)
         avg = time_averaged_error(target, err, angles, base)
-        assert (float(avg), avg.abserr, avg.neval) == (val / TWO_PI, abserr / TWO_PI, info["neval"])
+        assert (float(avg), avg.abserr, avg.neval) == (val / TWO_PI, abserr / TWO_PI, neval)
+        assert_within_its_error_estimate(avg, quad_over_the_pieces(err, angles, base, idx))
 
 
 class TestEstimatePeriodNumeric:

@@ -1,47 +1,22 @@
-"""The plain-float QAGS port against its oracle, scipy.integrate.quad: value, error estimate,
-evaluation count and error code, bit for bit."""
+"""The plain-float quadrature: dqk21 against its oracle, scipy.integrate.quad with one interval, bit for
+bit, and integrate's adaptive loop over the pieces between break points."""
 
 import math
 import warnings
+from functools import partial
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochprop import quadpack
-from blochprop.analysis import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, period, time_averaged_error
-from blochprop.quadpack import IntegrationWarning, dqagse, message
-from blochprop.scalar import _delta_az, _delta_el, _family, _point_reader
-
-
-def discrepancy(err, rates, base, read):
-    """One discrepancy of delta_closed_form as a function of t, at a fixed err: average's integrand."""
-    at = _point_reader(_family(rates), base, read)
-    return lambda t: at((*err, t))
-
-
-def quad_oracle(f, a, b, epsabs, epsrel, limit):
-    """quad's (value, abserr, neval, message or None) with full_output=1."""
-    value, abserr, info, *msg = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
-    return value, abserr, info["neval"], msg[0] if msg else None
-
-
-def assert_equals_quad(f, a, b, epsabs, epsrel, limit) -> tuple:
-    """dqagse equals quad on f over [a, b] in every output; returns dqagse's (result, abserr, neval, ier)."""
-    result, abserr, neval, ier = dqagse(f, a, b, epsabs, epsrel, limit)
-    value, q_abserr, q_neval, q_msg = quad_oracle(f, a, b, epsabs, epsrel, limit)
-    assert (result, abserr, neval) == (value, q_abserr, q_neval)
-    assert math.copysign(1.0, result) == math.copysign(1.0, value)
-    assert q_msg == (message(ier, limit) if ier else None)
-    return result, abserr, neval, ier
+from blochprop.analysis import QUAD_LIMIT, TimeAverage, time_averaged_error
+from blochprop.quadpack import LIMIT_MESSAGE, IntegrationWarning, dqk21, integrate
 
 
 def _step(x):
     return 1.0 if x > 0.3 else 0.0
 
 
-# singular, oscillatory, kinked, discontinuous, zero and reversed integrands, and the azimuth
-# discrepancy over t at slow rates, whose period reaches 6e10 and 6e100
+# singular, oscillatory, kinked, discontinuous, zero and reversed integrands
 HARD = {
     "1/sqrt(x)": (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
     "log(x)": (math.log, 0.0, 1.0),
@@ -55,122 +30,122 @@ HARD = {
     "step": (_step, 0.0, 1.0),
     "zero": (lambda x: 0.0, 0.0, 1.0),
     "reversed": (lambda x: math.exp(x) * math.cos(3.0 * x), 2.0, -1.0),
-    "rate 1e-10": (discrepancy((0.0, 0.2, 0.0), (0.0, 0.0, 1e-10), (1.0, 0.0, 0.0), _delta_az), 0.0, period((0.0, 0.0, 1e-10))),
-    "rate 1e-100": (discrepancy((0.0, 0.2, 0.0), (0.0, 0.0, 1e-100), (1.0, 0.0, 0.0), _delta_az), 0.0, period((0.0, 0.0, 1e-100))),
-}  # fmt: skip
-
-# (epsabs, epsrel, limit): quad's defaults, average's, purely relative, one interval, and
-# tolerances below what rounding allows
-SETTINGS = [
-    (1.49e-8, 1.49e-8, 50),
-    (1e-8, QUAD_EPSREL, QUAD_LIMIT),
-    (0.0, 1e-10, 200),
-    (1e-8, 1e-10, 1),
-    (1e-300, 1e-15, 500),
-]
+    "tiny": (lambda x: 1e-300 * math.cos(x), 0.0, 1.0),
+}
 
 
-def test_hard_integrands_equal_quad(monkeypatch):
-    codes = set()
-    extrapolations = 0
-    dqelg = quadpack.dqelg
+@pytest.mark.parametrize("name", sorted(HARD))
+def test_dqk21_equals_quad_on_one_interval(name):
+    # quad with limit=1 stops after its first rule, dqk21, and reports that rule's integral and error
+    f, a, b = HARD[name]
+    result, abserr, resabs, resasc = dqk21(partial(map, f), a, b)
+    value, q_abserr, info, *msg = quad(f, a, b, limit=1, full_output=1)
+    assert (result.hex(), abserr.hex()) == (value.hex(), q_abserr.hex())
+    assert info["neval"] == 21
+    assert resabs >= abs(result) and resasc >= 0.0
+    # where the rule alone misses quad's tolerance, quad's message is integrate's at the limit
+    assert msg in ([], [LIMIT_MESSAGE.format(limit=1)])
 
-    def counted(*args):
-        nonlocal extrapolations
-        extrapolations += 1
-        return dqelg(*args)
 
-    monkeypatch.setattr(quadpack, "dqelg", counted)
+def test_one_piece_at_limit_one_is_dqk21():
     for f, a, b in HARD.values():
-        for epsabs, epsrel, limit in SETTINGS:
-            codes.add(assert_equals_quad(f, a, b, epsabs, epsrel, limit)[3])
-    # every error code, and the extrapolation path, is exercised
-    assert codes == {0, 1, 2, 3, 4, 5}
-    assert extrapolations > 0
+        result, abserr, _, _ = dqk21(partial(map, f), a, b)
+        got = integrate(partial(map, f), [a, b], 1e-8, 1e-10, 1)
+        assert got == (result, abserr, 21, abserr > max(1e-8, 1e-10 * abs(result)))
 
 
-@pytest.mark.parametrize("limit", [1, 2, 3, 7])
-def test_small_limits_equal_quad(limit):
-    for f, a, b in HARD.values():
-        assert_equals_quad(f, a, b, 1e-8, 1e-10, limit)
+# integrands that are smooth between the points given, and their exact integrals
+SPLIT = {
+    "|x-0.3|": (lambda x: abs(x - 0.3), [0.0, 0.3, 1.0], 0.29),
+    "step": (_step, [0.0, 0.3, 1.0], 0.7),
+    "exp(x)cos(3x)": (
+        lambda x: math.exp(x) * math.cos(3.0 * x),
+        [-1.0, 2.0],
+        (math.exp(2.0) * (math.cos(6.0) + 3.0 * math.sin(6.0)) - math.exp(-1.0) * (math.cos(3.0) - 3.0 * math.sin(3.0)))
+        / 10.0,
+    ),
+    "sqrt|x-0.3|": (
+        lambda x: math.sqrt(abs(x - 0.3)),
+        [0.0, 0.3, 1.0],
+        (2.0 / 3.0) * (0.3**1.5 + 0.7**1.5),
+    ),
+    "sin(100x)": (lambda x: math.sin(100.0 * x), [0.0, math.pi], 0.0),
+}
 
 
-def test_nan_absolute_tolerance_equals_quad():
-    # QUADPACK's max ignores a NaN argument, as quad's C code does
-    for f, a, b in HARD.values():
-        assert_equals_quad(f, a, b, math.nan, 1e-10, 200)
+@pytest.mark.parametrize("name", sorted(SPLIT))
+def test_split_integrands_converge_within_their_error_estimate(name):
+    f, points, exact = SPLIT[name]
+    result, abserr, neval, exhausted = integrate(partial(map, f), points, 1e-10, 1e-12, 200)
+    assert not exhausted
+    assert abserr <= max(1e-10, 1e-12 * abs(result))
+    assert abs(result - exact) <= max(abserr, 1e-15)
+    # each piece costs one rule, each bisection two
+    assert neval % 21 == 0 and (neval // 21 - (len(points) - 1)) % 2 == 0
 
 
-def _discrepancy_configs(n, seed):
-    rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(n):
-        base = rng.normal(size=3)
-        configs.append(
-            (
-                tuple(rng.uniform(0.0, 2.0 * math.pi, 3).tolist()),
-                tuple(rng.uniform(-3.0, 3.0, 3).tolist()),
-                tuple((base / np.linalg.norm(base)).tolist()),
-            )
-        )
-    return configs
+def test_a_kink_at_a_break_point_costs_one_rule_a_piece():
+    # |x - 0.3| is linear on each side of its kink: the 21-point rule is exact there
+    f = lambda x: abs(x - 0.3)  # noqa: E731
+    split = integrate(partial(map, f), [0.0, 0.3, 1.0], 1e-10, 1e-12, 200)
+    whole = integrate(partial(map, f), [0.0, 1.0], 1e-10, 1e-12, 200)
+    assert split[2] == 42 and whole[2] > 10 * split[2]
 
 
-def test_discrepancy_sweep_equals_quad():
-    # 400 average integrands: 200 random errors, rates and bases, each channel, average's settings
-    nevals = []
-    for err, rates, base in _discrepancy_configs(200, seed=15):
-        t_period = period(rates)
-        for read in (_delta_az, _delta_el):
-            f = discrepancy(err, rates, base, read)
-            _, _, neval, ier = assert_equals_quad(f, 0.0, t_period, 1e-8, QUAD_EPSREL, QUAD_LIMIT)
-            assert ier == 0
-            nevals.append(neval)
-    assert len(nevals) == 400
-    # the sweep subdivides: most integrands take dozens of bisections
-    assert sorted(nevals)[200] > 500
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 50])
+def test_the_limit_caps_the_pieces_and_is_reported(limit):
+    # 1/sqrt(x) at a tolerance below rounding never converges: every call ends at the limit
+    f = HARD["1/sqrt(x)"][0]
+    result, abserr, neval, exhausted = integrate(partial(map, f), [0.0, 1.0], 0.0, 1e-15, limit)
+    assert exhausted
+    assert neval == 21 * (2 * limit - 1)
+    assert abserr > 1e-15 * abs(result)
 
 
-@pytest.mark.parametrize(
-    "epsabs,epsrel,limit",
-    [(0.0, 1e-15, 50), (-1.0, 0.0, 50), (0.0, 5e-29, 50), (1e-8, 1e-10, 0), (1e-8, 1e-10, -3)],
-)
-def test_invalid_input_raises_value_error_as_quad_does(epsabs, epsrel, limit):
-    f = HARD["log(x)"][0]
-    with pytest.raises(ValueError) as ours:
-        dqagse(f, 0.0, 1.0, epsabs, epsrel, limit)
-    with pytest.raises(ValueError) as theirs:
-        quad(f, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
-    assert str(ours.value) == str(theirs.value)
+def test_the_initial_pieces_count_against_the_limit():
+    f = HARD["1/sqrt(x)"][0]
+    points = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert integrate(partial(map, f), points, 0.0, 1e-15, 3)[2:] == (4 * 21, True)
+    assert integrate(partial(map, f), points, 0.0, 1e-15, 6)[2:] == ((4 + 2 * 2) * 21, True)
+
+
+def test_the_largest_error_is_bisected_first():
+    # the singularity at 0 holds the largest error: every bisection lands on the piece at 0, so after
+    # k bisections the pieces are [0, 2^-k], then [2^-j, 2^-(j-1)] for j = k ... 1
+    seen = []
+
+    def rule(xs):
+        seen.append((min(xs), max(xs)))
+        return [1.0 / math.sqrt(x) for x in xs]
+
+    integrate(rule, [0.0, 1.0], 0.0, 1e-15, 5)
+    lows = [lo for lo, _ in seen]
+    assert lows[1::2] == sorted(lows[1::2], reverse=True)
+    assert max(hi for _, hi in seen[-2:]) < 2.0**-3
 
 
 def test_negative_absolute_tolerance_is_valid_with_a_relative_one():
-    # epsrel 1e-10 lies above 50 * machine epsilon, so tol <= 0 asks for a relative error alone
-    assert assert_equals_quad(math.log, 0.0, 1.0, -1.0, 1e-10, 200)[3] == 0
+    # epsrel 1e-10 is left: tol <= 0 asks for a relative error alone
+    assert integrate(partial(map, math.log), [0.0, 1.0], -1.0, 1e-10, 200)[3] is False
     assert time_averaged_error("el", (0.0, 0.2, 0.0), (1.0, 1.0, 1.0), tol=0.0) > 0.0
 
 
 def test_a_zero_tolerance_exhausts_the_subdivisions():
     # with tol = 0 only the relative tolerance is left: the azimuth's zero average (rounding noise
-    # near 1e-17) uses all 200 intervals and ends on the divergence test, as quad does
-    rates = (0.0, 0.0, 1.0)
+    # near 1e-17) uses all 200 pieces; about the z axis every z-curve is constant, so there is no
+    # break point and the period is one piece, bisected 199 times
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        avg = time_averaged_error("az", (0.0, 0.2, 0.0), rates, tol=0.0)
-    value, abserr, neval, msg = quad_oracle(
-        discrepancy((0.0, 0.2, 0.0), rates, (1.0, 0.0, 0.0), _delta_az), 0.0, 2 * math.pi, 0.0, 1e-10, 200
-    )
+        avg = time_averaged_error("az", (0.0, 0.2, 0.0), (0.0, 0.0, 1.0), tol=0.0)
     assert isinstance(avg, TimeAverage)
-    assert (float(avg), avg.abserr, avg.neval) == (value / (2 * math.pi), abserr / (2 * math.pi), neval)
-    assert avg.neval == neval == 8379 == 42 * QUAD_LIMIT - 21
+    assert avg.neval == 8379 == 21 * (2 * QUAD_LIMIT - 1)
     assert abs(avg) < 1e-15
-    assert [(w.category, str(w.message)) for w in caught] == [(IntegrationWarning, msg)]
-    assert msg == "The integral is probably divergent, or slowly convergent."
+    assert [(w.category, str(w.message)) for w in caught] == [(IntegrationWarning, LIMIT_MESSAGE.format(limit=200))]
 
 
 def test_integration_warning_is_a_user_warning():
     assert issubclass(IntegrationWarning, UserWarning)
-    with pytest.warns(IntegrationWarning, match="probably divergent"):
+    with pytest.warns(IntegrationWarning, match=r"maximum number of subdivisions \(200\)"):
         time_averaged_error("az", (0.0, 0.2, 0.0), (0.0, 0.0, 1.0), tol=0.0)
 
 
