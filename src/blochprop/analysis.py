@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from math import acos, inf, nextafter, pi, sqrt
+from math import acos, inf, nextafter, pi
 from numbers import Integral
 from operator import index
 
@@ -42,7 +42,8 @@ from .bloch import EulerAngles
 from .propagation import ErrorSeries, _az_rows, _el_rows, _pair_kernel, _pseudo_rows
 from .scalar import (
     PROBE_ERR, PeriodEstimationError, _TWO_PI, _check_phase, _count, _delta_az, _delta_el, _family, _finite_triple,
-    _floats, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _samples, _start_pair, _target_index, period
+    _floats, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _samples, _start_pair, _target_index,
+    _z_curve, period
 )
 # re-exported, so that these stay importable from this module
 from .scalar import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, time_averaged_error
@@ -60,8 +61,6 @@ STARTS_AT_BEST_TOL = 1e-9
 
 PERIOD_GRID = 1024
 PERIOD_MATCH_TOL = 1e-6
-# every PERIOD_SCREEN_STRIDE-th grid point screens all 16 period candidates at once
-PERIOD_SCREEN_STRIDE = 64
 
 
 class PeriodEstimate(float):
@@ -69,9 +68,10 @@ class PeriodEstimate(float):
 
     A signal whose range on the grid is below PERIOD_MATCH_TOL (zero error, an
     error that commutes with the rotation, or one too small to show) would
-    match every candidate, so the analytic value is returned by convention and
-    flagged.  ``residual`` is the matched candidate T/k's largest gap
-    |delta(s + 2 pi / k) - delta(s)| on the phase grid, 0.0 when degenerate.
+    match every shift, so the analytic value is returned by convention and
+    flagged.  ``residual`` is the matched period's largest gap
+    |delta(s + shift) - delta(s)| on the phase grid, the shift being pi for
+    T/2 and 2 pi for T; 0.0 when degenerate.
     """
 
     degenerate: bool
@@ -484,12 +484,12 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
 
     Over the full error box base @ S(err) reaches every direction, so at each t the azimuth gap
     reaches pi, both gaps reach 0, and the elevation gap reaches max(el, pi - el) of the clean
-    vector, that is arccos(-|z|).  The clean vector circles the axis n = (0, theta, phi+psi)/omega
-    at the angle arccos(c), c = base . n, so its z ranges over c*n_z -+ sqrt(1-c^2)*sqrt(1-n_z^2),
-    all of it once t spans a period 2*pi/omega.  Hence max_el = arccos(-(|c*n_z| +
-    sqrt(1-c^2)*sqrt(1-n_z^2))).  This needs ``bounds`` to be a search box whose every coordinate
-    covers [0, 2*pi), from 0 or below to BOX_HI or above, and omega >= 1, so that t in [0, 2*pi)
-    spans a period; otherwise ValueError.
+    vector, that is arccos(-|z|).  The clean vector's z is its z-curve c + R cos(s - alpha) at phase
+    s = omega * t (scalar._z_curve, from base and the axis), so it ranges over [c - R, c + R], all
+    of it once t spans a period 2*pi/omega.  Hence max_el = arccos(-(|c| + R)); the z-curve keeps
+    its bits when the axis is near z, where 1 - n_z^2 would cancel.  This needs ``bounds`` to be a
+    search box whose every coordinate covers [0, 2*pi), from 0 or below to BOX_HI or above, and
+    omega >= 1, so that t in [0, 2*pi) spans a period; otherwise ValueError.
     """
     b = _require_unit(base, "base")
     family = _family(rates)
@@ -498,34 +498,25 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
         raise ValueError(f"the closed forms need the full search box [0, 2*pi)^4, got {bounds!r}")
     if not family.omega >= 1.0:
         raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {family.omega!r}")
-    n_z = family.na
-    c = min(1.0, abs(b[1] * family.nt + b[2] * n_z))
-    z_max = min(1.0, c * abs(n_z) + sqrt(1.0 - c * c) * sqrt(max(0.0, 1.0 - n_z * n_z)))
-    return pi, acos(-z_max), 0.0, 0.0
+    c, r, _ = _z_curve(*b, family.na, family.nt)
+    return pi, acos(-min(1.0, abs(c) + r)), 0.0, 0.0
 
 
 def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> PeriodEstimate:
-    """Smallest candidate period matching the sampled discrepancy signal.
+    """Half the analytic period T if that shift matches the sampled discrepancy signal, else T.
 
-    The candidates are the divisors T/16 ... T/2, T of the analytic period T
-    (exp(tG) repeats after T, so no multiple of T could match first).  The
-    signal is read over the phase s = omega * t, at time s of the unit-speed
-    family (omega = 1, the same axis), where T/k is the shift 2 pi / k: T/k
-    is accepted when max_s |delta(s) - delta(s + 2 pi / k)| over a
-    PERIOD_GRID-point grid of [0, 2 pi] stays below PERIOD_MATCH_TOL, and
-    no point leaves [0, 4 pi] at any rate.  A signal whose range on the grid
-    is below that tolerance would match every shift, so it is flagged
-    degenerate and assigned the analytic period.
+    Under the rotation family every coordinate moves along a single harmonic of the phase, and
+    every signal surveyed repeats after T/2 or T, or is constant; that no shorter divisor occurs
+    is observed, not proved (see the README), so only T/2 and T are tried.  The signal is
+    read over the phase s = omega * t, at time s of the unit-speed family (omega = 1, the same
+    axis), where T/2 and T are the shifts pi and 2 pi: a shift is accepted when
+    max_s |delta(s) - delta(s + shift)| over a PERIOD_GRID-point grid of [0, 2 pi] stays below
+    PERIOD_MATCH_TOL, and no point leaves [0, 4 pi] at any rate.  A signal whose range on the
+    grid is below that tolerance would match every shift, so it is flagged degenerate and
+    assigned the analytic period.
 
-    The signal is read as delta_batch reads its ``target`` column: the
-    kernel is built once and only the target's discrepancy is read
-    (_az_rows or _el_rows).  All candidates are first screened together on
-    every PERIOD_SCREEN_STRIDE-th grid point, in the signal's kernel call;
-    only those that pass are checked on the full grid, in candidate order.
-    The screen never drops the candidate the full check would accept: its
-    points are a subset of the grid, and the kernel gives each point the
-    same value whatever else shares the call, so a candidate's screen
-    maximum never exceeds its grid maximum.
+    The signal is read as delta_batch reads its ``target`` column: one kernel call evaluates the
+    grid and both shifts of it, and only the target's discrepancy is read (_az_rows or _el_rows).
     """
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
@@ -534,24 +525,16 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     t_period = _period(family)
     kernel = _pair_kernel(family._replace(omega=1.0), base)
     read = (_az_rows, _el_rows)[idx]
-    ks = np.arange(16, 0, -1)
     tol = PERIOD_MATCH_TOL
     phases = np.linspace(0.0, _TWO_PI, PERIOD_GRID)
-    stride = slice(None, None, PERIOD_SCREEN_STRIDE)
-    # the signal and the screen points in one kernel call, each read on its own
-    w = kernel(err, np.append(phases, phases[stride] + (_TWO_PI / ks)[:, None]))
-    sig = read(w[..., :PERIOD_GRID])
+    sig, half, whole = read(kernel(err, phases + np.array([[0.0], [pi], [_TWO_PI]])))
     if float(sig.max() - sig.min()) < tol:
         return PeriodEstimate(t_period, degenerate=True)
-
-    screen = read(w[..., PERIOD_GRID:]).reshape(len(ks), -1)
-    for k in ks[np.abs(screen - sig[stride]).max(axis=1) < tol].tolist():
-        residual = float(np.abs(read(kernel(err, phases + _TWO_PI / k)) - sig).max())
+    for k, shifted in ((2, half), (1, whole)):
+        residual = float(np.abs(shifted - sig).max())
         if residual < tol:
             return PeriodEstimate(t_period / k, residual=residual)
-    raise PeriodEstimationError(
-        f"no period among the divisors T/16 ... T/2, T fits the {target} signal for angles {tuple(angles)}"
-    )
+    raise PeriodEstimationError(f"no period among T/2, T fits the {target} signal for angles {tuple(angles)}")
 
 
 CASE_SERIES_SAMPLES = 512

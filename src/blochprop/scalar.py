@@ -152,7 +152,7 @@ class DegenerateRotationError(ValueError):
 
 
 class PeriodEstimationError(RuntimeError):
-    """No divisor T/16 ... T/2, T of the analytic period T matched the signal."""
+    """Neither T/2 nor T, of the analytic period T, matched the signal."""
 
 
 class UnknownTargetError(ValueError, KeyError):

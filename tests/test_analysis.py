@@ -495,25 +495,39 @@ class TestEstimatePeriodNumeric:
         assert est.residual == full_scan_period("el", PROBE_ERR, UNIT_RATES, X_BASE)[2]
         assert estimate_period_numeric("el", (0.0, 0.0, 0.0), UNIT_RATES).residual == 0.0
 
-    def test_candidate_passing_the_screen_is_checked_on_the_grid(self, monkeypatch):
-        # choose a tolerance between T/16's screen and grid maxima: T/16
-        # passes the screen, fails the full grid and must not be returned
+    def test_half_period_is_tried_first_and_strictly(self, monkeypatch):
+        # a signal of period T: at a tolerance just above T/2's grid gap T/2 is returned with that
+        # gap as its residual, at a tolerance equal to it T is; both shifts come from one kernel call
         err, angles = (0.3, 1.1, 2.0), UNIT_RATES
         t_period = period(angles)
         signal = unit_speed_signal("az", err, angles, X_BASE)
         phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
-        gap = np.abs(signal(phases + TWO_PI / 16) - signal(phases))
-        on_screen = float(gap[:: analysis.PERIOD_SCREEN_STRIDE].max())
-        on_grid = float(gap.max())
-        assert on_screen < on_grid
-        tol = (on_screen + on_grid) / 2
-        monkeypatch.setattr(analysis, "PERIOD_MATCH_TOL", tol)
+        sig = signal(phases)
+        gap, whole = (float(np.abs(signal(phases + shift) - sig).max()) for shift in (math.pi, TWO_PI))
+        assert whole < gap < float(sig.max() - sig.min())
         calls = []
         monkeypatch.setattr(analysis, "_az_rows", lambda w: calls.append(w) or _az_rows(w))
+        for tol, want in ((math.nextafter(gap, math.inf), (t_period / 2, gap)), (gap, (t_period, whole))):
+            monkeypatch.setattr(analysis, "PERIOD_MATCH_TOL", tol)
+            calls.clear()
+            est = estimate_period_numeric("az", err, angles)
+            assert (float(est), est.residual) == want and not est.degenerate
+            assert len(calls) == 1
+
+    def test_near_flat_signal_is_not_read_as_a_short_divisor(self):
+        # the azimuth gap barely moves about an axis near z: its range is just above PERIOD_MATCH_TOL
+        # and a shift by T/16 moves it by less, so a screen of T/16 ... T read it as T/16; its
+        # period is T, and a dense sampling sees T/2 fail
+        err, angles = (math.pi, math.pi / 4, math.pi / 2), (0.0, 0.003, 3.0)
+        signal = unit_speed_signal("az", err, angles, X_BASE)
+        phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
+        sig = signal(phases)
+        assert analysis.PERIOD_MATCH_TOL < float(sig.max() - sig.min())
+        assert float(np.abs(signal(phases + TWO_PI / 16) - sig).max()) < analysis.PERIOD_MATCH_TOL
+        dense = np.linspace(0.0, TWO_PI, 100_001)
+        assert float(np.abs(signal(dense + math.pi) - signal(dense)).max()) > analysis.PERIOD_MATCH_TOL
         est = estimate_period_numeric("az", err, angles)
-        assert float(est) == full_scan_period("az", err, angles, X_BASE, tol)[0] == t_period
-        # signal, screen, T/16 on the grid, T on the grid
-        assert len(calls) == 4
+        assert (float(est), est.degenerate) == (period(angles), False)
 
 
 def full_scan_period(target, err, angles, base, tol=None):
@@ -549,11 +563,31 @@ def period_inputs(draw):
     return draw(st.sampled_from(["az", "el"])), err, rates, base
 
 
+def twin_err(rates, shift):
+    """Euler angles of sp_general(shift, rates), so the perturbed vector runs shift ahead of the clean one."""
+    r = propagation.sp_general(shift, rates)
+    return (math.atan2(r[2, 1], r[2, 0]), math.acos(r[2, 2]), math.atan2(r[1, 2], -r[0, 2]))
+
+
+def structured_period_examples(test):
+    """Both channels of: twins T/k apart, k = 2, 3, 4, 6; the rates (0, 1, 0), about the y axis, under
+    which every z-curve has c = 0 and a generic base gives T/2; and the axis bases."""
+    rates, base, err = (0.7, -1.3, 2.1), (0.48, 0.6, 0.64), (0.3, 0.2, 0.1)
+    cases = [(twin_err(rates, period(rates) / k), rates, base) for k in (2, 3, 4, 6)]
+    cases.append((err, (0.0, 1.0, 0.0), base))
+    cases += [(err, rates, axis) for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+    for case in cases:
+        for target in ("az", "el"):
+            test = example((target, *case))(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(period_inputs())
 # small errors, whose signal varies by less than PERIOD_MATCH_TOL
 @example(("az", (0.0, 1e-7, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0)))
 @example(("el", (0.0, 1e-7, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0)))
+@structured_period_examples
 def test_period_screen_matches_full_scan(inputs):
     target, err, rates, base = inputs
     want = full_scan_period(target, err, rates, base)

@@ -39,6 +39,14 @@ class TestClosedFormExtrema:
         n = (0.0, 1.2 / omega, 1.6 / omega)
         assert closed_form_extrema(n, rates)[1] == pytest.approx(math.acos(-1.6 / omega), abs=1e-12)
 
+    def test_axis_near_z_keeps_the_small_tilt(self):
+        # omega and n_z round to 1.0, so sqrt(1 - n_z^2) lost the 1e-8 tilt: pi/2, below the search's value
+        rates = (0.5, 1e-8, 0.5)
+        omega = math.hypot(1e-8, 1.0)
+        max_el = closed_form_extrema(X_BASE, rates)[1]
+        assert abs(max_el - math.acos(-1e-8 / omega)) <= 1e-15
+        assert max_el >= find_extrema(X_BASE, rates, 64, 0)[1].value
+
     @pytest.mark.parametrize(
         "bounds", [((0.0, 3.0),) * 4, ((0.0, 2 * math.pi),) * 3 + ((0.5, 2 * math.pi),), ((0.0, 1.0),) * 5]
     )
