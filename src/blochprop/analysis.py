@@ -511,9 +511,10 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     read over the phase s = omega * t, at time s of the unit-speed family (omega = 1, the same
     axis), where T/2 and T are the shifts pi and 2 pi: a shift is accepted when
     max_s |delta(s) - delta(s + shift)| over a PERIOD_GRID-point grid of [0, 2 pi] stays below
-    PERIOD_MATCH_TOL, and no point leaves [0, 4 pi] at any rate.  A signal whose range on the
-    grid is below that tolerance would match every shift, so it is flagged degenerate and
-    assigned the analytic period.
+    PERIOD_MATCH_TOL and below half the signal's range on the grid (a gap near the whole range
+    of a barely moving signal is no match), and no point leaves [0, 4 pi] at any rate.  A
+    signal whose range on the grid is below that tolerance would match every shift, so it is
+    flagged degenerate and assigned the analytic period.
 
     The signal is read as delta_batch reads its ``target`` column: one kernel call evaluates the
     grid and both shifts of it, and only the target's discrepancy is read (_az_rows or _el_rows).
@@ -525,11 +526,12 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     t_period = _period(family)
     kernel = _pair_kernel(family._replace(omega=1.0), base)
     read = (_az_rows, _el_rows)[idx]
-    tol = PERIOD_MATCH_TOL
     phases = np.linspace(0.0, _TWO_PI, PERIOD_GRID)
     sig, half, whole = read(kernel(err, phases + np.array([[0.0], [pi], [_TWO_PI]])))
-    if float(sig.max() - sig.min()) < tol:
+    spread = float(sig.max() - sig.min())
+    if spread < PERIOD_MATCH_TOL:
         return PeriodEstimate(t_period, degenerate=True)
+    tol = min(PERIOD_MATCH_TOL, spread / 2)
     for k, shifted in ((2, half), (1, whole)):
         residual = float(np.abs(shifted - sig).max())
         if residual < tol:

@@ -8,25 +8,27 @@ Angle-valued flags accept plain decimals plus the exact forms pi, e,
 line without decimal truncation ("2e5" stays scientific notation because
 plain-float parsing is tried first).
 
-Only the standard library and the numpy-free scalar module load with this
-module, so --help and average run without numpy; the other commands import
-their numpy modules when they run.
+Only argparse, re, math, functools and sys of the standard library and the
+numpy-free scalar module load with this module, so --help and average run
+without numpy, json, pathlib or typing; each command imports the rest of
+what it uses when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .scalar import PROBE_ERR, PeriodEstimationError, period, time_averaged_error
+from .scalar import PROBE_ERR, PeriodEstimationError, _start_pair, period, time_averaged_error
 
+# typing.TYPE_CHECKING without importing typing: type checkers read the block, the interpreter skips it
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .analysis import CaseReport, ExtremumResult
     from .propagation import ErrorSeries
 
@@ -34,7 +36,8 @@ SCHEMA_VERSION = 1
 # human-readable reports print values below this as "~0"; files keep full precision
 TINY_PRINT = 1e-6
 
-_ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?(pi|e)(?:/(\d+(?:\.\d+)?))?$")
+# compiled by re on the first literal that float() rejects, not at import
+_ANGLE_PATTERN = r"^([+-]?)(\d+(?:\.\d+)?)?(pi|e)(?:/(\d+(?:\.\d+)?))?$"
 
 
 def parse_angle(text: str) -> float:
@@ -43,7 +46,7 @@ def parse_angle(text: str) -> float:
     try:
         value = float(s)
     except ValueError:
-        m = _ANGLE_RE.match(s)
+        m = re.match(_ANGLE_PATTERN, s)
         if m is None:
             raise ValueError(f"cannot parse angle {text!r}") from None
         sign = -1.0 if m.group(1) == "-" else 1.0
@@ -90,6 +93,8 @@ def _json(doc: dict) -> str:
     through json.dumps with its lines shifted one level in (the encoder
     escapes newlines inside strings).
     """
+    import json
+
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     items = ",\n".join(f"  {json.dumps(key)}: {_json_value(doc[key])}" for key in sorted(doc))
     return "{\n" + items + "\n}\n"
@@ -100,6 +105,8 @@ _NUMBER_TYPES = frozenset((float, int))
 
 def _json_value(value) -> str:
     """One top-level value of _json, at one level of indent."""
+    import json
+
     if isinstance(value, list) and value and _NUMBER_TYPES.issuperset(map(type, value)):
         return "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -123,7 +130,8 @@ class _OutputError(Exception):
 
 def _write_text(path: str | Path, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc}") from None
 
@@ -184,13 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> None:
-    import numpy as np
-
     from .propagation import simulate
-    from .rotations import euler_matrix
     from .svgplot import render_series_svg
 
-    v_err = np.asarray(args.vec, dtype=float) @ euler_matrix(args.err)
+    # the perturbed start in rotations._row_times's order, in plain floats: no BLAS product
+    v_err = _start_pair(args.err, args.vec)[3:]
     series = simulate(args.vec, v_err, args.step, args.steps, pipeline=args.pipeline)
     if args.format == "csv":
         text = series_to_csv(series)
@@ -290,6 +296,9 @@ def _case_row(report: CaseReport) -> tuple:
 
 
 def cmd_cases(args) -> None:
+    # Path normalizes the printed paths: --output ./cs/ prints cs/summary.json
+    from pathlib import Path
+
     from .analysis import CASE_STUDIES, _check_starts, run_case_study
     from .svgplot import render_series_svg
 

@@ -496,15 +496,16 @@ class TestEstimatePeriodNumeric:
         assert estimate_period_numeric("el", (0.0, 0.0, 0.0), UNIT_RATES).residual == 0.0
 
     def test_half_period_is_tried_first_and_strictly(self, monkeypatch):
-        # a signal of period T: at a tolerance just above T/2's grid gap T/2 is returned with that
-        # gap as its residual, at a tolerance equal to it T is; both shifts come from one kernel call
-        err, angles = (0.3, 1.1, 2.0), UNIT_RATES
+        # a signal of period T whose T/2 grid gap is below half its range: at a tolerance just above
+        # that gap T/2 is returned with the gap as its residual, at a tolerance equal to it T is; both
+        # shifts come from one kernel call
+        err, angles = (0.3, 0.2, 0.1), UNIT_RATES
         t_period = period(angles)
         signal = unit_speed_signal("az", err, angles, X_BASE)
         phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
         sig = signal(phases)
         gap, whole = (float(np.abs(signal(phases + shift) - sig).max()) for shift in (math.pi, TWO_PI))
-        assert whole < gap < float(sig.max() - sig.min())
+        assert whole < gap < float(sig.max() - sig.min()) / 2
         calls = []
         monkeypatch.setattr(analysis, "_az_rows", lambda w: calls.append(w) or _az_rows(w))
         for tol, want in ((math.nextafter(gap, math.inf), (t_period / 2, gap)), (gap, (t_period, whole))):
@@ -529,6 +530,20 @@ class TestEstimatePeriodNumeric:
         est = estimate_period_numeric("az", err, angles)
         assert (float(est), est.degenerate) == (period(angles), False)
 
+    def test_near_flat_signal_does_not_match_half_its_period(self):
+        # the azimuth gap barely moves: its range on the grid is just above PERIOD_MATCH_TOL, and its
+        # T/2 gap, below that tolerance, is most of the range; the period is T, whose gap is rounding
+        err, angles = (math.pi, math.pi / 4, math.pi / 2), (1.0, 0.002, 2.0)
+        signal = unit_speed_signal("az", err, angles, X_BASE)
+        phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
+        sig = signal(phases)
+        spread = float(sig.max() - sig.min())
+        gap = float(np.abs(signal(phases + math.pi) - sig).max())
+        assert spread / 2 < gap < analysis.PERIOD_MATCH_TOL < spread
+        est = estimate_period_numeric("az", err, angles)
+        assert (float(est), est.degenerate) == (period(angles), False)
+        assert est.residual < 1e-15
+
 
 def full_scan_period(target, err, angles, base, tol=None):
     """(value, degenerate, residual) by checking every candidate on the full grid, or None.
@@ -541,8 +556,11 @@ def full_scan_period(target, err, angles, base, tol=None):
     signal = unit_speed_signal(target, err, angles, base)
     phases = np.linspace(0.0, TWO_PI, analysis.PERIOD_GRID)
     sig = signal(phases)
-    if float(sig.max() - sig.min()) < tol:
+    spread = float(sig.max() - sig.min())
+    if spread < tol:
         return t_period, True, 0.0
+    # a gap must also be below half the range, or a barely moving signal would match any shift
+    tol = min(tol, spread / 2)
     cands = [(TWO_PI / k, t_period / k) for k in range(16, 1, -1)] + [(k * TWO_PI, k * t_period) for k in range(1, 11)]
     for shift, cand in cands:
         gap = float(np.abs(signal(phases + shift) - sig).max())

@@ -2,6 +2,7 @@
 
 Every command, average included, runs without scipy; --help and average also run without numpy,
 extrema also runs without numpy.random where numpy itself does not load it (numpy 1.x does, 2.4 does not),
+every command that writes no JSON runs without json, the CLI's import loads no json, pathlib or typing,
 and the package exports each public name from its module on first use.
 """
 
@@ -28,6 +29,15 @@ NO_SCIPY_RUNS = [
 
 # the commands that need no numpy: --help exits through SystemExit
 NO_NUMPY_RUNS = [["--help"], *(argv for argv in NO_SCIPY_RUNS if argv[0] == "average")]
+
+# the commands that write no JSON: json loads only with a JSON writer
+NO_JSON_RUNS = [
+    ["--help"],
+    ["average", "--angles", "1,1,1"],
+    ["period", "--angles", "1,1,1"],
+    ["simulate", "--step", "0.1,0.2,0.3", "--steps", "50", "--format", "csv"],
+    ["simulate", "--step", "0.1,0.2,0.3", "--steps", "50", "--format", "svg"],
+]
 
 # the search draws its start points in plain Python, at any seed
 NO_NUMPY_RANDOM_RUNS = [["extrema", "--starts", "4"], ["extrema", "--starts", "4", "--seed", str(2**70)]]
@@ -149,6 +159,21 @@ def test_help_and_average_run_with_numpy_blocked(capsys, monkeypatch):
     assert blocked == unblocked + ["numpy blocked"]
     assert [code for code, _ in unblocked] == [0] * len(NO_NUMPY_RUNS)
     assert unblocked[0][1].startswith("usage: blochprop ")
+
+
+def test_commands_without_json_output_run_with_json_blocked(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    blocked = json.loads(run_python("-c", _BLOCKED, json.dumps(NO_JSON_RUNS), "json"))
+    unblocked = run_unblocked(NO_JSON_RUNS, capsys)
+    assert blocked == unblocked + ["json blocked"]
+    assert [code for code, _ in unblocked] == [0] * len(NO_JSON_RUNS)
+    assert unblocked[4][1].startswith("<svg")
+
+
+def test_cli_import_in_a_clean_interpreter_loads_no_json_pathlib_typing_or_numpy():
+    # -S skips the site module, whose .pth files may import pathlib or typing before any of our code runs
+    code = "import sys, blochprop.cli; print([m for m in ('json', 'pathlib', 'typing', 'numpy') if m in sys.modules])"
+    assert run_python("-S", "-c", code) == "[]\n"
 
 
 def test_extrema_runs_with_numpy_random_blocked(capsys):
