@@ -41,12 +41,12 @@ import numpy as np
 from .bloch import EulerAngles
 from .propagation import ErrorSeries, _az_rows, _el_rows, _pair_kernel, _pseudo_rows
 from .scalar import (
-    PROBE_ERR, PeriodEstimationError, _TWO_PI, _check_phase, _count, _delta_az, _delta_el, _family, _finite_triple,
+    PROBE_ERR, _TWO_PI, _check_phase, _count, _delta_az, _delta_el, _family, _finite_triple,
     _floats, _period, _point_reader, _pseudo_az, _pseudo_el, _require_unit, _samples, _start_pair, _target_index,
     _z_curve, period
 )
 # re-exported, so that these stay importable from this module
-from .scalar import QUAD_EPSREL, QUAD_LIMIT, TimeAverage, time_averaged_error
+from .scalar import QUAD_EPSREL, QUAD_LIMIT, PeriodEstimationError, TimeAverage, time_averaged_error
 
 # the default search box is half-open, [0, 2*pi) per coordinate: its upper edge stays below 2*pi
 BOX_HI = nextafter(2.0 * pi, 0.0)
@@ -69,9 +69,9 @@ class PeriodEstimate(float):
     A signal whose range on the grid is below PERIOD_MATCH_TOL (zero error, an
     error that commutes with the rotation, or one too small to show) would
     match every shift, so the analytic value is returned by convention and
-    flagged.  ``residual`` is the matched period's largest gap
-    |delta(s + shift) - delta(s)| on the phase grid, the shift being pi for
-    T/2 and 2 pi for T; 0.0 when degenerate.
+    flagged.  ``residual`` is T/2's largest gap |delta(s + pi) - delta(s)| on
+    the phase grid when T/2 matched; 0.0 for T, which needs no check, and when
+    degenerate.
     """
 
     degenerate: bool
@@ -497,7 +497,7 @@ def closed_form_extrema(base, rates, bounds=SEARCH_BOX) -> tuple[float, float, f
     if box is None or not (max(box[0]) <= 0.0 and min(box[1]) >= BOX_HI):
         raise ValueError(f"the closed forms need the full search box [0, 2*pi)^4, got {bounds!r}")
     if not family.omega >= 1.0:
-        raise ValueError(f"the closed forms need omega >= 1, so that t spans a period; got {family.omega!r}")
+        raise ValueError(f"rotation rates {family.rates!r}: the closed forms need omega >= 1, got {family.omega!r}")
     c, r, _ = _z_curve(*b, family.na, family.nt)
     return pi, acos(-min(1.0, abs(c) + r)), 0.0, 0.0
 
@@ -507,17 +507,17 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
 
     Under the rotation family every coordinate moves along a single harmonic of the phase, and
     every signal surveyed repeats after T/2 or T, or is constant; that no shorter divisor occurs
-    is observed, not proved (see the README), so only T/2 and T are tried.  The signal is
-    read over the phase s = omega * t, at time s of the unit-speed family (omega = 1, the same
-    axis), where T/2 and T are the shifts pi and 2 pi: a shift is accepted when
-    max_s |delta(s) - delta(s + shift)| over a PERIOD_GRID-point grid of [0, 2 pi] stays below
+    is observed, not proved (see the README).  T needs no check, as the family at phase s + 2 pi
+    is the family at s.  The signal is read over the phase s = omega * t, at time s of the
+    unit-speed family (omega = 1, the same axis), where T/2 is the shift pi: it is accepted when
+    max_s |delta(s) - delta(s + pi)| over a PERIOD_GRID-point grid of [0, 2 pi] stays below
     PERIOD_MATCH_TOL and below half the signal's range on the grid (a gap near the whole range
-    of a barely moving signal is no match), and no point leaves [0, 4 pi] at any rate.  A
+    of a barely moving signal is no match), and no point leaves [0, 3 pi] at any rate.  A
     signal whose range on the grid is below that tolerance would match every shift, so it is
     flagged degenerate and assigned the analytic period.
 
     The signal is read as delta_batch reads its ``target`` column: one kernel call evaluates the
-    grid and both shifts of it, and only the target's discrepancy is read (_az_rows or _el_rows).
+    grid and its shift by pi, and only the target's discrepancy is read (_az_rows or _el_rows).
     """
     idx = _target_index(target)
     err = _finite_triple(err, "Euler angles", "err")
@@ -527,16 +527,14 @@ def estimate_period_numeric(target: str, err, angles, base=(1.0, 0.0, 0.0)) -> P
     kernel = _pair_kernel(family._replace(omega=1.0), base)
     read = (_az_rows, _el_rows)[idx]
     phases = np.linspace(0.0, _TWO_PI, PERIOD_GRID)
-    sig, half, whole = read(kernel(err, phases + np.array([[0.0], [pi], [_TWO_PI]])))
+    sig, half = read(kernel(err, phases + np.array([[0.0], [pi]])))
     spread = float(sig.max() - sig.min())
     if spread < PERIOD_MATCH_TOL:
         return PeriodEstimate(t_period, degenerate=True)
-    tol = min(PERIOD_MATCH_TOL, spread / 2)
-    for k, shifted in ((2, half), (1, whole)):
-        residual = float(np.abs(shifted - sig).max())
-        if residual < tol:
-            return PeriodEstimate(t_period / k, residual=residual)
-    raise PeriodEstimationError(f"no period among T/2, T fits the {target} signal for angles {tuple(angles)}")
+    residual = float(np.abs(half - sig).max())
+    if residual < min(PERIOD_MATCH_TOL, spread / 2):
+        return PeriodEstimate(t_period / 2, residual=residual)
+    return PeriodEstimate(t_period)
 
 
 CASE_SERIES_SAMPLES = 512

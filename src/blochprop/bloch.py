@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from math import atan2, cos, hypot, pi, sin
+from math import atan2, cos, hypot, isfinite, pi, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -45,14 +45,17 @@ class EulerAngles(NamedTuple):
 
 
 def cartesian_to_spherical(v) -> Spherical:
-    """Convert a finite 3-vector of any norm to ISO spherical coordinates.
+    """Convert a finite 3-vector whose norm is a float to ISO spherical coordinates.
 
     The zero vector maps to Spherical(0, 0, 0); this degenerate result is
-    documented rather than an error.
+    documented rather than an error.  A vector whose norm is beyond the float
+    range, such as (1e308, 1e308, 1e308), raises a ValueError that names v.
     """
     x, y, z = _finite_vector(v, "v")
     rho = hypot(x, y)
     r = hypot(rho, z)
+    if not isfinite(r):
+        raise ValueError(f"v must have a norm within the float range, got {v!r}")
     if r == 0.0:
         return Spherical(0.0, 0.0, 0.0)
     theta_el = atan2(rho, z)
@@ -143,7 +146,12 @@ def angle_distance(a: float, b: float) -> float:
     """Shorter arc between two directions: min(|a-b| mod 2pi, 2pi - that).
 
     Symmetric, bounded by pi, invariant under adding 2*pi*k to either
-    argument, and a metric on the circle.  Each of ``a`` and ``b`` must be one finite number.
+    argument, and a metric on the circle.  Each of ``a`` and ``b`` must be one finite number;
+    where a - b overflows, as for 1e308 and -1e308, each is first reduced mod 2*pi.
     """
-    d = abs(_finite_float(a, "a") - _finite_float(b, "b")) % (2.0 * pi)
+    a, b = _finite_float(a, "a"), _finite_float(b, "b")
+    diff = a - b
+    if not isfinite(diff):
+        diff = a % (2.0 * pi) - b % (2.0 * pi)
+    d = abs(diff) % (2.0 * pi)
     return min(d, 2.0 * pi - d)

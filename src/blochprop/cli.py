@@ -22,7 +22,7 @@ import math
 import re
 import sys
 
-from .scalar import PROBE_ERR, PeriodEstimationError, _start_pair, period, time_averaged_error
+from .scalar import PROBE_ERR, _start_pair, period, time_averaged_error
 
 # typing.TYPE_CHECKING without importing typing: type checkers read the block, the interpreter skips it
 TYPE_CHECKING = False
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ValueError, PeriodEstimationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _OutputError as exc:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt
+from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
@@ -100,11 +101,13 @@ class ErrorSeries:
 
 
 def delta_pair(w, w_err) -> tuple[float, float]:
-    """Wrapped (azimuth, elevation) discrepancies between two finite nonzero 3-vectors of any norm."""
+    """Wrapped (azimuth, elevation) discrepancies between two finite 3-vectors of norm at least POLE_EPS."""
     vx, vy, vz = _finite_vector(w, "w")
     wx, wy, wz = _finite_vector(w_err, "w_err")
-    if hypot(hypot(vx, vy), vz) < POLE_EPS or hypot(hypot(wx, wy), wz) < POLE_EPS:
-        raise ValueError("discrepancies are undefined for zero vectors")
+    for name, v, norm in (("w", w, hypot(hypot(vx, vy), vz)), ("w_err", w_err, hypot(hypot(wx, wy), wz))):
+        if norm < POLE_EPS:
+            raise ValueError(f"{name} must have a norm of at least {POLE_EPS!r}, as discrepancies are undefined for"
+                             f" zero vectors; got {v!r}")
     return _delta_scalar(vx, vy, vz, wx, wy, wz)
 
 
@@ -258,9 +261,12 @@ def limit_convergence_check(t: float, angles, s: int) -> float:
 
     Decreases toward 0 as s grows; for equal first and last angles the
     one-step matrix is a palindromic product, giving second-order decay.
-    ``t`` is one finite float, and the step angles angles * t / s must be finite.
+    ``t`` is one finite float, ``s`` a count within the float range, and the step angles
+    angles * t / s must be finite.
     """
     s = _count(s, "s", 1)
+    if s > float_info.max:
+        raise ValueError(f"s must be within the float range, got an integer of {s.bit_length()} bits")
     t = _finite_float(t, "t")
     family = _family(angles)
     _check_phase(family, abs(t))

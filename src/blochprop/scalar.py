@@ -152,7 +152,7 @@ class DegenerateRotationError(ValueError):
 
 
 class PeriodEstimationError(RuntimeError):
-    """Neither T/2 nor T, of the analytic period T, matched the signal."""
+    """Kept as a public name only: nothing raises it, as estimate_period_numeric answers T when T/2 does not match."""
 
 
 class UnknownTargetError(ValueError, KeyError):

@@ -1,10 +1,11 @@
 """Coordinate conversions, qubit matrices, and wrapped angle distance."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochprop.bloch import (
@@ -144,6 +145,16 @@ class TestAngleDistance:
         d = angle_distance(a, b)
         assert d == angle_distance(b, a)
         assert 0.0 <= d <= math.pi + 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e308, -1e308)
+    @example(-sys.float_info.max, sys.float_info.max)
+    def test_symmetric_and_bounded_over_the_whole_float_range(self, a, b):
+        # a - b overflowed to inf for 1e308 and -1e308, and inf mod 2 pi is NaN
+        d = angle_distance(a, b)
+        assert d == angle_distance(b, a)
+        assert 0.0 <= d <= math.pi
 
     @settings(max_examples=500, deadline=None)
     @given(finite_angles, finite_angles, st.integers(-3, 3))

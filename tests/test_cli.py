@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blochprop.analysis import CASE_STUDIES, PeriodEstimationError, case_series, run_case_study
+from blochprop.analysis import CASE_STUDIES, case_series, run_case_study
 from blochprop.cli import (
     SCHEMA_VERSION,
     _case_doc,
@@ -389,15 +389,6 @@ def test_step_whose_phase_sum_overflows_runs_in_every_pipeline(tmp_path, capsys)
     assert paths["euler"].shape == (3, 3)
     assert np.abs(paths["su2"] - paths["euler"]).max() < 1e-9
     assert np.abs(paths["closed"] - paths["euler"]).max() < 1e-9
-
-
-def test_period_estimation_failure_exits_1(monkeypatch, capsys):
-    def no_match(*args, **kwargs):
-        raise PeriodEstimationError("no period among the divisors T/16 ... T/2, T fits")
-
-    monkeypatch.setattr("blochprop.analysis.estimate_period_numeric", no_match)
-    assert run_cli("period", "--angles", "1,1,1") == 1
-    assert "no period" in one_line_error(capsys)
 
 
 def test_unknown_command_exits_1():
